@@ -245,7 +245,7 @@ def _cmd_thermal(args, argv) -> int:
         fp = floorplan_from_document(fpath)
     else:
         fp = place.bst_placement(bundle.package)
-    cell = args.resolution or 1.0
+    cell = 1.0 if args.resolution is None else args.resolution
     pm = thermal.rasterize(fp, cell)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     rows = []

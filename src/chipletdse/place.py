@@ -214,6 +214,8 @@ class AnnealConfig:
             raise PlacementError("tol must be > 0")
         if self.max_iterations < 1:
             raise PlacementError("max_iterations must be >= 1")
+        if not (self.coarse_cell_mm > 0 and self.fine_cell_mm > 0):
+            raise PlacementError("coarse_cell_mm and fine_cell_mm must be > 0")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,19 @@ class TestThermalCommand:
         assert "peak_chiplet_c" in printed
 
 
+class TestResolutionValidation:
+    @pytest.mark.parametrize("command, resolution", [
+        ("place", "0"), ("place", "-2"), ("thermal", "0"), ("thermal", "-1"),
+    ])
+    def test_non_positive_resolution_rejected(self, spec_path, tmp_path, capsys,
+                                              command, resolution):
+        status = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
+                       "--resolution", resolution])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestPlaceCommand:
     def test_outputs_and_determinism(self, spec_path, tmp_path):
         out1, out2 = tmp_path / "p1", tmp_path / "p2"

@@ -161,6 +161,12 @@ class TestAnnealConfig:
         with pytest.raises(PlacementError):
             AnnealConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("field", ["coarse_cell_mm", "fine_cell_mm"])
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_rejects_non_positive_cell_size(self, field, value):
+        with pytest.raises(PlacementError, match="cell_mm"):
+            AnnealConfig(**{field: value})
+
 
 class TestOptimize:
     def test_deterministic(self):

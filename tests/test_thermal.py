@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chipletdse import thermal
 from chipletdse.model import (
     Floorplan,
     LayerSpec,
@@ -75,8 +76,14 @@ def dense_solve(stack, pm):
     top = stack.layers[-1]
     r_amb = (top.thickness_mm * MM / (2 * top.conductivity * cell * cell)
              + 1.0 / (stack.h_top * cell * cell))
+    half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2
     for iy in range(ny):
         for ix in range(nx):
+            # cooled when the cell centre lies under the sink, which is
+            # centred on the mesh
+            if (abs((ix + 0.5) * pm.cell_mm - nx * pm.cell_mm / 2) > half
+                    or abs((iy + 0.5) * pm.cell_mm - ny * pm.cell_mm / 2) > half):
+                continue
             i = idx(nl - 1, iy, ix)
             A[i, i] += 1.0 / r_amb
             b[i] += stack.ambient / r_amb
@@ -127,6 +134,12 @@ class TestRasterize:
         with pytest.raises(ThermalError, match="cell size"):
             rasterize(fp, 2.0)
 
+    @pytest.mark.parametrize("cell_mm", [0.0, -1.0])
+    def test_non_positive_cell_size_rejected(self, cell_mm):
+        fp = Floorplan(5, 5, (PlacedChiplet("a", 0, 0, 0, 2.5, 2.5, 6.25),))
+        with pytest.raises(ThermalError, match="cell size"):
+            rasterize(fp, cell_mm)
+
     def test_invalid_floorplan_rejected(self):
         fp = Floorplan(5, 5, (PlacedChiplet("a", 3, 3, 0, 4, 4, 1.0),))
         with pytest.raises(ValidationError):
@@ -140,11 +153,23 @@ class TestSolver:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            pm = power_map(rng.uniform(0.0, 2.0, size=(5, 6)))
-            got = solve_steady_state(pm, SMALL).data
-            want = dense_solve(SMALL, pm)
-            assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+        for shape, sink_side_mm in [
+            ((5, 6), None),
+            ((6, 6), 4.0),   # partial sink: 4 x 4 of 6 x 6 top cells cooled
+            ((5, 7), 3.0),   # partial sink on an odd grid
+            ((5, 7), 1.0),   # a single cooled cell
+            ((6, 6), 6.0),   # sink as large as the die
+            ((5, 7), 50.0),  # sink larger than the die
+        ]:
+            stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top,
+                                 ambient=SMALL.ambient, sink_side_mm=sink_side_mm)
+            for _ in range(5):
+                pm = power_map(rng.uniform(0.0, 2.0, size=shape))
+                got = solve_steady_state(pm, stack).data
+                want = dense_solve(stack, pm)
+                assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+                if sink_side_mm is not None and sink_side_mm >= max(shape):
+                    assert np.array_equal(got, solve_steady_state(pm, SMALL).data)
 
     def test_energy_conservation_random_maps(self):
         rng = np.random.default_rng(11)
@@ -180,17 +205,6 @@ class TestSolver:
         assert np.unravel_index(chip.argmax(), chip.shape) == (1, 3)
         assert peak_temperature(tf) == chip.max()
 
-    def test_cg_matches_direct(self):
-        rng = np.random.default_rng(19)
-        pm = power_map(rng.uniform(0.0, 2.0, size=(5, 5)))
-        direct = solve_steady_state(pm, SMALL, method="direct").data
-        cg = solve_steady_state(pm, SMALL, method="cg").data
-        assert np.allclose(direct, cg, rtol=1e-7, atol=1e-7)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            solve_steady_state(power_map(np.ones((3, 3))), SMALL, method="magic")
-
     def test_default_stack_runs_hotter_with_less_cooling(self):
         pm = power_map(np.full((10, 10), 0.5))
         cool = solve_steady_state(pm, default_stack(h_top=2000.0))
@@ -213,6 +227,12 @@ class TestSinkFootprint:
         full = peak_temperature(solve_steady_state(pm, self.stack(None)))
         small = peak_temperature(solve_steady_state(pm, self.stack(3.0)))
         assert small > full
+
+    def test_non_converging_cg_raises(self, monkeypatch):
+        monkeypatch.setattr(thermal, "PCG_MAX_ITER", 1)
+        pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
+        with pytest.raises(ThermalError, match="did not converge"):
+            solve_steady_state(pm, self.stack(4.0))
 
     def test_sink_missing_all_cells_rejected(self):
         pm = power_map(np.full((6, 6), 1.0))
