@@ -8,8 +8,3 @@ __version__ = "0.1.0"
 def bundled_spec_path() -> str:
     """Path to the bundled infotainment package spec."""
     return str(resources.files("chipletdse.data") / "infotainment.json")
-
-
-def interconnect_specs_path() -> str:
-    """Path to the static interconnect-protocol reference CSV."""
-    return str(resources.files("chipletdse.data") / "interconnect_specs.csv")

@@ -13,31 +13,23 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, bundled_spec_path
 from . import costyield, perf, phy, place, power, svgout, thermal
 from .model import (
-    PowerParams,
+    AnnealConfig,
     SpecBundle,
     SpecError,
     floorplan_from_document,
     floorplan_to_document,
     load_bundle,
+    load_configs_csv,
+    read_document,
 )
-from .power import TileOperatingPoint
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".6g")
-    return str(value)
+from .svgout import fmt
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -45,7 +37,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([fmt(v) for v in row])
 
 
 def _sha256(path: Path) -> str:
@@ -72,29 +64,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_bundle(args) -> SpecBundle:
-    path = Path(args.spec)
-    if not path.exists():
-        raise SpecError(f"spec file not found: {path}")
-    return load_bundle(path)
+def _given(**flags) -> dict:
+    """The flags given on the command line, as dataclass field overrides."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
-def _anneal_config(bundle: SpecBundle, args) -> place.AnnealConfig:
-    a = bundle.anneal
-    seed = args.seed if args.seed is not None else int(a.get("seed", 0))
-    kwargs = dict(
-        k0=float(a.get("k0", 0.1)),
-        decay=float(a.get("decay", 0.97)),
-        tol=float(a.get("tol_c", 0.1)),
-        max_iterations=int(a.get("max_iterations", 500)),
-        moves_per_iteration=int(a.get("moves_per_iteration", 10)),
-        seed=seed,
-        coarse_cell_mm=float(a.get("coarse_cell_mm", 2.0)),
-        fine_cell_mm=float(a.get("fine_cell_mm", 1.0)),
-    )
-    if args.resolution is not None:
-        kwargs["fine_cell_mm"] = args.resolution
-    return place.AnnealConfig(**kwargs)
+def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
+    return replace(bundle.anneal, **_given(seed=args.seed, fine_cell_mm=args.resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +78,10 @@ def _anneal_config(bundle: SpecBundle, args) -> place.AnnealConfig:
 
 
 def _cmd_cost(args, argv) -> int:
-    bundle = _load_bundle(args)
+    bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
     dies = [(c.area, 1) for c in bundle.package.chiplets]
-    n_conn = args.connections
-    if n_conn is None:
-        n_conn = int(bundle.raw.get("process", {}).get("n_connections", 20000))
+    n_conn = bundle.process.n_connections if args.connections is None else args.connections
     breakdown = costyield.package_cost(dies, n_conn, bundle.process)
     rows = [
         [bundle.package.chiplets[i].name, d.area, d.gross_dies_per_wafer,
@@ -121,36 +95,17 @@ def _cmd_cost(args, argv) -> int:
                ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                rows)
     _write_manifest(out, "cost", [Path(args.spec)], None, argv)
-    print(f"package_cost = {_fmt(breakdown.package_cost)} "
-          f"(assembly_yield {_fmt(breakdown.assembly_yield)})")
+    print(f"package_cost = {fmt(breakdown.package_cost)} "
+          f"(assembly_yield {fmt(breakdown.assembly_yield)})")
     return 0
 
 
-_TILE_PARAM_KEYS = {
-    "activity": "activity",
-    "load_capacitance_f": "load_capacitance",
-    "gain_factor_a_v2": "gain_factor",
-    "transition_time_s": "transition_time",
-    "threshold_v": "threshold",
-    "leakage_current_a": "leakage_current",
-    "transistor_density_mm2": "transistor_density",
-    "area_mm2": "area",
-}
-
-
 def _cmd_power(args, argv) -> int:
-    bundle = _load_bundle(args)
+    bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
-    tiles = []
-    for td in bundle.tiles:
-        params = PowerParams(**{
-            dest: float(td[key]) for key, dest in _TILE_PARAM_KEYS.items() if key in td
-        })
-        tiles.append(TileOperatingPoint(
-            td["name"], float(td["frequency_hz"]), float(td["voltage_v"]), params))
-    if not tiles:
+    if not bundle.tiles:
         raise SpecError(f"{args.spec}: no 'tiles' section for the power subcommand")
-    rows_out, total = power.system_power(tiles)
+    rows_out, total = power.system_power(bundle.tiles)
     rows = [[name, b.switching, b.short_circuit, b.leakage, b.total]
             for name, b in rows_out]
     rows.append(["SYSTEM", sum(b.switching for _, b in rows_out),
@@ -160,29 +115,19 @@ def _cmd_power(args, argv) -> int:
                ["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
                rows)
     _write_manifest(out, "power", [Path(args.spec)], None, argv)
-    print(f"system_power_w = {_fmt(total)}")
+    print(f"system_power_w = {fmt(total)}")
     return 0
 
 
 def _cmd_perf(args, argv) -> int:
-    inputs = []
     if args.configs:
-        path = Path(args.configs)
-        if not path.exists():
-            raise SpecError(f"configs file not found: {path}")
-        inputs.append(path)
-        with path.open() as fh:
-            entries = [
-                (r["name"], float(r["cost"]), float(r["throughput"]), float(r["latency"]))
-                for r in csv.DictReader(fh)
-            ]
+        source = Path(args.configs)
+        entries = load_configs_csv(source)
+    elif args.spec:
+        source = Path(args.spec)
+        entries = load_bundle(source).configs
     else:
-        bundle = _load_bundle(args)
-        inputs.append(Path(args.spec))
-        entries = [
-            (c["name"], float(c["cost"]), float(c["throughput"]), float(c["latency"]))
-            for c in bundle.configs
-        ]
+        raise SpecError("perf needs --spec or --configs")
     if not entries:
         raise SpecError("no configuration rows found (spec 'configs' or --configs CSV)")
     ranked = perf.rank_configs(entries)
@@ -191,33 +136,20 @@ def _cmd_perf(args, argv) -> int:
                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
                [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
                 for r in ranked])
-    _write_manifest(out, "perf", inputs, None, argv)
+    _write_manifest(out, "perf", [source], None, argv)
     print(f"best_config = {ranked[0].name} "
-          f"(golden_ratio {_fmt(ranked[0].golden_ratio)})")
+          f"(golden_ratio {fmt(ranked[0].golden_ratio)})")
     return 0
 
 
-def _phy_geometry(bundle: SpecBundle | None, args) -> tuple[phy.TraceGeometry, phy.PhyTargets]:
-    section = bundle.phy if bundle else {}
-    um = 1e-6
-    geometry = phy.TraceGeometry(
-        trace_width=(args.trace_width_um or section.get("trace_width_um", 50.0)) * um,
-        trace_thickness=(args.trace_thickness_um or section.get("trace_thickness_um", 20.0)) * um,
-        ground_thickness=(args.ground_thickness_um or section.get("ground_thickness_um", 50.0)) * um,
-        interposer_height=(args.interposer_height_um or section.get("interposer_height_um", 100.0)) * um,
-        relative_permittivity=args.er or section.get("relative_permittivity", 11.68),
-        conductivity=args.sigma or section.get("conductivity_s_m", 5.98e7),
-    )
-    targets = phy.PhyTargets(
-        clock_frequency=args.clock or section.get("clock_frequency_hz", 2e9),
-        safety_factor=args.sf or section.get("safety_factor", 1.5),
-    )
-    return geometry, targets
-
-
 def _cmd_phy(args, argv) -> int:
-    bundle = _load_bundle(args) if args.spec else None
-    geometry, targets = _phy_geometry(bundle, args)
+    bundle = load_bundle(Path(args.spec)) if args.spec else None
+    geometry = replace(bundle.geometry if bundle else phy.TraceGeometry(), **_given(
+        trace_width=args.trace_width_um, trace_thickness=args.trace_thickness_um,
+        ground_thickness=args.ground_thickness_um, interposer_height=args.interposer_height_um,
+        relative_permittivity=args.er, conductivity=args.sigma))
+    targets = replace(bundle.targets if bundle else phy.PhyTargets(), **_given(
+        clock_frequency=args.clock, safety_factor=args.sf))
     lp = phy.line_params(geometry, targets.clock_frequency)
     max_len = phy.max_trace_length(targets, geometry)
     lengths = [i * 1e-3 for i in range(1, 101)]
@@ -227,20 +159,18 @@ def _cmd_phy(args, argv) -> int:
                ["length_mm", "log10_bw_hz", "log10_target_hz"],
                [[L * 1e3, bw, tgt] for L, bw, tgt in curve])
     _write_manifest(out, "phy", [Path(args.spec)] if args.spec else [], None, argv)
-    print(f"c_per_length_pf_m = {_fmt(lp.c_per_length * 1e12)}")
-    print(f"r_total_per_length_ohm_m = {_fmt(lp.r_total_per_length)}")
-    print(f"max_trace_length_mm = {_fmt(max_len * 1e3)}")
+    print(f"c_per_length_pf_m = {fmt(lp.c_per_length * 1e12)}")
+    print(f"r_total_per_length_ohm_m = {fmt(lp.r_total_per_length)}")
+    print(f"max_trace_length_mm = {fmt(max_len * 1e3)}")
     return 0
 
 
 def _cmd_thermal(args, argv) -> int:
-    bundle = _load_bundle(args)
+    bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
     inputs = [Path(args.spec)]
     if args.floorplan:
         fpath = Path(args.floorplan)
-        if not fpath.exists():
-            raise SpecError(f"floorplan file not found: {fpath}")
         inputs.append(fpath)
         fp = floorplan_from_document(fpath)
     else:
@@ -257,11 +187,16 @@ def _cmd_thermal(args, argv) -> int:
     _write_csv(out / "temperature_field.csv", ["layer", "x", "y", "t_c"], rows)
     _write_manifest(out, "thermal", inputs, None, argv)
     for lname in tf.stack.layer_names:
-        print(f"peak_{lname}_c = {_fmt(thermal.peak_temperature(tf, lname))}")
+        print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
     return 0
 
 
-def _write_placement_outputs(out: Path, result: place.AnnealResult, kinds: dict[str, str]) -> None:
+def _cmd_place(args, argv) -> int:
+    bundle = load_bundle(Path(args.spec))
+    out = _out_dir(args)
+    cfg = _anneal_config(bundle, args)
+    result = place.optimize(bundle.package, cfg)
+    kinds = {c.name: c.kind for c in bundle.package.chiplets}
     (out / "floorplan.json").write_text(
         json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
     (out / "floorplan.svg").write_text(svgout.floorplan_svg(result.floorplan, kinds))
@@ -269,44 +204,33 @@ def _write_placement_outputs(out: Path, result: place.AnnealResult, kinds: dict[
                ["iteration", "peak_t_c", "wirelength_mm", "cost", "k"],
                [[h.iteration, h.peak_t, h.wirelength, h.cost, h.k]
                 for h in result.history])
-
-
-def _cmd_place(args, argv) -> int:
-    bundle = _load_bundle(args)
-    out = _out_dir(args)
-    cfg = _anneal_config(bundle, args)
-    result = place.optimize(bundle.package, cfg)
-    kinds = {c.name: c.kind for c in bundle.package.chiplets}
-    _write_placement_outputs(out, result, kinds)
     _write_manifest(out, "place", [Path(args.spec)], cfg.seed, argv)
-    print(f"initial_peak_t_c = {_fmt(result.initial_peak_t)}")
-    print(f"final_peak_t_c = {_fmt(result.final_peak_t)}")
+    print(f"initial_peak_t_c = {fmt(result.initial_peak_t)}")
+    print(f"final_peak_t_c = {fmt(result.final_peak_t)}")
     print(f"iterations = {result.iterations} converged = {result.converged}")
     return 0
 
 
 def _cmd_calibrate_k(args, argv) -> int:
-    bundle = _load_bundle(args)
+    bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
     cfg = _anneal_config(bundle, args)
-    candidates = [float(v) for v in args.k.split(",")]
-    rows = place.calibrate_k(bundle.package, candidates, cfg)
+    rows = place.calibrate_k(bundle.package, args.k, cfg)
     _write_csv(out / "k_calibration.csv",
                ["k0", "iterations_to_converge", "final_peak_t_c"],
                [[r.k0, r.iterations, r.final_peak_t] for r in rows])
     _write_manifest(out, "calibrate-k", [Path(args.spec)], cfg.seed, argv)
     for r in rows:
-        print(f"k0={_fmt(r.k0)} iterations={r.iterations} "
-              f"final_peak_t_c={_fmt(r.final_peak_t)}")
+        print(f"k0={fmt(r.k0)} iterations={r.iterations} "
+              f"final_peak_t_c={fmt(r.final_peak_t)}")
     return 0
 
 
 def _cmd_sweep(args, argv) -> int:
-    bundle = _load_bundle(args)
+    bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
     cfg = _anneal_config(bundle, args)
-    sides = [float(v) for v in args.sides.split(",")]
-    rows = place.interposer_sweep(bundle.package, sides, cfg)
+    rows = place.interposer_sweep(bundle.package, args.sides, cfg)
     _write_csv(out / "interposer_sweep.csv",
                ["side_mm", "area_mm2", "peak_t_c", "feasible"],
                [[r.side_mm, r.area_mm2,
@@ -314,20 +238,32 @@ def _cmd_sweep(args, argv) -> int:
                 for r in rows])
     _write_manifest(out, "sweep", [Path(args.spec)], cfg.seed, argv)
     for r in rows:
-        status = _fmt(r.peak_t) if r.feasible else "infeasible"
-        print(f"side={_fmt(r.side_mm)}mm peak_t_c={status}")
+        status = fmt(r.peak_t) if r.feasible else "infeasible"
+        print(f"side={fmt(r.side_mm)}mm peak_t_c={status}")
     return 0
 
 
 def _cmd_rerun(args, argv) -> int:
-    path = Path(args.manifest)
-    if not path.exists():
-        raise SpecError(f"manifest not found: {path}")
-    recorded = json.loads(path.read_text())
-    return _dispatch(recorded["argv"])
+    """Re-execute a recorded run, unless an input it hashed has changed since."""
+    recorded = read_document(Path(args.manifest))
+    recorded_argv, inputs = recorded.get("argv"), recorded.get("inputs")
+    if not (isinstance(recorded_argv, list) and isinstance(inputs, dict)):
+        raise SpecError(f"{args.manifest}: not a chipletdse manifest")
+    for name, digest in inputs.items():
+        if not Path(name).is_file() or _sha256(Path(name)) != digest:
+            raise SpecError(f"{name}: input changed since the recorded run")
+    return _dispatch([str(a) for a in recorded_argv])
 
 
 # ---------------------------------------------------------------------------
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _micrometres(text: str) -> float:
+    return float(text) * 1e-6
 
 
 def _add_common(p: argparse.ArgumentParser, spec_required: bool = True) -> None:
@@ -366,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, spec_required=False)
     p.add_argument("--clock", type=float, default=None, help="clock frequency, Hz")
     p.add_argument("--sf", type=float, default=None, help="bandwidth safety factor")
-    p.add_argument("--trace-width-um", type=float, default=None)
-    p.add_argument("--trace-thickness-um", type=float, default=None)
-    p.add_argument("--ground-thickness-um", type=float, default=None)
-    p.add_argument("--interposer-height-um", type=float, default=None)
+    p.add_argument("--trace-width-um", type=_micrometres, default=None)
+    p.add_argument("--trace-thickness-um", type=_micrometres, default=None)
+    p.add_argument("--ground-thickness-um", type=_micrometres, default=None)
+    p.add_argument("--interposer-height-um", type=_micrometres, default=None)
     p.add_argument("--er", type=float, default=None, help="relative permittivity")
     p.add_argument("--sigma", type=float, default=None, help="trace conductivity, S/m")
     p.set_defaults(func=_cmd_phy)
@@ -386,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-k", help="annealing K calibration table")
     _add_common(p)
-    p.add_argument("--k", required=True, help="comma-separated K0 candidates")
+    p.add_argument("--k", type=_floats, required=True, help="comma-separated K0 candidates")
     p.set_defaults(func=_cmd_calibrate_k)
 
     p = sub.add_parser("sweep", help="interposer-area sweep")
     _add_common(p)
-    p.add_argument("--sides", default="30,35,40,45,50",
+    p.add_argument("--sides", type=_floats, default="30,35,40,45,50",
                    help="comma-separated square side lengths, mm")
     p.set_defaults(func=_cmd_sweep)
 
@@ -408,7 +344,7 @@ def _dispatch(argv: list[str]) -> int:
     try:
         return args.func(args, argv)
     except (SpecError, costyield.CostModelError, perf.PerfError, phy.PhyError,
-            thermal.ThermalError, place.PlacementError, KeyError) as exc:
+            power.PowerError, thermal.ThermalError, place.PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

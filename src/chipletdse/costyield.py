@@ -36,6 +36,8 @@ def gross_dies_per_wafer(area: float, wafer_diameter: float) -> int:
         raise CostModelError("wafer diameter must be > 0")
     r = wafer_diameter / 2.0
     n = math.pi * r * r / area - math.pi * wafer_diameter / math.sqrt(2.0 * area)
+    if not math.isfinite(n):
+        raise CostModelError(f"dies per wafer out of floating-point range (die of {area} mm^2)")
     return max(0, math.floor(n))
 
 
@@ -66,20 +68,14 @@ class CostBreakdown:
     package_cost: float
 
 
-def cost_per_die(area: float, params: ProcessCostParams, literal_eq3: bool = False) -> float:
-    """Cost of one good die.
-
-    Default: wafer_cost / (gross_dies_per_wafer * die_yield). With
-    ``literal_eq3`` the dies-per-wafer factor is dropped (wafer_cost /
-    die_yield), kept only for traceability against the literal source
-    formula; it prices a wafer per die and is not the default.
-    """
+def cost_per_die(area: float, params: ProcessCostParams) -> float:
+    """Cost of one good die: wafer_cost / (gross_dies_per_wafer * die_yield)."""
     y = die_yield(area, params)
-    if literal_eq3:
-        return params.wafer_cost / y
     gross = gross_dies_per_wafer(area, params.wafer_diameter)
     if gross == 0:
         raise CostModelError(f"die of {area} mm^2 exceeds wafer capacity")
+    if y == 0:
+        raise CostModelError(f"die of {area} mm^2: yield underflows to 0")
     return params.wafer_cost / (gross * y)
 
 
@@ -87,7 +83,6 @@ def package_cost(
     dies: list[tuple[float, int]],
     n_connections: int,
     params: ProcessCostParams,
-    literal_eq3: bool = False,
 ) -> CostBreakdown:
     """Total package cost for a list of (die area, count) entries."""
     total_dies = sum(count for _, count in dies)
@@ -100,7 +95,7 @@ def package_cost(
             raise CostModelError("die count must be >= 0")
         if count == 0:
             continue
-        per_die = cost_per_die(area, params, literal_eq3=literal_eq3)
+        per_die = cost_per_die(area, params)
         rows.append(DieCost(
             area=area,
             count=count,
@@ -110,6 +105,8 @@ def package_cost(
         ))
         raw += per_die * count
     ay = assembly_yield(total_dies, n_connections, params)
+    if ay == 0:
+        raise CostModelError("assembly yield underflows to 0")
     return CostBreakdown(tuple(rows), total_dies, n_connections, raw, ay, raw / ay)
 
 
@@ -118,15 +115,13 @@ def cost_ratio(
     chiplet_areas: list[float],
     n_connections: int,
     params: ProcessCostParams,
-    literal_eq3: bool = False,
 ) -> float:
     """SoC package cost over chiplet-system package cost.
 
     wafer_cost cancels: the ratio is independent of it.
     """
-    soc = package_cost([(soc_area, 1)], 0, params, literal_eq3=literal_eq3)
-    chip = package_cost([(a, 1) for a in chiplet_areas], n_connections, params,
-                        literal_eq3=literal_eq3)
+    soc = package_cost([(soc_area, 1)], 0, params)
+    chip = package_cost([(a, 1) for a in chiplet_areas], n_connections, params)
     if chip.package_cost == 0:
         raise CostModelError("chiplet system has no dies")
     return soc.package_cost / chip.package_cost

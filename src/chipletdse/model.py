@@ -2,19 +2,25 @@
 
 All lengths are mm, power in W, temperature in degrees C unless a field
 name says otherwise. Spec files are JSON documents with top-level keys
-``package``, ``chiplets``, ``stack``, ``process``, ``phy``, ``anneal``
-(schema documented in the repository README).
+``package``, ``chiplets``, ``stack``, ``process``, ``phy``, ``anneal``,
+``tiles`` and ``configs`` (schema documented in the repository README);
+``load_bundle`` is the only code that reads them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from .phy import PhyTargets, TraceGeometry
 
 CHIPLET_KINDS = ("compute", "gpu", "memory", "io", "noc", "analog")
 
@@ -113,7 +119,8 @@ def default_stack(ambient: float = 45.0, h_top: float = 1000.0) -> ThermalStack:
 
 @dataclass(frozen=True)
 class ProcessCostParams:
-    """Wafer economics inputs for the negative-binomial yield model."""
+    """Wafer economics inputs for the negative-binomial yield model, plus the
+    package's inter-die connection count that the cost report prices."""
 
     wafer_cost: float = 10000.0
     wafer_diameter: float = 300.0  # mm
@@ -121,16 +128,19 @@ class ProcessCostParams:
     alpha_yield: float = 3.0
     assembly_die_survival: float = 0.999
     assembly_conn_survival: float = 0.999999
+    n_connections: int = 20000
 
     def __post_init__(self) -> None:
-        if self.d0 < 0:
-            raise ValidationError("process.d0: must be >= 0")
-        if self.alpha_yield <= 0:
-            raise ValidationError("process.alpha_yield: must be > 0")
+        if self.n_connections < 0:
+            raise ValidationError("n_connections: must be >= 0")
+        for name in ("wafer_cost", "wafer_diameter", "alpha_yield"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name}: must be > 0")
+        if not self.d0 >= 0:
+            raise ValidationError("d0: must be >= 0")
         for name in ("assembly_die_survival", "assembly_conn_survival"):
-            v = getattr(self, name)
-            if not (0 < v <= 1):
-                raise ValidationError(f"process.{name}: must be in (0, 1]")
+            if not 0 < getattr(self, name) <= 1:
+                raise ValidationError(f"{name}: must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,15 +183,54 @@ class PowerParams:
     area: float = 100.0  # mm^2
 
     def __post_init__(self) -> None:
-        for name in (
-            "activity", "load_capacitance", "frequency", "voltage",
-            "gain_factor", "transition_time", "threshold",
-            "leakage_current", "transistor_density", "area",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"power.{name}: must be >= 0")
-        if not (0 <= self.activity <= 1):
-            raise ValidationError("power.activity: must be in [0, 1]")
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0:
+                raise ValidationError(f"{f.name}: must be >= 0")
+        if not self.activity <= 1:
+            raise ValidationError("activity: must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class TileOperatingPoint:
+    """A tile's DVFS operating point: its own (F, V) over shared params."""
+
+    name: str
+    frequency: float  # Hz
+    voltage: float  # V
+    params: PowerParams
+
+    def __post_init__(self) -> None:
+        if not self.frequency > 0:
+            raise ValidationError("frequency: must be > 0")
+        if not self.voltage >= 0:
+            raise ValidationError("voltage: must be >= 0")
+
+    def effective_params(self) -> PowerParams:
+        return replace(self.params, frequency=self.frequency, voltage=self.voltage)
+
+
+@dataclass(frozen=True)
+class AnnealConfig:
+    """Simulated-annealing schedule and thermal grids of the placer."""
+
+    k0: float = 0.1
+    decay: float = 0.97
+    tol: float = 0.1  # degrees C
+    max_iterations: int = 500
+    moves_per_iteration: int = 10
+    seed: int = 0
+    coarse_cell_mm: float = 2.0  # per-move thermal evaluation grid
+    fine_cell_mm: float = 1.0  # final solve on the returned plan
+
+    def __post_init__(self) -> None:
+        for name in ("k0", "tol", "coarse_cell_mm", "fine_cell_mm"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name}: must be > 0")
+        if not 0 < self.decay < 1:
+            raise ValidationError("decay: must be in (0, 1)")
+        for name, low in (("max_iterations", 1), ("moves_per_iteration", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name}: must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -205,10 +254,6 @@ class PackageSpec:
     @property
     def chiplet_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.chiplets)
-
-    @property
-    def total_power(self) -> float:
-        return sum(c.power for c in self.chiplets)
 
     def with_interposer(self, width: float, height: float) -> "PackageSpec":
         spec = replace(self, interposer_width=width, interposer_height=height)
@@ -262,12 +307,6 @@ class Floorplan:
     placements: tuple[PlacedChiplet, ...]
     links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a < b
     min_spacing: float = 0.0
-
-    def placement(self, name: str) -> PlacedChiplet:
-        for p in self.placements:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     @property
     def total_power(self) -> float:
@@ -327,28 +366,33 @@ def floorplan_to_document(fp: Floorplan) -> dict:
 
 
 def floorplan_from_document(document: dict | str | Path) -> Floorplan:
-    doc = _read_document(document)
-    interposer = doc.get("interposer")
-    if not isinstance(interposer, dict):
-        raise ValidationError("interposer: missing or not an object")
+    doc = read_document(document)
+    interposer = _object(doc, "interposer")
     placements = []
-    for i, pd in enumerate(doc.get("placements", [])):
+    for i, pd in enumerate(_list(doc, "placements")):
         path = f"placements[{i}]"
         placements.append(PlacedChiplet(
-            pd.get("name", f"chiplet{i}"),
+            _name(pd, path, f"chiplet{i}"),
             _num(pd, "x_mm", path), _num(pd, "y_mm", path),
             int(_num(pd, "rotation_deg", path, 0.0)),
             _num(pd, "width_mm", path), _num(pd, "height_mm", path),
             _num(pd, "power_w", path, 0.0),
         ))
-    links = tuple(
-        (ld["a"], ld["b"], float(ld.get("weight", 1.0)))
-        for ld in doc.get("links", [])
-    )
+    names = [p.name for p in placements]
+    links = []
+    for i, ld in enumerate(_list(doc, "links")):
+        path = f"links[{i}]"
+        if not isinstance(ld, dict):
+            raise ValidationError(f"{path}: expected an object")
+        for end in ("a", "b"):
+            _require(ld.get(end) in names, f"{path}.{end}", f"unknown placement {ld.get(end)!r}")
+        weight = _num(ld, "weight", path, 1.0)
+        _require(weight > 0, f"{path}.weight", "must be > 0")
+        links.append((ld["a"], ld["b"], weight))
     fp = Floorplan(
         _num(interposer, "width_mm", "interposer"),
         _num(interposer, "height_mm", "interposer"),
-        tuple(placements), links,
+        tuple(placements), tuple(links),
         _num(interposer, "min_spacing_mm", "interposer", 0.0),
     )
     fp.validate()
@@ -382,16 +426,72 @@ def _num(doc: dict, key: str, path: str, default: float | None = None) -> float:
             raise ValidationError(f"{path}.{key}: missing required field")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"{path}.{key}: expected a number, got {v!r}")
+    # json accepts NaN and +-Infinity; an integer beyond float range is not finite either
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValidationError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
-def _parse_chiplet(doc: Any, path: str) -> ChipletSpec:
+def _name(doc: Any, path: str, default: str | None = None) -> str:
+    """The non-empty ``name`` of the object ``doc``."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
-    name = doc.get("name")
+    name = doc.get("name", default)
     _require(isinstance(name, str) and bool(name), f"{path}.name", "missing or empty")
+    return name
+
+
+def _object(doc: dict, key: str) -> dict:
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key}: expected an object")
+    return value
+
+
+def _list(doc: dict, key: str, path: str = "") -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}.{key}: expected a list" if path else f"{key}: expected a list")
+    return value
+
+
+def _unique(names: list[str], path: str) -> None:
+    dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    _require(dup is None, path, f"duplicate name {dup!r}")
+
+
+def _section(cls, doc: Any, path: str, keys: dict[str, str],
+             scale: dict[str, float] | None = None, **given):
+    """Build dataclass ``cls`` from the spec object ``doc``.
+
+    Each field not in ``given`` reads spec key ``keys.get(field, field)``,
+    multiplied by ``scale[key]`` where the spec unit differs; a field whose
+    default is an int reads an integer. An absent key takes the field's
+    default, or is a missing-field error if it has none. A range error that
+    ``cls`` raises as ``"<field>: <reason>"`` is re-raised as
+    ``ValidationError("<path>.<key>: <reason>")``.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected an object")
+    kwargs = dict(given)
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        if f.name in given or (key not in doc and f.default is not MISSING):
+            continue
+        value = _num(doc, key, path) * (scale or {}).get(key, 1.0)
+        if isinstance(f.default, int):  # int() of the JSON value keeps a large seed exact
+            _require(value.is_integer(), f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
+            value = int(doc[key])
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(": ")
+        raise ValidationError(f"{path}.{keys.get(name, name)}: {reason}") from None
+
+
+def _parse_chiplet(doc: Any, path: str) -> ChipletSpec:
+    name = _name(doc, path)
     width = _num(doc, "width_mm", path)
     height = _num(doc, "height_mm", path)
     power = _num(doc, "power_w", path, 0.0)
@@ -401,7 +501,7 @@ def _parse_chiplet(doc: Any, path: str) -> ChipletSpec:
     _require(height > 0, f"{path}.height_mm", "must be > 0")
     _require(power >= 0, f"{path}.power_w", "must be >= 0")
     ports = []
-    for k, port in enumerate(doc.get("ports", [])):
+    for k, port in enumerate(_list(doc, "ports", path)):
         ppath = f"{path}.ports[{k}]"
         if not isinstance(port, dict):
             raise ValidationError(f"{ppath}: expected an object")
@@ -426,19 +526,11 @@ def _parse_stack(doc: Any, ambient: float) -> ThermalStack:
     if layers_doc is None:
         layers = DEFAULT_STACK_LAYERS
     else:
-        layers = []
-        for i, ld in enumerate(layers_doc):
-            lpath = f"stack.layers[{i}]"
-            if not isinstance(ld, dict):
-                raise ValidationError(f"{lpath}: expected an object")
-            lname = ld.get("name")
-            _require(isinstance(lname, str) and bool(lname), f"{lpath}.name", "missing or empty")
-            layers.append(LayerSpec(
-                lname,
-                _num(ld, "thickness_mm", lpath),
-                _num(ld, "conductivity_w_mk", lpath),
-            ))
-        layers = tuple(layers)
+        layers = tuple(
+            LayerSpec(_name(ld, f"stack.layers[{i}]"),
+                      _num(ld, "thickness_mm", f"stack.layers[{i}]"),
+                      _num(ld, "conductivity_w_mk", f"stack.layers[{i}]"))
+            for i, ld in enumerate(_list(doc, "layers", "stack")))
     return ThermalStack(layers, h_top=h_top, ambient=ambient, sink_side_mm=sink_side)
 
 
@@ -459,10 +551,8 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
 
     Accepts a parsed dict, a JSON string, or a path to a JSON file.
     """
-    doc = _read_document(document)
-    pkg = doc.get("package")
-    if not isinstance(pkg, dict):
-        raise ValidationError("package: missing or not an object")
+    doc = read_document(document)
+    pkg = _object(doc, "package")
     name = pkg.get("name", "package")
     width = _num(pkg, "interposer_width_mm", "package")
     height = _num(pkg, "interposer_height_mm", "package")
@@ -480,9 +570,7 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
     chiplets = tuple(_parse_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
     names = [c.name for c in chiplets]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ValidationError(f"chiplets: duplicate chiplet name {dup!r}")
+    _unique(names, "chiplets")
     for i, c in enumerate(chiplets):
         for k, (peer, _) in enumerate(c.ports):
             _require(peer in names, f"chiplets[{i}].ports[{k}].peer",
@@ -496,30 +584,25 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
     # Symmetrize connectivity now so invariants hold on the returned spec;
     # raises on conflicting weights.
     mat = validate_connectivity(spec)
-    chiplets = tuple(
-        replace(c, ports=_ports_from_matrix(mat, names, i))
-        for i, c in enumerate(chiplets)
-    )
-    return replace(spec, chiplets=chiplets)
+    by_name = sorted(range(len(names)), key=lambda j: names[j])
+    return replace(spec, chiplets=tuple(
+        replace(c, ports=tuple((names[j], float(mat[i, j])) for j in by_name if mat[i, j] > 0))
+        for i, c in enumerate(chiplets)))
 
 
-def _ports_from_matrix(mat: np.ndarray, names: list[str], i: int) -> tuple[tuple[str, float], ...]:
-    return tuple(
-        (names[j], float(mat[i, j]))
-        for j in sorted(range(len(names)), key=lambda j: names[j])
-        if mat[i, j] > 0
-    )
-
-
-def _read_document(document: dict | str | Path) -> dict:
+def read_document(document: dict | str | Path) -> dict:
+    """The JSON object in a parsed dict, a JSON string or a path to a .json file."""
     if isinstance(document, dict):
         return document
     if isinstance(document, Path) or (isinstance(document, str) and "\n" not in document
                                       and document.strip().endswith(".json")):
         path = Path(document)
         if not path.exists():
-            raise ParseError(f"spec file not found: {path}")
-        text = path.read_text()
+            raise ParseError(f"file not found: {path}")
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: unreadable ({exc})") from None
     else:
         text = str(document)
     try:
@@ -542,106 +625,113 @@ def validate_connectivity(spec: PackageSpec) -> np.ndarray:
     n = len(names)
     mat = np.zeros((n, n))
     for c in spec.chiplets:
-        i = index[c.name]
         for peer, weight in c.ports:
-            j = index[peer]
+            i, j = index[c.name], index[peer]
             if mat[i, j] == 0:
-                mat[i, j] = weight
+                mat[i, j] = mat[j, i] = weight
             elif not math.isclose(mat[i, j], weight, rel_tol=1e-12):
                 raise ValidationError(
                     f"chiplets: conflicting connection weights between "
                     f"{names[min(i, j)]!r} and {names[max(i, j)]!r}: "
                     f"{mat[i, j]} vs {weight}")
-    # propagate one-sided declarations
-    for i in range(n):
-        for j in range(n):
-            if mat[i, j] > 0 and mat[j, i] == 0:
-                mat[j, i] = mat[i, j]
-            elif mat[i, j] > 0 and not math.isclose(mat[i, j], mat[j, i], rel_tol=1e-12):
-                raise ValidationError(
-                    f"chiplets: conflicting connection weights between "
-                    f"{names[min(i, j)]!r} and {names[max(i, j)]!r}: "
-                    f"{mat[i, j]} vs {mat[j, i]}")
     np.fill_diagonal(mat, 0.0)
     return mat
-
-
-def serialize_spec(spec: PackageSpec) -> dict:
-    """Normalized document form; load_spec(serialize_spec(s)) == s."""
-    return {
-        "package": {
-            "name": spec.name,
-            "interposer_width_mm": spec.interposer_width,
-            "interposer_height_mm": spec.interposer_height,
-            "min_spacing_mm": spec.min_spacing,
-            "ambient_c": spec.ambient,
-        },
-        "chiplets": [
-            {
-                "name": c.name,
-                "width_mm": c.width,
-                "height_mm": c.height,
-                "power_w": c.power,
-                "kind": c.kind,
-                "ports": [{"peer": peer, "weight": w} for peer, w in c.ports],
-            }
-            for c in spec.chiplets
-        ],
-        "stack": {
-            "h_top_w_m2k": spec.stack.h_top,
-            "sink_side_mm": spec.stack.sink_side_mm,
-            "layers": [
-                {"name": l.name, "thickness_mm": l.thickness_mm, "conductivity_w_mk": l.conductivity}
-                for l in spec.stack.layers
-            ],
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
 # Full spec-file bundle (CLI entry): package plus the optional sections
 # driving the other subcommands.
 
+# spec key of each dataclass field whose name differs from it
+_PROCESS_KEYS = {"wafer_diameter": "wafer_diameter_mm", "d0": "d0_per_mm2"}
+_ANNEAL_KEYS = {"tol": "tol_c"}
+_TRACE_KEYS = {"trace_width": "trace_width_um", "trace_thickness": "trace_thickness_um",
+               "ground_thickness": "ground_thickness_um",
+               "interposer_height": "interposer_height_um", "conductivity": "conductivity_s_m"}
+_MICROMETRES = dict.fromkeys(
+    ("trace_width_um", "trace_thickness_um", "ground_thickness_um", "interposer_height_um"), 1e-6)
+_TARGET_KEYS = {"clock_frequency": "clock_frequency_hz"}
+_TILE_KEYS = {  # PowerParams and TileOperatingPoint; both take the tile's F and V
+    "frequency": "frequency_hz",
+    "voltage": "voltage_v",
+    "load_capacitance": "load_capacitance_f",
+    "gain_factor": "gain_factor_a_v2",
+    "transition_time": "transition_time_s",
+    "threshold": "threshold_v",
+    "leakage_current": "leakage_current_a",
+    "transistor_density": "transistor_density_mm2",
+    "area": "area_mm2",
+}
+_CONFIG_COLUMNS = ("cost", "throughput", "latency")
+
+#: One configuration to rank: (name, cost, throughput, latency).
+ConfigRow = tuple[str, float, float, float]
+
 
 @dataclass(frozen=True)
 class SpecBundle:
+    """A whole spec file, every section parsed, defaulted and validated."""
+
     package: PackageSpec
     process: ProcessCostParams
-    raw: dict
+    anneal: AnnealConfig
+    geometry: TraceGeometry
+    targets: PhyTargets
+    tiles: tuple[TileOperatingPoint, ...]
+    configs: tuple[ConfigRow, ...]
 
-    @property
-    def anneal(self) -> dict:
-        section = self.raw.get("anneal", {})
-        return section if isinstance(section, dict) else {}
 
-    @property
-    def phy(self) -> dict:
-        section = self.raw.get("phy", {})
-        return section if isinstance(section, dict) else {}
+def _tile(doc: Any, path: str) -> TileOperatingPoint:
+    return _section(TileOperatingPoint, doc, path, _TILE_KEYS, name=_name(doc, path),
+                    params=_section(PowerParams, doc, path, _TILE_KEYS))
 
-    @property
-    def tiles(self) -> list[dict]:
-        section = self.raw.get("tiles", [])
-        return section if isinstance(section, list) else []
 
-    @property
-    def configs(self) -> list[dict]:
-        section = self.raw.get("configs", [])
-        return section if isinstance(section, list) else []
+def _config_row(doc: Any, path: str) -> ConfigRow:
+    name = _name(doc, path)
+    values = tuple(_num(doc, key, path) for key in _CONFIG_COLUMNS)
+    for key, value in zip(_CONFIG_COLUMNS, values):
+        _require(value > 0, f"{path}.{key}", "must be > 0")
+    return (name, *values)
+
+
+def _config_rows(docs: list, path: str) -> tuple[ConfigRow, ...]:
+    rows = tuple(_config_row(doc, f"{path}[{i}]") for i, doc in enumerate(docs))
+    _unique([r[0] for r in rows], path)
+    return rows
+
+
+def load_configs_csv(path: Path) -> tuple[ConfigRow, ...]:
+    """Rows of a CSV with name,cost,throughput,latency columns, checked like
+    the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: unreadable ({exc})") from None
+    for row in rows:
+        for key in _CONFIG_COLUMNS:
+            with contextlib.suppress(TypeError, ValueError):  # else rejected with its path
+                row[key] = float(row.get(key))
+    return _config_rows(rows, str(path))
 
 
 def load_bundle(document: dict | str | Path) -> SpecBundle:
-    doc = _read_document(document)
+    """Parse a whole spec: the package plus every optional section.
+
+    An absent section or key takes the default of the dataclass it fills;
+    every invalid value raises ValidationError("<field path>: <reason>").
+    """
+    doc = read_document(document)
     package = load_spec(doc)
-    pdoc = doc.get("process", {})
-    if not isinstance(pdoc, dict):
-        raise ValidationError("process: expected an object")
-    process = ProcessCostParams(
-        wafer_cost=_num(pdoc, "wafer_cost", "process", 10000.0),
-        wafer_diameter=_num(pdoc, "wafer_diameter_mm", "process", 300.0),
-        d0=_num(pdoc, "d0_per_mm2", "process", 0.002),
-        alpha_yield=_num(pdoc, "alpha_yield", "process", 3.0),
-        assembly_die_survival=_num(pdoc, "assembly_die_survival", "process", 0.999),
-        assembly_conn_survival=_num(pdoc, "assembly_conn_survival", "process", 0.999999),
+    phy = doc.get("phy", {})
+    tiles = tuple(_tile(td, f"tiles[{i}]") for i, td in enumerate(_list(doc, "tiles")))
+    _unique([t.name for t in tiles], "tiles")
+    return SpecBundle(
+        package=package,
+        process=_section(ProcessCostParams, doc.get("process", {}), "process", _PROCESS_KEYS),
+        anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal", _ANNEAL_KEYS),
+        geometry=_section(TraceGeometry, phy, "phy", _TRACE_KEYS, _MICROMETRES),
+        targets=_section(PhyTargets, phy, "phy", _TARGET_KEYS),
+        tiles=tiles,
+        configs=_config_rows(_list(doc, "configs"), "configs"),
     )
-    return SpecBundle(package=package, process=process, raw=doc)

@@ -7,6 +7,7 @@ unit-bearing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import ServiceSpec
@@ -33,7 +34,13 @@ def golden_ratio(throughput: float, latency: float, cost: float) -> float:
         raise PerfError("latency must be > 0")
     if cost <= 0:
         raise PerfError("cost must be > 0")
-    return throughput / (latency * cost)
+    spend = latency * cost
+    ratio = throughput / spend if spend else math.inf
+    # ranking divides by the smallest ratio, so it must stay a positive finite number
+    if not 0 < ratio < math.inf:
+        raise PerfError(f"golden ratio of throughput {throughput}, latency {latency} and "
+                        f"cost {cost} is out of floating-point range")
+    return ratio
 
 
 @dataclass(frozen=True)

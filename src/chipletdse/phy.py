@@ -35,10 +35,10 @@ class TraceGeometry:
     def __post_init__(self) -> None:
         for name in ("trace_width", "trace_thickness", "ground_thickness",
                      "interposer_height", "conductivity"):
-            if getattr(self, name) <= 0:
-                raise PhyError(f"{name} must be > 0")
-        if self.relative_permittivity < 1:
-            raise PhyError("relative_permittivity must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise PhyError(f"{name}: must be > 0 and finite")
+        if not 1 <= self.relative_permittivity < math.inf:
+            raise PhyError("relative_permittivity: must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class PhyTargets:
     safety_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.clock_frequency <= 0 or self.safety_factor <= 0:
-            raise PhyError("clock frequency and safety factor must be > 0")
+        for name in ("clock_frequency", "safety_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise PhyError(f"{name}: must be > 0 and finite")
 
     @property
     def target_bandwidth(self) -> float:
@@ -75,16 +76,26 @@ def line_params(g: TraceGeometry, f: float) -> LineParams:
     c_len = (g.relative_permittivity
              * (g.trace_width / g.interposer_height + 0.441)
              / (30.0 * math.pi * v0))
-    r_dc = (1.0 / g.conductivity) * (
-        1.0 / (g.trace_width * g.trace_thickness)
-        + 1.0 / (2.0 * g.ground_thickness))
-    delta = (math.pi * f * MU0 * g.conductivity) ** -0.5
-    perimeter = 2.0 * g.trace_thickness - 4.0 * delta + 2.0 * g.trace_width
-    if perimeter <= 0:
-        raise PhyError("skin depth exceeds geometry")
-    r_ac = (1.0 / g.conductivity) * (
-        1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity))
+    try:
+        r_dc = (1.0 / g.conductivity) * (
+            1.0 / (g.trace_width * g.trace_thickness)
+            + 1.0 / (2.0 * g.ground_thickness))
+        delta = (math.pi * f * MU0 * g.conductivity) ** -0.5
+        perimeter = 2.0 * g.trace_thickness - 4.0 * delta + 2.0 * g.trace_width
+        if perimeter <= 0:
+            raise PhyError("skin depth exceeds geometry")
+        r_ac = (1.0 / g.conductivity) * (
+            1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity))
+    except ZeroDivisionError:  # a product of extreme geometry underflowed to 0
+        raise PhyError("line parameters out of floating-point range") from None
     return LineParams(c_len, r_dc, r_ac, delta)
+
+
+def _in_range(value: float, what: str) -> float:
+    """value, unless it over- or underflowed out of (0, inf)."""
+    if not 0 < value < math.inf:
+        raise PhyError(f"{what} out of floating-point range")
+    return value
 
 
 def rise_time(length: float, lp: LineParams) -> float:
@@ -98,7 +109,7 @@ def bandwidth_3db(length: float, lp: LineParams) -> float:
     """0.35 / rise_time."""
     if length <= 0:
         raise PhyError("length must be > 0")
-    return 0.35 / rise_time(length, lp)
+    return 0.35 / _in_range(rise_time(length, lp), "rise time")
 
 
 def max_trace_length(targets: PhyTargets, g: TraceGeometry) -> float:
@@ -109,7 +120,7 @@ def max_trace_length(targets: PhyTargets, g: TraceGeometry) -> float:
     lp = line_params(g, targets.clock_frequency)
     denom = (targets.target_bandwidth
              * lp.r_total_per_length * lp.c_per_length * LN9)
-    return math.sqrt(0.35 / denom)
+    return math.sqrt(0.35 / _in_range(denom, "bandwidth target"))
 
 
 def bandwidth_curve(
@@ -119,5 +130,5 @@ def bandwidth_curve(
     if not lengths:
         raise PhyError("length range must be non-empty")
     lp = line_params(g, targets.clock_frequency)
-    log_target = math.log10(targets.target_bandwidth)
+    log_target = math.log10(_in_range(targets.target_bandwidth, "target bandwidth"))
     return [(L, math.log10(bandwidth_3db(L, lp)), log_target) for L in lengths]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Floorplan, PackageSpec, PlacedChiplet, links_from_spec
+from .model import AnnealConfig, Floorplan, PackageSpec, PlacedChiplet, links_from_spec
 from . import thermal
 
 
@@ -140,21 +140,20 @@ def bst_placement(spec: PackageSpec) -> Floorplan:
 # Moves
 
 
-def propose_move(
-    fp: Floorplan,
-    rng: np.random.Generator,
-    step_mm: float | None = None,
-    retry_cap: int = 200,
-) -> Floorplan:
+RETRY_CAP = 200  # proposals drawn per move before the board counts as congested
+WARMUP_SAMPLES = 20  # random neighbours that seed the normalization bounds
+PERSISTENCE = 5  # consecutive epochs the |dT| < tol test must hold
+
+
+def propose_move(fp: Floorplan, rng: np.random.Generator, retry_cap: int = RETRY_CAP) -> Floorplan:
     """One random legal move: translate, rotate 90 degrees, or swap two chiplets.
 
-    Translation magnitude is log-uniform between 1% and 100% of the step so
-    tightly packed boards still find legal small moves. Invalid proposals are
-    re-drawn up to ``retry_cap`` times; if none is legal the floorplan is
-    considered too congested.
+    Translation magnitude is log-uniform between 1% and 100% of an eighth of
+    the longer interposer side, so tightly packed boards still find legal
+    small moves. Invalid proposals are re-drawn up to ``retry_cap`` times; if
+    none is legal the floorplan is considered too congested.
     """
-    if step_mm is None:
-        step_mm = max(fp.width, fp.height) / 8.0
+    step_mm = max(fp.width, fp.height) / 8.0
     n = len(fp.placements)
     for _ in range(retry_cap):
         kind = rng.integers(0, 3 if n >= 2 else 2)
@@ -191,34 +190,6 @@ def propose_move(
 
 
 @dataclass(frozen=True)
-class AnnealConfig:
-    k0: float = 0.1
-    decay: float = 0.97
-    tol: float = 0.1  # degrees C
-    max_iterations: int = 500
-    moves_per_iteration: int = 10
-    seed: int = 0
-    coarse_cell_mm: float = 2.0  # per-move thermal evaluation grid
-    fine_cell_mm: float = 1.0  # final solve on the returned plan
-    step_mm: float | None = None
-    warmup_samples: int = 20
-    persistence: int = 5  # consecutive epochs the |dT| < tol test must hold
-    retry_cap: int = 200
-
-    def __post_init__(self) -> None:
-        if self.k0 <= 0:
-            raise PlacementError("k0 must be > 0")
-        if not (0 < self.decay < 1):
-            raise PlacementError("decay must be in (0, 1)")
-        if self.tol <= 0:
-            raise PlacementError("tol must be > 0")
-        if self.max_iterations < 1:
-            raise PlacementError("max_iterations must be >= 1")
-        if not (self.coarse_cell_mm > 0 and self.fine_cell_mm > 0):
-            raise PlacementError("coarse_cell_mm and fine_cell_mm must be > 0")
-
-
-@dataclass(frozen=True)
 class HistoryRow:
     iteration: int
     peak_t: float
@@ -241,14 +212,10 @@ class AnnealResult:
 
 
 def _evaluate(fp: Floorplan, stack, cell_mm: float) -> tuple[float, float]:
+    """(peak chiplet temperature on a cell_mm grid, wirelength)."""
     pm = thermal.rasterize(fp, cell_mm)
     tf = thermal.solve_steady_state(pm, stack)
     return thermal.peak_temperature(tf), wirelength(fp)
-
-
-def _fine_peak(fp: Floorplan, stack, cell_mm: float) -> float:
-    pm = thermal.rasterize(fp, cell_mm)
-    return thermal.peak_temperature(thermal.solve_steady_state(pm, stack))
 
 
 def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealResult:
@@ -272,7 +239,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         t, w = _evaluate(centered, stack, cfg.coarse_cell_mm)
         row = HistoryRow(0, t, w, 0.0, cfg.k0)
         return AnnealResult(centered, (row,), t,
-                            _fine_peak(centered, stack, cfg.fine_cell_mm), True)
+                            _evaluate(centered, stack, cfg.fine_cell_mm)[0], True)
 
     bounds = NormalizationBounds()
     t0, w0 = _evaluate(current, stack, cfg.coarse_cell_mm)
@@ -280,9 +247,9 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     bounds.update(t0, w0)
 
     # warm-up: sample random neighbours to seed the min-max bounds
-    for _ in range(cfg.warmup_samples):
+    for _ in range(WARMUP_SAMPLES):
         try:
-            probe = propose_move(current, rng, cfg.step_mm, cfg.retry_cap)
+            probe = propose_move(current, rng)
         except PlacementError:
             break
         bounds.update(*_evaluate(probe, stack, cfg.coarse_cell_mm))
@@ -299,7 +266,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     for it in range(cfg.max_iterations):
         k = cfg.k0 * cfg.decay ** it
         for _ in range(cfg.moves_per_iteration):
-            neighbor = propose_move(current, rng, cfg.step_mm, cfg.retry_cap)
+            neighbor = propose_move(current, rng)
             nb_t, nb_w = _evaluate(neighbor, stack, cfg.coarse_cell_mm)
             bounds.update(nb_t, nb_w)
             cur_cost = anneal_cost(cur_t, cur_w, bounds)
@@ -311,7 +278,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
                                   anneal_cost(cur_t, cur_w, bounds), k))
         if it > 0 and abs(cur_t - prev_peak) < cfg.tol:
             stable_epochs += 1
-            if stable_epochs >= cfg.persistence:
+            if stable_epochs >= PERSISTENCE:
                 converged = True
                 break
         else:
@@ -321,7 +288,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     best, _, _ = min(visited, key=lambda entry: anneal_cost(entry[1], entry[2], bounds))
     best.validate()
     return AnnealResult(best, tuple(history), initial_peak,
-                        _fine_peak(best, stack, cfg.fine_cell_mm), converged)
+                        _evaluate(best, stack, cfg.fine_cell_mm)[0], converged)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import PowerParams
+from .model import PowerParams, TileOperatingPoint
+
+
+class PowerError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -18,25 +22,6 @@ class PowerBreakdown:
         return self.switching + self.short_circuit + self.leakage
 
 
-@dataclass(frozen=True)
-class TileOperatingPoint:
-    """A tile's DVFS operating point: its own (F, V) over shared params."""
-
-    name: str
-    frequency: float
-    voltage: float
-    params: PowerParams
-
-    def __post_init__(self) -> None:
-        if self.frequency <= 0:
-            raise ValueError(f"tile {self.name}: frequency must be > 0")
-        if self.voltage < 0:
-            raise ValueError(f"tile {self.name}: voltage must be >= 0")
-
-    def effective_params(self) -> PowerParams:
-        return replace(self.params, frequency=self.frequency, voltage=self.voltage)
-
-
 def power_breakdown(p: PowerParams) -> PowerBreakdown:
     """Per-component power for one block.
 
@@ -45,13 +30,13 @@ def power_breakdown(p: PowerParams) -> PowerBreakdown:
                 (no conduction overlap below that point)
     leakage   = I*V * TDensity * area
     """
-    switching = p.activity * p.load_capacitance * p.frequency * p.voltage ** 2
-    overdrive = p.voltage - 2.0 * p.threshold
-    if overdrive > 0:
+    try:
+        switching = p.activity * p.load_capacitance * p.frequency * p.voltage ** 2
+        overdrive = p.voltage - 2.0 * p.threshold
         short = (p.activity * (p.gain_factor / 12.0) * p.frequency
-                 * p.transition_time * overdrive ** 3)
-    else:
-        short = 0.0
+                 * p.transition_time * overdrive ** 3) if overdrive > 0 else 0.0
+    except OverflowError:
+        raise PowerError(f"voltage {p.voltage} V overflows the power model") from None
     leakage = p.leakage_current * p.voltage * p.transistor_density * p.area
     return PowerBreakdown(switching, short, leakage)
 
@@ -61,6 +46,6 @@ def system_power(tiles: list[TileOperatingPoint]) -> tuple[list[tuple[str, Power
     names = [t.name for t in tiles]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
-        raise ValueError(f"duplicate tile name {dup!r}")
+        raise PowerError(f"duplicate tile name {dup!r}")
     rows = [(t.name, power_breakdown(t.effective_params())) for t in tiles]
     return rows, sum(b.total for _, b in rows)

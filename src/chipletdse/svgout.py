@@ -18,8 +18,13 @@ _KIND_FILL = {
 SCALE = 10.0  # px per mm
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
+def fmt(value) -> str:
+    """Report text of a value: floats to 6 significant digits, booleans lower-case."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(float(value), ".6g")
+    return str(value)
 
 
 def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
@@ -29,9 +34,9 @@ def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w_px)}" height="{_fmt(h_px)}" '
-        f'viewBox="0 0 {_fmt(w_px)} {_fmt(h_px)}">',
-        f'<rect x="0" y="0" width="{_fmt(w_px)}" height="{_fmt(h_px)}" '
+        f'width="{fmt(w_px)}" height="{fmt(h_px)}" '
+        f'viewBox="0 0 {fmt(w_px)} {fmt(h_px)}">',
+        f'<rect x="0" y="0" width="{fmt(w_px)}" height="{fmt(h_px)}" '
         f'fill="#f4f6f7" stroke="#2c3e50" stroke-width="2"/>',
     ]
     for p in fp.placements:
@@ -42,11 +47,11 @@ def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
         cx = x + p.eff_width * SCALE / 2.0
         cy = y + p.eff_height * SCALE / 2.0
         lines.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(p.eff_width * SCALE)}" '
-            f'height="{_fmt(p.eff_height * SCALE)}" fill="{fill}" '
+            f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(p.eff_width * SCALE)}" '
+            f'height="{fmt(p.eff_height * SCALE)}" fill="{fill}" '
             f'stroke="#34495e" stroke-width="1"/>')
         lines.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
+            f'<text x="{fmt(cx)}" y="{fmt(cy)}" text-anchor="middle" '
             f'dominant-baseline="middle" font-size="10" '
             f'font-family="sans-serif">{label}</text>')
     lines.append("</svg>")

@@ -224,8 +224,9 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     data = stack.ambient + solve(model, source)
 
     source[-1] += model.sink * stack.ambient  # right-hand side in absolute temperature
-    res = np.linalg.norm(_apply(model, data) - source) / np.linalg.norm(source)
-    if res > RESIDUAL_TOL:
+    # relative, except for a zero right-hand side (0 C ambient, no power): absolute
+    res = np.linalg.norm(_apply(model, data) - source) / (np.linalg.norm(source) or 1.0)
+    if not res <= RESIDUAL_TOL:  # fails closed on NaN
         raise ThermalError(f"solver residual {res:.3e} exceeds {RESIDUAL_TOL}")
     if data.min() < stack.ambient - 1e-6:
         raise ThermalError("temperature field dips below ambient; model is inconsistent")

@@ -36,18 +36,9 @@ def report(n: int, title: str):
     return _Reporter()
 
 
-def anneal_config(bundle):
-    a = bundle.anneal
-    return place.AnnealConfig(
-        k0=a["k0"], decay=a["decay"], tol=a["tol_c"],
-        max_iterations=a["max_iterations"],
-        moves_per_iteration=a["moves_per_iteration"], seed=a["seed"],
-        coarse_cell_mm=a["coarse_cell_mm"], fine_cell_mm=a["fine_cell_mm"])
-
-
 @pytest.fixture(scope="module")
 def anneal_result(bundle):
-    return place.optimize(bundle.package, anneal_config(bundle))
+    return place.optimize(bundle.package, bundle.anneal)
 
 
 class TestCriterion1Phy:
@@ -67,10 +58,7 @@ class TestCriterion1Phy:
 class TestCriterion2GoldenRatio:
     def test_config_table(self, bundle):
         with report(2, "golden-ratio table C1/C2/C3"):
-            ranked = perf.rank_configs([
-                (c["name"], c["cost"], c["throughput"], c["latency"])
-                for c in bundle.configs
-            ])
+            ranked = perf.rank_configs(bundle.configs)
             gr = {r.name: r.golden_ratio for r in ranked}
             rel = {r.name: r.relative for r in ranked}
             assert gr["C1"] == pytest.approx(4.97e5, rel=1e-2)
@@ -155,7 +143,7 @@ class TestCriterion6Annealer:
             assert r.iterations == 99
             assert r.initial_peak_t == pytest.approx(109.13, abs=0.05)
             assert r.final_peak_t == pytest.approx(87.34, abs=0.05)
-            again = place.optimize(bundle.package, anneal_config(bundle))
+            again = place.optimize(bundle.package, bundle.anneal)
             assert again.history == r.history
             assert again.floorplan == r.floorplan
 
@@ -164,8 +152,7 @@ class TestCriterion7InterposerSweep:
     def test_interior_minimum(self, bundle):
         with report(7, "interposer sweep has interior minimum"):
             sides = [30.0, 35.0, 40.0, 45.0, 50.0]
-            rows = place.interposer_sweep(bundle.package, sides,
-                                          anneal_config(bundle))
+            rows = place.interposer_sweep(bundle.package, sides, bundle.anneal)
             assert all(r.feasible for r in rows)
             peaks = [r.peak_t for r in rows]
             best = peaks.index(min(peaks))

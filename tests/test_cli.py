@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -135,6 +136,52 @@ class TestThermalCommand:
         assert "peak_chiplet_c" in printed
 
 
+def edited(edit):
+    doc = copy.deepcopy(SMALL_DOC)
+    edit(doc)
+    return doc
+
+
+class TestSpecErrors:
+    """Each malformed input exits 1 with one `error: <field path>: <reason>` line."""
+
+    @pytest.mark.parametrize("command, edit, field", [
+        ("power", lambda d: d["tiles"][0].update(frequency_hz=0), "tiles[0].frequency_hz"),
+        ("power", lambda d: d["tiles"][0].pop("name"), "tiles[0].name"),
+        ("place", lambda d: d["anneal"].update(decay="fast"), "anneal.decay"),
+        ("place", lambda d: d.update(anneal=[1, 2]), "anneal"),
+        ("place", lambda d: d["anneal"].update(moves_per_iteration=0),
+         "anneal.moves_per_iteration"),
+        ("perf", lambda d: d["configs"][0].update(cost="cheap"), "configs[0].cost"),
+        ("cost", lambda d: d["process"].update(n_connections="many"), "process.n_connections"),
+        ("cost", lambda d: d["process"].update(wafer_diameter_mm=-300),
+         "process.wafer_diameter_mm"),
+        ("cost", lambda d: d["process"].update(wafer_diameter_mm=float("inf")),
+         "process.wafer_diameter_mm"),
+        ("cost", lambda d: d["process"].update(d0_per_mm2=float("nan")), "process.d0_per_mm2"),
+        ("phy", lambda d: d.update(phy={"trace_width_um": "wide"}), "phy.trace_width_um"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edited(edit)))  # inf and nan are written as Infinity, NaN
+        status = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+    def test_configs_csv_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "configs.csv"
+        cfg.write_text("name,cost,throughput,latency\nX,abc,1e9,10\n")
+        assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}[0].cost: ") and err.count("\n") == 1
+
+    def test_explicit_zero_phy_flag_rejected(self, tmp_path, capsys):
+        assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: clock_frequency: ") and err.count("\n") == 1
+
+
 class TestResolutionValidation:
     @pytest.mark.parametrize("command, resolution", [
         ("place", "0"), ("place", "-2"), ("thermal", "0"), ("thermal", "-1"),
@@ -195,6 +242,21 @@ class TestRerunCommand:
         assert main(["rerun", str(out / "manifest.json")]) == 0
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob
+
+    def test_rerun_refuses_changed_input(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_DOC))
+        out = tmp_path / "cost"
+        assert main(["cost", "--spec", str(spec), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        spec.write_text(json.dumps(edited(lambda d: d["process"].update(n_connections=5))))
+        capsys.readouterr()
+        assert main(["rerun", str(out / "manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {spec}: input changed since the recorded run\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        spec.unlink()
+        assert main(["rerun", str(out / "manifest.json")]) == 1
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "gone.json")]) == 1

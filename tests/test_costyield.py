@@ -94,10 +94,6 @@ class TestPackageCost:
         bd = cy.package_cost([(170.0, 4), (50.0, 2)], 5000, P)
         assert bd.package_cost >= bd.raw_die_cost
 
-    def test_literal_form_flag(self):
-        got = cy.package_cost([(858.0, 1)], 0, P, literal_eq3=True).package_cost
-        assert got == pytest.approx(P.wafer_cost / cy.die_yield(858.0, P) / 0.999, rel=1e-12)
-
 
 class TestCostRatio:
     def test_soc_vs_four_chiplets(self):

@@ -87,8 +87,5 @@ class TestRankConfigs:
             rank_configs([])
 
     def test_bundled_configs_match_fixture(self, bundle):
-        rows = rank_configs([
-            (c["name"], c["cost"], c["throughput"], c["latency"])
-            for c in bundle.configs
-        ])
+        rows = rank_configs(bundle.configs)
         assert [r.name for r in rows] == ["C1", "C3", "C2"]

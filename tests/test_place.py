@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chipletdse.model import ChipletSpec, Floorplan, PackageSpec, PlacedChiplet
+from chipletdse.model import ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ValidationError
 from chipletdse.place import (
     AnnealConfig,
     NormalizationBounds,
@@ -152,19 +152,23 @@ class TestProposeMove:
 
 class TestAnnealConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(PlacementError):
+        with pytest.raises(ValidationError):
             AnnealConfig(k0=0.0)
-        with pytest.raises(PlacementError):
+        with pytest.raises(ValidationError):
             AnnealConfig(decay=1.0)
-        with pytest.raises(PlacementError):
+        with pytest.raises(ValidationError):
             AnnealConfig(tol=0.0)
-        with pytest.raises(PlacementError):
+        with pytest.raises(ValidationError):
             AnnealConfig(max_iterations=0)
+        with pytest.raises(ValidationError, match="moves_per_iteration"):
+            AnnealConfig(moves_per_iteration=0)
+        with pytest.raises(ValidationError, match="seed"):
+            AnnealConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["coarse_cell_mm", "fine_cell_mm"])
     @pytest.mark.parametrize("value", [0.0, -2.0])
     def test_rejects_non_positive_cell_size(self, field, value):
-        with pytest.raises(PlacementError, match="cell_mm"):
+        with pytest.raises(ValidationError, match="cell_mm"):
             AnnealConfig(**{field: value})
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from chipletdse import thermal
 from chipletdse.model import (
+    DEFAULT_STACK_LAYERS,
     Floorplan,
     LayerSpec,
     PlacedChiplet,
@@ -233,6 +234,18 @@ class TestSinkFootprint:
         pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
         with pytest.raises(ThermalError, match="did not converge"):
             solve_steady_state(pm, self.stack(4.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_right_hand_side_is_ambient(self):
+        # 0 C ambient and no power: the residual is measured absolutely, not as 0/0
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient=0.0, sink_side_mm=5.0)
+        tf = solve_steady_state(power_map(np.zeros((8, 8))), stack)
+        assert not tf.data.any()
+
+    def test_non_finite_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(thermal, "_partial_sink_solve", lambda model, p: p * np.nan)
+        with pytest.raises(ThermalError, match="residual"):
+            solve_steady_state(power_map(np.full((6, 6), 1.0)), self.stack(4.0))
 
     def test_sink_missing_all_cells_rejected(self):
         pm = power_map(np.full((6, 6), 1.0))
