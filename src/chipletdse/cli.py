@@ -249,6 +249,8 @@ def _cmd_rerun(args, argv) -> int:
     recorded_argv, inputs = recorded.get("argv"), recorded.get("inputs")
     if not (isinstance(recorded_argv, list) and isinstance(inputs, dict)):
         raise SpecError(f"{args.manifest}: not a chipletdse manifest")
+    if recorded_argv[:1] == ["rerun"]:
+        raise SpecError(f"{args.manifest}: records a rerun, not a run to repeat")
     for name, digest in inputs.items():
         if not Path(name).is_file() or _sha256(Path(name)) != digest:
             raise SpecError(f"{name}: input changed since the recorded run")

@@ -40,6 +40,19 @@ class ValidationError(SpecError):
     """An invariant is violated; message names the offending field path."""
 
 
+def _positive(obj: Any, *names: str) -> None:
+    """Range check of dataclass fields: ``"<field>: must be > 0"``; NaN fails."""
+    for name in names:
+        if not getattr(obj, name) > 0:
+            raise ValidationError(f"{name}: must be > 0")
+
+
+def _non_negative(obj: Any, *names: str) -> None:
+    for name in names:
+        if not getattr(obj, name) >= 0:
+            raise ValidationError(f"{name}: must be >= 0")
+
+
 @dataclass(frozen=True)
 class ChipletSpec:
     """One die: footprint, dissipated power, and logical connectivity."""
@@ -47,9 +60,18 @@ class ChipletSpec:
     name: str
     width: float
     height: float
-    power: float
+    power: float = 0.0
     kind: str = "compute"
-    ports: tuple[tuple[str, float], ...] = ()
+    ports: tuple[tuple[str, float], ...] = ()  # (peer, weight)
+
+    def __post_init__(self) -> None:
+        _positive(self, "width", "height")
+        _non_negative(self, "power")
+        if self.kind not in CHIPLET_KINDS:
+            raise ValidationError(f"kind: must be one of {CHIPLET_KINDS}")
+        for k, (_, weight) in enumerate(self.ports):
+            if not weight >= 1:
+                raise ValidationError(f"ports[{k}].weight: must be >= 1")
 
     @property
     def area(self) -> float:
@@ -62,14 +84,17 @@ class LayerSpec:
     thickness_mm: float
     conductivity: float  # W/(m K)
 
+    def __post_init__(self) -> None:
+        _positive(self, "thickness_mm", "conductivity")
+
 
 @dataclass(frozen=True)
 class ThermalStack:
     """Ordered 2.5D package layers, bottom (substrate) to top (heatsink).
 
     ``sink_side_mm`` limits the convective top boundary to a centered square
-    footprint of that side (a fixed-size heat sink / cold plate); None means
-    the whole top face is cooled.
+    footprint of that positive side (a fixed-size heat sink / cold plate);
+    None means the whole top face is cooled.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -79,14 +104,10 @@ class ThermalStack:
 
     def __post_init__(self) -> None:
         if len(self.layers) < 2:
-            raise ValidationError("stack.layers: at least 2 layers required")
-        for i, layer in enumerate(self.layers):
-            if layer.thickness_mm <= 0:
-                raise ValidationError(f"stack.layers[{i}].thickness_mm: must be > 0")
-            if layer.conductivity <= 0:
-                raise ValidationError(f"stack.layers[{i}].conductivity: must be > 0")
-        if self.h_top <= 0:
-            raise ValidationError("stack.h_top: must be > 0")
+            raise ValidationError("layers: at least 2 layers required")
+        _positive(self, "h_top")
+        if self.sink_side_mm is not None:
+            _positive(self, "sink_side_mm")
 
     @property
     def layer_names(self) -> tuple[str, ...]:
@@ -131,13 +152,8 @@ class ProcessCostParams:
     n_connections: int = 20000
 
     def __post_init__(self) -> None:
-        if self.n_connections < 0:
-            raise ValidationError("n_connections: must be >= 0")
-        for name in ("wafer_cost", "wafer_diameter", "alpha_yield"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name}: must be > 0")
-        if not self.d0 >= 0:
-            raise ValidationError("d0: must be >= 0")
+        _positive(self, "wafer_cost", "wafer_diameter", "alpha_yield")
+        _non_negative(self, "d0", "n_connections")
         for name in ("assembly_die_survival", "assembly_conn_survival"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValidationError(f"{name}: must be in (0, 1]")
@@ -155,16 +171,8 @@ class ServiceSpec:
     bits_per_channel_per_cycle: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.word_bits < 0:
-            raise ValidationError("service.word_bits: must be >= 0")
-        if self.service_bandwidth <= 0:
-            raise ValidationError("service.service_bandwidth: must be > 0")
-        if self.base_latency < 0:
-            raise ValidationError("service.base_latency: must be >= 0")
-        if self.clock <= 0:
-            raise ValidationError("service.clock: must be > 0")
-        if self.channels < 0:
-            raise ValidationError("service.channels: must be >= 0")
+        _positive(self, "service_bandwidth", "clock")
+        _non_negative(self, "word_bits", "base_latency", "channels")
 
 
 @dataclass(frozen=True)
@@ -183,9 +191,7 @@ class PowerParams:
     area: float = 100.0  # mm^2
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not getattr(self, f.name) >= 0:
-                raise ValidationError(f"{f.name}: must be >= 0")
+        _non_negative(self, *(f.name for f in fields(self)))
         if not self.activity <= 1:
             raise ValidationError("activity: must be in [0, 1]")
 
@@ -200,10 +206,8 @@ class TileOperatingPoint:
     params: PowerParams
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0:
-            raise ValidationError("frequency: must be > 0")
-        if not self.voltage >= 0:
-            raise ValidationError("voltage: must be >= 0")
+        _positive(self, "frequency")
+        _non_negative(self, "voltage")
 
     def effective_params(self) -> PowerParams:
         return replace(self.params, frequency=self.frequency, voltage=self.voltage)
@@ -223,33 +227,34 @@ class AnnealConfig:
     fine_cell_mm: float = 1.0  # final solve on the returned plan
 
     def __post_init__(self) -> None:
-        for name in ("k0", "tol", "coarse_cell_mm", "fine_cell_mm"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name}: must be > 0")
+        _positive(self, "k0", "tol", "coarse_cell_mm", "fine_cell_mm", "max_iterations",
+                  "moves_per_iteration")
+        _non_negative(self, "seed")
         if not 0 < self.decay < 1:
             raise ValidationError("decay: must be in (0, 1)")
-        for name, low in (("max_iterations", 1), ("moves_per_iteration", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name}: must be >= {low}")
 
 
 @dataclass(frozen=True)
 class PackageSpec:
-    """A validated package: chiplets + interposer + thermal stack."""
+    """A validated package: chiplets + interposer + thermal stack.
+
+    The package is qualified for automotive use, so the ambient of its stack
+    must lie in [AMBIENT_MIN_C, AMBIENT_MAX_C].
+    """
 
     name: str
     chiplets: tuple[ChipletSpec, ...]
     interposer_width: float
     interposer_height: float
     min_spacing: float = 1.0
-    ambient: float = 45.0
     stack: ThermalStack = field(default_factory=default_stack)
 
-    def chiplet(self, name: str) -> ChipletSpec:
-        for c in self.chiplets:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+    def __post_init__(self) -> None:
+        _positive(self, "interposer_width", "interposer_height")
+        _non_negative(self, "min_spacing")
+        if not AMBIENT_MIN_C <= self.stack.ambient <= AMBIENT_MAX_C:
+            raise ValidationError(f"ambient: must be within [{AMBIENT_MIN_C}, {AMBIENT_MAX_C}] "
+                                  "(automotive range)")
 
     @property
     def chiplet_names(self) -> tuple[str, ...]:
@@ -276,14 +281,17 @@ class PlacedChiplet:
     name: str
     x: float
     y: float
-    rotation: int  # 0 / 90 / 180 / 270
+    rotation: int  # degrees: 0 / 90 / 180 / 270
     width: float
     height: float
-    power: float
+    power: float = 0.0
 
     def __post_init__(self) -> None:
+        # O(1): the annealer builds one of these per proposed move
         if self.rotation not in (0, 90, 180, 270):
-            raise ValidationError(f"placement {self.name}: rotation must be a multiple of 90")
+            raise ValidationError("rotation: must be 0, 90, 180 or 270")
+        _positive(self, "width", "height")
+        _non_negative(self, "power")
 
     @property
     def eff_width(self) -> float:
@@ -307,6 +315,11 @@ class Floorplan:
     placements: tuple[PlacedChiplet, ...]
     links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a < b
     min_spacing: float = 0.0
+
+    def __post_init__(self) -> None:
+        # O(1), as the annealer builds one per move; placement legality is validate()'s job
+        _positive(self, "width", "height")
+        _non_negative(self, "min_spacing")
 
     @property
     def total_power(self) -> float:
@@ -367,17 +380,11 @@ def floorplan_to_document(fp: Floorplan) -> dict:
 
 def floorplan_from_document(document: dict | str | Path) -> Floorplan:
     doc = read_document(document)
-    interposer = _object(doc, "interposer")
-    placements = []
-    for i, pd in enumerate(_list(doc, "placements")):
-        path = f"placements[{i}]"
-        placements.append(PlacedChiplet(
-            _name(pd, path, f"chiplet{i}"),
-            _num(pd, "x_mm", path), _num(pd, "y_mm", path),
-            int(_num(pd, "rotation_deg", path, 0.0)),
-            _num(pd, "width_mm", path), _num(pd, "height_mm", path),
-            _num(pd, "power_w", path, 0.0),
-        ))
+    placements = tuple(
+        _section(PlacedChiplet, pd, f"placements[{i}]", _PLACED_KEYS,
+                 name=_name(pd, f"placements[{i}]", f"chiplet{i}"),
+                 rotation=_num(pd, "rotation_deg", f"placements[{i}]", 0.0))
+        for i, pd in enumerate(_list(doc, "placements")))
     names = [p.name for p in placements]
     links = []
     for i, ld in enumerate(_list(doc, "links")):
@@ -389,12 +396,8 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
         weight = _num(ld, "weight", path, 1.0)
         _require(weight > 0, f"{path}.weight", "must be > 0")
         links.append((ld["a"], ld["b"], weight))
-    fp = Floorplan(
-        _num(interposer, "width_mm", "interposer"),
-        _num(interposer, "height_mm", "interposer"),
-        tuple(placements), tuple(links),
-        _num(interposer, "min_spacing_mm", "interposer", 0.0),
-    )
+    fp = _section(Floorplan, doc.get("interposer"), "interposer", _INTERPOSER_KEYS,
+                  placements=placements, links=tuple(links))
     fp.validate()
     return fp
 
@@ -441,13 +444,6 @@ def _name(doc: Any, path: str, default: str | None = None) -> str:
     return name
 
 
-def _object(doc: dict, key: str) -> dict:
-    value = doc.get(key)
-    if not isinstance(value, dict):
-        raise ValidationError(f"{key}: expected an object")
-    return value
-
-
 def _list(doc: dict, key: str, path: str = "") -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -490,48 +486,30 @@ def _section(cls, doc: Any, path: str, keys: dict[str, str],
         raise ValidationError(f"{path}.{keys.get(name, name)}: {reason}") from None
 
 
-def _parse_chiplet(doc: Any, path: str) -> ChipletSpec:
-    name = _name(doc, path)
-    width = _num(doc, "width_mm", path)
-    height = _num(doc, "height_mm", path)
-    power = _num(doc, "power_w", path, 0.0)
-    kind = doc.get("kind", "compute")
-    _require(kind in CHIPLET_KINDS, f"{path}.kind", f"must be one of {CHIPLET_KINDS}")
-    _require(width > 0, f"{path}.width_mm", "must be > 0")
-    _require(height > 0, f"{path}.height_mm", "must be > 0")
-    _require(power >= 0, f"{path}.power_w", "must be >= 0")
-    ports = []
-    for k, port in enumerate(_list(doc, "ports", path)):
-        ppath = f"{path}.ports[{k}]"
-        if not isinstance(port, dict):
-            raise ValidationError(f"{ppath}: expected an object")
-        peer = port.get("peer")
-        _require(isinstance(peer, str) and bool(peer), f"{ppath}.peer", "missing or empty")
-        weight = _num(port, "weight", ppath, 1.0)
-        _require(weight >= 1, f"{ppath}.weight", "must be >= 1")
-        ports.append((peer, weight))
-    return ChipletSpec(name, width, height, power, kind, tuple(ports))
+def _port(doc: Any, path: str) -> tuple[str, float]:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected an object")
+    peer = doc.get("peer")
+    _require(isinstance(peer, str) and bool(peer), f"{path}.peer", "missing or empty")
+    return peer, _num(doc, "weight", path, 1.0)
 
 
-def _parse_stack(doc: Any, ambient: float) -> ThermalStack:
-    if doc is None:
-        return default_stack(ambient=ambient)
+def _chiplet(doc: Any, path: str) -> ChipletSpec:
+    return _section(ChipletSpec, doc, path, _CHIPLET_KEYS, name=_name(doc, path),
+                    kind=doc.get("kind", "compute"),
+                    ports=tuple(_port(pd, f"{path}.ports[{k}]")
+                                for k, pd in enumerate(_list(doc, "ports", path))))
+
+
+def _stack(doc: Any, ambient: float) -> ThermalStack:
+    """The ``stack`` section; its layers default to DEFAULT_STACK_LAYERS."""
     if not isinstance(doc, dict):
         raise ValidationError("stack: expected an object")
-    h_top = _num(doc, "h_top_w_m2k", "stack", 1000.0)
-    sink_side = doc.get("sink_side_mm")
-    if sink_side is not None:
-        sink_side = _num(doc, "sink_side_mm", "stack")
-    layers_doc = doc.get("layers")
-    if layers_doc is None:
-        layers = DEFAULT_STACK_LAYERS
-    else:
-        layers = tuple(
-            LayerSpec(_name(ld, f"stack.layers[{i}]"),
-                      _num(ld, "thickness_mm", f"stack.layers[{i}]"),
-                      _num(ld, "conductivity_w_mk", f"stack.layers[{i}]"))
-            for i, ld in enumerate(_list(doc, "layers", "stack")))
-    return ThermalStack(layers, h_top=h_top, ambient=ambient, sink_side_mm=sink_side)
+    layers = DEFAULT_STACK_LAYERS if "layers" not in doc else tuple(
+        _section(LayerSpec, ld, f"stack.layers[{i}]", _LAYER_KEYS,
+                 name=_name(ld, f"stack.layers[{i}]"))
+        for i, ld in enumerate(_list(doc, "layers", "stack")))
+    return _section(ThermalStack, doc, "stack", _STACK_KEYS, layers=layers, ambient=ambient)
 
 
 def _check_footprint_budget(spec: PackageSpec) -> None:
@@ -547,27 +525,14 @@ def _check_footprint_budget(spec: PackageSpec) -> None:
 
 
 def load_spec(document: dict | str | Path) -> PackageSpec:
-    """Parse and validate a package spec document.
-
-    Accepts a parsed dict, a JSON string, or a path to a JSON file.
-    """
+    """Parse and validate a package spec document: a parsed dict or a path."""
     doc = read_document(document)
-    pkg = _object(doc, "package")
-    name = pkg.get("name", "package")
-    width = _num(pkg, "interposer_width_mm", "package")
-    height = _num(pkg, "interposer_height_mm", "package")
-    min_spacing = _num(pkg, "min_spacing_mm", "package", 1.0)
-    ambient = _num(pkg, "ambient_c", "package", 45.0)
-    _require(width > 0, "package.interposer_width_mm", "must be > 0")
-    _require(height > 0, "package.interposer_height_mm", "must be > 0")
-    _require(min_spacing >= 0, "package.min_spacing_mm", "must be >= 0")
-    _require(AMBIENT_MIN_C <= ambient <= AMBIENT_MAX_C, "package.ambient_c",
-             f"must be within [{AMBIENT_MIN_C}, {AMBIENT_MAX_C}] (automotive range)")
-
+    pkg = doc.get("package")
+    name = _name(pkg, "package", "package")
     chiplets_doc = doc.get("chiplets")
     if not isinstance(chiplets_doc, list) or not chiplets_doc:
         raise ValidationError("chiplets: must be a non-empty list")
-    chiplets = tuple(_parse_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
+    chiplets = tuple(_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
     names = [c.name for c in chiplets]
     _unique(names, "chiplets")
@@ -578,8 +543,9 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
             _require(peer != c.name, f"chiplets[{i}].ports[{k}].peer",
                      "chiplet cannot link to itself")
 
-    stack = _parse_stack(doc.get("stack"), ambient)
-    spec = PackageSpec(name, chiplets, width, height, min_spacing, ambient, stack)
+    stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", 45.0))
+    spec = _section(PackageSpec, pkg, "package", _PACKAGE_KEYS, name=name, chiplets=chiplets,
+                    stack=stack)
     _check_footprint_budget(spec)
     # Symmetrize connectivity now so invariants hold on the returned spec;
     # raises on conflicting weights.
@@ -591,26 +557,20 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
 
 
 def read_document(document: dict | str | Path) -> dict:
-    """The JSON object in a parsed dict, a JSON string or a path to a .json file."""
+    """The JSON object in a parsed dict, or in the file at a path."""
     if isinstance(document, dict):
         return document
-    if isinstance(document, Path) or (isinstance(document, str) and "\n" not in document
-                                      and document.strip().endswith(".json")):
-        path = Path(document)
-        if not path.exists():
-            raise ParseError(f"file not found: {path}")
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: unreadable ({exc})") from None
-    else:
-        text = str(document)
+    path = Path(document)
+    if not path.exists():
+        raise ParseError(f"file not found: {path}")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: unreadable ({exc})") from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+        raise ParseError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
+        raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc
 
 
@@ -643,6 +603,15 @@ def validate_connectivity(spec: PackageSpec) -> np.ndarray:
 # driving the other subcommands.
 
 # spec key of each dataclass field whose name differs from it
+_PACKAGE_KEYS = {"interposer_width": "interposer_width_mm",
+                 "interposer_height": "interposer_height_mm",
+                 "min_spacing": "min_spacing_mm",
+                 "ambient": "ambient_c"}  # a PackageSpec check on its stack's ambient
+_CHIPLET_KEYS = {"width": "width_mm", "height": "height_mm", "power": "power_w"}
+_STACK_KEYS = {"h_top": "h_top_w_m2k"}
+_LAYER_KEYS = {"conductivity": "conductivity_w_mk"}
+_PLACED_KEYS = {**_CHIPLET_KEYS, "x": "x_mm", "y": "y_mm", "rotation": "rotation_deg"}
+_INTERPOSER_KEYS = {"width": "width_mm", "height": "height_mm", "min_spacing": "min_spacing_mm"}
 _PROCESS_KEYS = {"wafer_diameter": "wafer_diameter_mm", "d0": "d0_per_mm2"}
 _ANNEAL_KEYS = {"tol": "tol_c"}
 _TRACE_KEYS = {"trace_width": "trace_width_um", "trace_thickness": "trace_thickness_um",

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from chipletdse.cli import main
+from chipletdse.model import floorplan_to_document, load_spec
+from chipletdse.place import bst_placement
 
 SMALL_DOC = {
     "package": {
@@ -136,10 +138,18 @@ class TestThermalCommand:
         assert "peak_chiplet_c" in printed
 
 
-def edited(edit):
-    doc = copy.deepcopy(SMALL_DOC)
+FLOORPLAN_DOC = floorplan_to_document(bst_placement(load_spec(SMALL_DOC)))
+
+
+def edited(edit, base=SMALL_DOC):
+    doc = copy.deepcopy(base)
     edit(doc)
     return doc
+
+
+def assert_field_error(status, err, field):
+    assert status == 1
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
 class TestSpecErrors:
@@ -160,14 +170,34 @@ class TestSpecErrors:
          "process.wafer_diameter_mm"),
         ("cost", lambda d: d["process"].update(d0_per_mm2=float("nan")), "process.d0_per_mm2"),
         ("phy", lambda d: d.update(phy={"trace_width_um": "wide"}), "phy.trace_width_um"),
+        ("cost", lambda d: d.update(stack={"h_top_w_m2k": -1}), "stack.h_top_w_m2k"),
+        ("cost", lambda d: d.update(stack={"layers": [
+            {"name": "base", "thickness_mm": 1.0, "conductivity_w_mk": 0},
+            {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
+         "stack.layers[0].conductivity_w_mk"),
+        ("cost", lambda d: d.update(stack={"sink_side_mm": -5}), "stack.sink_side_mm"),
+        ("cost", lambda d: d.update(stack={"sink_side_mm": 0}), "stack.sink_side_mm"),
+        ("cost", lambda d: d["package"].update(ambient_c=200), "package.ambient_c"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edited(edit)))  # inf and nan are written as Infinity, NaN
         status = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert status == 1
-        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert_field_error(status, capsys.readouterr().err, field)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["placements"][0].update(rotation_deg=0.5), "placements[0].rotation_deg"),
+        (lambda d: d["placements"][0].update(rotation_deg=45), "placements[0].rotation_deg"),
+        (lambda d: d["placements"][0].update(width_mm=-3), "placements[0].width_mm"),
+        (lambda d: d["placements"][0].update(power_w=-30), "placements[0].power_w"),
+        (lambda d: d["interposer"].update(min_spacing_mm=-3), "interposer.min_spacing_mm"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_floorplan_field_named(self, spec_path, tmp_path, capsys, edit, field):
+        path = tmp_path / "floorplan.json"
+        path.write_text(json.dumps(edited(edit, FLOORPLAN_DOC)))
+        status = main(["thermal", "--spec", spec_path, "--floorplan", str(path),
+                       "--out", str(tmp_path / "o")])
+        assert_field_error(status, capsys.readouterr().err, field)
 
     def test_configs_csv_cell(self, tmp_path, capsys):
         cfg = tmp_path / "configs.csv"
@@ -257,6 +287,12 @@ class TestRerunCommand:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         spec.unlink()
         assert main(["rerun", str(out / "manifest.json")]) == 1
+
+    def test_rerun_refuses_rerun_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)], "inputs": {}}))
+        status = main(["rerun", str(manifest)])
+        assert_field_error(status, capsys.readouterr().err, str(manifest))
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "gone.json")]) == 1

@@ -42,10 +42,11 @@ class TestLoadSpec:
         spec = load_spec(chipletdse.bundled_spec_path())
         # published block areas: core 13.5 mm^2 (8-core cpu0 = 108), 10MB
         # SRAM 69.3, NIU 7.9317, PCIe 6.24
-        assert spec.chiplet("cpu0").area == pytest.approx(8 * 13.5, rel=1e-4)
-        assert spec.chiplet("sram").area == pytest.approx(69.3, rel=1e-4)
-        assert spec.chiplet("niu").area == pytest.approx(7.9317, rel=1e-4)
-        assert spec.chiplet("pcie").area == pytest.approx(6.24, rel=1e-4)
+        area = {c.name: c.area for c in spec.chiplets}
+        assert area["cpu0"] == pytest.approx(8 * 13.5, rel=1e-4)
+        assert area["sram"] == pytest.approx(69.3, rel=1e-4)
+        assert area["niu"] == pytest.approx(7.9317, rel=1e-4)
+        assert area["pcie"] == pytest.approx(6.24, rel=1e-4)
 
     def test_empty_chiplet_list_rejected(self):
         with pytest.raises(ValidationError, match="chiplets"):
@@ -62,9 +63,11 @@ class TestLoadSpec:
         with pytest.raises(ValidationError, match="ghost"):
             load_spec(doc)
 
-    def test_malformed_json_is_parse_error(self):
+    def test_malformed_json_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json\n}")
         with pytest.raises(ParseError):
-            load_spec("{not json\n}")
+            load_spec(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):

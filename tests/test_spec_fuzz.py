@@ -1,7 +1,8 @@
-"""Random mutations of the bundled spec.
+"""Random mutations of the bundled spec and of a floorplan document.
 
-Each mutant either loads or raises SpecError, and the report commands on it
-exit 0, or exit 1 with a single `error:` line; nothing else escapes.
+Each spec mutant either loads or raises SpecError, and the report commands on
+it exit 0, or exit 1 with a single `error:` line; nothing else escapes. The
+same holds for `thermal` on each floorplan mutant.
 """
 
 import copy
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 import chipletdse
 from chipletdse.cli import main
-from chipletdse.model import SpecError, load_bundle
+from chipletdse.model import SpecError, floorplan_to_document, load_bundle, load_spec
+from chipletdse.place import bst_placement
 
-BUNDLED = json.loads(Path(chipletdse.bundled_spec_path()).read_text())
+BUNDLED_PATH = str(chipletdse.bundled_spec_path())
+BUNDLED = json.loads(Path(BUNDLED_PATH).read_text())
+FLOORPLAN = floorplan_to_document(bst_placement(load_spec(BUNDLED)))
 
 # st.floats() draws NaN and +-Infinity too, which json writes and reads back
 json_values = st.recursive(
@@ -28,9 +32,9 @@ json_values = st.recursive(
 
 
 @st.composite
-def mutants(draw):
-    """The bundled spec with one key, at any depth, set to a JSON value or deleted."""
-    doc = copy.deepcopy(BUNDLED)
+def mutants(draw, base):
+    """``base`` with one key, at any depth, set to a JSON value or deleted."""
+    doc = copy.deepcopy(base)
     node = doc
     while True:
         key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
@@ -45,9 +49,18 @@ def mutants(draw):
             return doc
 
 
+def assert_clean_exit(argv: list[str]) -> None:
+    """``main(argv)`` exits 0, or 1 with a single `error:` line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        status = main(argv)
+    assert status == 0 or (status == 1 and err.getvalue().startswith("error: ")
+                           and err.getvalue().count("\n") == 1), (argv[0], err.getvalue())
+
+
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=mutants())
+@given(doc=mutants(BUNDLED))
 def test_mutant_loads_or_fails_cleanly(tmp_path, doc):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -56,8 +69,14 @@ def test_mutant_loads_or_fails_cleanly(tmp_path, doc):
     except SpecError:
         pass
     for command in ("cost", "power", "perf", "phy"):
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            status = main([command, "--spec", str(spec), "--out", str(tmp_path / command)])
-        assert status == 0 or (status == 1 and err.getvalue().startswith("error: ")
-                               and err.getvalue().count("\n") == 1), (command, err.getvalue())
+        assert_clean_exit([command, "--spec", str(spec), "--out", str(tmp_path / command)])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutants(FLOORPLAN))
+def test_floorplan_mutant_runs_or_fails_cleanly(tmp_path, doc):
+    floorplan = tmp_path / "floorplan.json"
+    floorplan.write_text(json.dumps(doc))
+    assert_clean_exit(["thermal", "--spec", BUNDLED_PATH, "--floorplan", str(floorplan),
+                       "--resolution", "2", "--out", str(tmp_path / "thermal")])
