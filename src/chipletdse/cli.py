@@ -178,12 +178,8 @@ def _cmd_thermal(args, argv) -> int:
     cell = 1.0 if args.resolution is None else args.resolution
     pm = thermal.rasterize(fp, cell)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
-    rows = []
-    for li, lname in enumerate(tf.stack.layer_names):
-        layer = tf.data[li]
-        for iy in range(layer.shape[0]):
-            for ix in range(layer.shape[1]):
-                rows.append([lname, ix, iy, layer[iy, ix]])
+    rows = [[lname, ix, iy, t] for lname, layer in zip(tf.stack.layer_names, tf.data)
+            for iy, row in enumerate(layer) for ix, t in enumerate(row)]
     _write_csv(out / "temperature_field.csv", ["layer", "x", "y", "t_c"], rows)
     _write_manifest(out, "thermal", inputs, None, argv)
     for lname in tf.stack.layer_names:

@@ -23,6 +23,7 @@ import numpy as np
 from .phy import PhyTargets, TraceGeometry
 
 CHIPLET_KINDS = ("compute", "gpu", "memory", "io", "noc", "analog")
+CHIPLET_LAYER = "chiplet"  # the stack layer that takes the floorplan's power
 
 AMBIENT_MIN_C = -40.0  # automotive qualification range
 AMBIENT_MAX_C = 125.0
@@ -105,6 +106,8 @@ class ThermalStack:
     def __post_init__(self) -> None:
         if len(self.layers) < 2:
             raise ValidationError("layers: at least 2 layers required")
+        if CHIPLET_LAYER not in self.layer_names:
+            raise ValidationError(f"layers: no layer named {CHIPLET_LAYER!r}")
         _positive(self, "h_top")
         if self.sink_side_mm is not None:
             _positive(self, "sink_side_mm")

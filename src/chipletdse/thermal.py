@@ -9,7 +9,8 @@ injected in the chiplet layer, rasterized from a floorplan.
 Each layer's lateral operator is a uniform Neumann grid Laplacian, which the
 orthonormal 2-D cosine (DCT-II) basis diagonalizes, so a fully cooled top face
 splits the stack into one small layer system per cosine mode. A smaller sink
-footprint is solved by conjugate gradients preconditioned with that solve.
+footprint takes the ambient conductance off k top cells: a rank-k change, which
+the Woodbury identity corrects exactly through a k x k system on those cells.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Floorplan, ThermalStack, ValidationError
+from .model import CHIPLET_LAYER, Floorplan, ThermalStack, ValidationError
 
 MM = 1e-3
 
-CHIPLET_LAYER = "chiplet"
+# Range check on requested grids; 0.1 mm cells on a 50 mm interposer still pass. At
+# 500 x 500 the default 8-layer stack's per-mode inverses hold 64 * 500^2 doubles, 128 MB.
+MAX_CELLS_PER_SIDE = 500
 
 
 class ThermalError(RuntimeError):
@@ -59,9 +62,16 @@ class TemperatureField:
 
 
 def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> tuple[int, int]:
-    nx = max(1, math.ceil(width_mm / cell_mm - 1e-9))
-    ny = max(1, math.ceil(height_mm / cell_mm - 1e-9))
-    return nx, ny
+    sides = (width_mm / cell_mm - 1e-9, height_mm / cell_mm - 1e-9)
+    if not all(side <= MAX_CELLS_PER_SIDE for side in sides):  # inf and NaN too, before ceil
+        raise ThermalError(f"a {width_mm} x {height_mm} mm grid of {cell_mm} mm cells "
+                           f"exceeds {MAX_CELLS_PER_SIDE} cells per side")
+    return tuple(max(1, math.ceil(side)) for side in sides)
+
+
+def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Length of each interval [lo, hi] inside each cell between edges, (len(lo), cells)."""
+    return np.clip(hi[:, None], edges[:-1], edges[1:]) - np.clip(lo[:, None], edges[:-1], edges[1:])
 
 
 def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
@@ -79,42 +89,20 @@ def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
                 f"cell size {cell_mm} mm exceeds smallest dimension of "
                 f"chiplet {p.name!r}")
     nx, ny = grid_shape(floorplan.width, floorplan.height, cell_mm)
-    cells = np.zeros((ny, nx))
-    for p in floorplan.placements:
-        density = p.power / (p.eff_width * p.eff_height)  # W/mm^2
-        if density == 0:
-            continue
-        x0, x1 = p.x, p.x + p.eff_width
-        y0, y1 = p.y, p.y + p.eff_height
-        ix0 = max(0, int(x0 / cell_mm))
-        ix1 = min(nx - 1, int((x1 - 1e-12) / cell_mm))
-        iy0 = max(0, int(y0 / cell_mm))
-        iy1 = min(ny - 1, int((y1 - 1e-12) / cell_mm))
-        for iy in range(iy0, iy1 + 1):
-            oy = min(y1, (iy + 1) * cell_mm) - max(y0, iy * cell_mm)
-            for ix in range(ix0, ix1 + 1):
-                ox = min(x1, (ix + 1) * cell_mm) - max(x0, ix * cell_mm)
-                cells[iy, ix] += density * ox * oy
-    return PowerMap(nx, ny, cell_mm, cells)
-
-
-def _sink_mask(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> np.ndarray:
-    """Top cells coupled to ambient: all, or a centered fixed sink footprint."""
-    if stack.sink_side_mm is None:
-        return np.ones((ny, nx), dtype=bool)
-    half = stack.sink_side_mm / 2.0
-    in_x = np.abs((np.arange(nx) + 0.5) * cell_mm - nx * cell_mm / 2.0) <= half
-    in_y = np.abs((np.arange(ny) + 0.5) * cell_mm - ny * cell_mm / 2.0) <= half
-    mask = np.outer(in_y, in_x)
-    if not mask.any():
-        raise ThermalError("sink footprint covers no grid cells")
-    return mask
+    x, y, w, h, power = np.array([(p.x, p.y, p.eff_width, p.eff_height, p.power)
+                                  for p in floorplan.placements]).reshape(-1, 5).T
+    ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
+    oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
+    density = power / (w * h)  # W/mm^2
+    return PowerMap(nx, ny, cell_mm, oy.T @ (density[:, None] * ox))
 
 
 class _GridModel(NamedTuple):
     g_lat: np.ndarray  # (nl,) lateral conductance between neighbouring cells, W/K
     g_vert: np.ndarray  # (nl-1,) conductance from layer l to layer l+1, W/K
     sink: np.ndarray  # (ny, nx) top-cell conductance to ambient, W/K
+    g_amb: float  # conductance to ambient of one cooled top cell, W/K
+    uncooled: np.ndarray  # flat indices of the top cells outside the sink
     q_x: np.ndarray  # (nx, nx) orthonormal DCT-II basis
     q_y: np.ndarray  # (ny, ny)
     inv: np.ndarray  # (nl, nl, ny, nx) per-mode inverse with the whole top face cooled
@@ -144,9 +132,14 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     # vertical conduction to the layer above (half-thickness series)
     g_vert = a_face / (t[:-1] / (2.0 * k[:-1]) + t[1:] / (2.0 * k[1:]))
     # convective top boundary: half top-layer conduction in series with h,
-    # applied to the cells under the (possibly fixed-size) sink footprint
+    # applied to the top cells whose centres the centred sink footprint covers
     g_amb = 1.0 / (t[-1] / (2.0 * k[-1] * a_face) + 1.0 / (stack.h_top * a_face))
-    mask = _sink_mask(stack, nx, ny, cell_mm)
+    half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2.0
+    in_x = np.abs((np.arange(nx) + 0.5) * cell_mm - nx * cell_mm / 2.0) <= half
+    in_y = np.abs((np.arange(ny) + 0.5) * cell_mm - ny * cell_mm / 2.0) <= half
+    mask = np.outer(in_y, in_x)
+    if not mask.any():
+        raise ThermalError("sink footprint covers no grid cells")
 
     # The cosine basis diagonalizes each layer's lateral operator, so with the
     # whole top face cooled mode (ky, kx) is an independent layers x layers
@@ -157,7 +150,7 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     vert -= np.diag(g_vert, 1) + np.diag(g_vert, -1)
     system = vert + np.diag(g_lat) * (eig_y[:, None] + eig_x)[..., None, None]
     inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(system), (0, 1), (2, 3)))
-    return _GridModel(g_lat, g_vert, g_amb * mask, q_x, q_y, inv)
+    return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, inv)
 
 
 def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
@@ -180,48 +173,55 @@ def _full_sink_solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
     return model.q_y.T @ t_hat @ model.q_x
 
 
+def _top_response(model: _GridModel, p_top: np.ndarray) -> np.ndarray:
+    """Top-layer rise, whole top face cooled, for power p_top in the top layer alone."""
+    return model.q_y.T @ (model.inv[-1, -1] * (model.q_y @ p_top @ model.q_x.T)) @ model.q_x
+
+
+def _solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
+    """Temperature rise for power p under the model's sink footprint.
+
+    U selects the k uncooled top cells, so A_p = A_f - g*U*U.T and by Woodbury
+    T = T_f + A_f^-1*U*y, T_f = A_f^-1*p, where y solves the SPD k x k system
+    C*y = U.T*T_f, C = I/g - U.T*A_f^-1*U, by CG in at most k steps. The residual
+    A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|.
+    """
+    t = _full_sink_solve(model, p)
+    u, g = model.uncooled, model.g_amb
+    if not u.size:
+        return t
+    p_top, y = np.zeros(model.sink.shape), np.zeros(u.size)
+    r = d = t[-1].ravel()[u]
+    rr, stop = r @ r, (1e-12 * np.linalg.norm(p) / g) ** 2
+    for _ in range(u.size):
+        if not rr > stop:  # also ends on NaN, which the residual guard then rejects
+            break
+        p_top.flat[u] = d
+        cd = d / g - _top_response(model, p_top).ravel()[u]  # C @ d
+        alpha = rr / (d @ cd)
+        y, r = y + alpha * d, r - alpha * cd
+        rr, rr_old = r @ r, rr
+        d = r + (rr / rr_old) * d
+    correction = np.zeros_like(p)
+    correction[-1].flat[u] = y
+    return t + _full_sink_solve(model, correction)
+
+
 RESIDUAL_TOL = 1e-8
-PCG_MAX_ITER = 100
-
-
-def _partial_sink_solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
-    """Conjugate gradients preconditioned by, and started from, the full-sink solve."""
-    x = _full_sink_solve(model, p)
-    r = p - _apply(model, x)
-    d = z = _full_sink_solve(model, r)
-    rz = np.vdot(r, z)
-    stop = 1e-12 * np.linalg.norm(p)
-    for _ in range(PCG_MAX_ITER):
-        if np.linalg.norm(r) <= stop:
-            return x
-        ad = _apply(model, d)
-        alpha = rz / np.vdot(d, ad)
-        x += alpha * d
-        r -= alpha * ad
-        z = _full_sink_solve(model, r)
-        rz, rz_old = np.vdot(r, z), rz
-        d = z + (rz / rz_old) * d
-    raise ThermalError(
-        f"preconditioned CG did not converge after {PCG_MAX_ITER} iterations "
-        f"(relative residual {np.linalg.norm(r) / np.linalg.norm(p):.3e})")
 
 
 def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     """Solve the discretized steady-state heat equation.
 
-    Directly in the cosine basis when the whole top face is cooled, else by
-    conjugate gradients preconditioned with, and started from, that solve
-    (ThermalError if they do not converge). Either way the relative residual,
-    measured with a stencil on the full field, must come out <= 1e-8 and no
-    cell may lie below ambient, or a ThermalError is raised.
+    Directly in the cosine basis, plus the exact Woodbury correction for the top
+    cells a smaller sink leaves uncooled (``_solve``). The relative residual,
+    measured with a stencil on the full field, must come out <= 1e-8 and no cell
+    may lie below ambient, or a ThermalError is raised.
     """
-    nl = len(stack.layers)
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    source = np.zeros((nl, pm.ny, pm.nx))
-    cl = stack.layer_index(CHIPLET_LAYER) if CHIPLET_LAYER in stack.layer_names else nl - 1
-    source[cl] = pm.cells
-    solve = _full_sink_solve if model.sink.all() else _partial_sink_solve
-    data = stack.ambient + solve(model, source)
+    source = np.zeros((len(stack.layers), pm.ny, pm.nx))
+    source[stack.layer_index(CHIPLET_LAYER)] = pm.cells
+    data = stack.ambient + _solve(model, source)
 
     source[-1] += model.sink * stack.ambient  # right-hand side in absolute temperature
     # relative, except for a zero right-hand side (0 C ambient, no power): absolute

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import chipletdse
 from chipletdse.cli import main
 from chipletdse.model import floorplan_to_document, load_spec
 from chipletdse.place import bst_placement
@@ -137,6 +138,16 @@ class TestThermalCommand:
         printed = capsys.readouterr().out
         assert "peak_chiplet_c" in printed
 
+    def test_stiff_partial_sink(self, tmp_path, capsys):
+        with open(chipletdse.bundled_spec_path()) as fh:
+            doc = json.load(fh)
+        doc["stack"].update(h_top_w_m2k=1e7, sink_side_mm=10)
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        assert main(["thermal", "--spec", str(path), "--out", str(tmp_path / "t"),
+                     "--resolution", "1"]) == 0
+        assert "peak_chiplet_c" in capsys.readouterr().out
+
 
 FLOORPLAN_DOC = floorplan_to_document(bst_placement(load_spec(SMALL_DOC)))
 
@@ -178,6 +189,10 @@ class TestSpecErrors:
         ("cost", lambda d: d.update(stack={"sink_side_mm": -5}), "stack.sink_side_mm"),
         ("cost", lambda d: d.update(stack={"sink_side_mm": 0}), "stack.sink_side_mm"),
         ("cost", lambda d: d["package"].update(ambient_c=200), "package.ambient_c"),
+        ("place", lambda d: d.update(stack={"layers": [
+            {"name": "a", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
+            {"name": "b", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
+         "stack.layers"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
         path = tmp_path / "bad.json"
@@ -198,6 +213,16 @@ class TestSpecErrors:
         status = main(["thermal", "--spec", spec_path, "--floorplan", str(path),
                        "--out", str(tmp_path / "o")])
         assert_field_error(status, capsys.readouterr().err, field)
+
+    def test_oversized_grid_rejected(self, spec_path, tmp_path, capsys):
+        path = tmp_path / "floorplan.json"
+        path.write_text(json.dumps(edited(lambda d: d["interposer"].update(width_mm=1e300),
+                                          FLOORPLAN_DOC)))
+        status = main(["thermal", "--spec", spec_path, "--floorplan", str(path),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and "cells per side" in err and err.count("\n") == 1
 
     def test_configs_csv_cell(self, tmp_path, capsys):
         cfg = tmp_path / "configs.csv"

@@ -89,7 +89,7 @@ def dense_solve(stack, pm):
             A[i, i] += 1.0 / r_amb
             b[i] += stack.ambient / r_amb
 
-    cl = stack.layer_names.index("chiplet") if "chiplet" in stack.layer_names else nl - 1
+    cl = stack.layer_names.index("chiplet")
     for iy in range(ny):
         for ix in range(nx):
             b[idx(cl, iy, ix)] += pm.cells[iy, ix]
@@ -110,6 +110,19 @@ class TestGridShape:
 
     def test_float_noise_does_not_add_a_cell(self):
         assert grid_shape(0.1 * 3, 30.0, 0.3) == (1, 100)
+
+    def test_finest_legal_grid(self):
+        assert grid_shape(50.0, 50.0, 0.1) == (500, 500)
+
+    @pytest.mark.parametrize("width, height, cell_mm", [
+        (50.2, 50.0, 0.1),
+        (10.0, 60.0, 0.1),
+        (1e308, 10.0, 1e-3),  # the quotient overflows to inf
+        (1e300, 1e300, 1.0),
+    ])
+    def test_too_many_cells_rejected(self, width, height, cell_mm):
+        with pytest.raises(ThermalError, match="cells per side"):
+            grid_shape(width, height, cell_mm)
 
 
 class TestRasterize:
@@ -145,6 +158,55 @@ class TestRasterize:
         fp = Floorplan(5, 5, (PlacedChiplet("a", 3, 3, 0, 4, 4, 1.0),))
         with pytest.raises(ValidationError):
             rasterize(fp, 1.0)
+
+    @pytest.mark.parametrize("cell_mm", [0.5, 0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_cell_reference(self, seed, cell_mm):
+        fp = random_floorplan(np.random.default_rng(seed), cell_mm)
+        assert np.allclose(rasterize(fp, cell_mm).cells, reference_power(fp, cell_mm),
+                           rtol=0.0, atol=1e-12)
+
+
+def random_floorplan(rng, cell_mm):
+    """A legal floorplan with up to one chiplet in each of 3 x 3 slots of a
+    30 x 24 mm interposer (2 mm spacing, so a 1 mm margin). Each chiplet has a
+    random rotation and power. Per axis its size is whole cells or anything
+    from one cell to the slot, and its low edge lies on the margin (or the
+    slot's spacing halo), on a cell boundary, or anywhere in the slot."""
+    placements = []
+    for i in range(3):
+        for j in range(3):
+            if rng.random() < 0.2:
+                continue
+            eff = []
+            for lo, hi in ((10.0 * i + 1.0, 10.0 * i + 9.0), (8.0 * j + 1.0, 8.0 * j + 7.0)):
+                size = float(cell_mm * rng.integers(1, int((hi - lo) / cell_mm) + 1)
+                             if rng.random() < 0.5 else rng.uniform(cell_mm, hi - lo))
+                k0, k1 = math.ceil(lo / cell_mm), math.floor((hi - size) / cell_mm)
+                pos = rng.choice([lo, rng.uniform(lo, hi - size),
+                                  cell_mm * rng.integers(k0, k1 + 1) if k0 <= k1 else lo])
+                eff.append((float(pos), size))
+            (x, w), (y, h) = eff
+            rotation = int(rng.choice([0, 90, 180, 270]))
+            if rotation in (90, 270):
+                w, h = h, w
+            placements.append(PlacedChiplet(f"c{i}{j}", x, y, rotation, w, h,
+                                            rng.uniform(0.5, 20.0)))
+    return Floorplan(30.0, 24.0, tuple(placements), min_spacing=2.0)
+
+
+def reference_power(fp, cell_mm):
+    """Per-cell sum of density * x overlap * y overlap, one cell at a time."""
+    nx, ny = grid_shape(fp.width, fp.height, cell_mm)
+    cells = np.zeros((ny, nx))
+    for p in fp.placements:
+        density = p.power / (p.eff_width * p.eff_height)
+        for iy in range(ny):
+            oy = min(p.y + p.eff_height, (iy + 1) * cell_mm) - max(p.y, iy * cell_mm)
+            for ix in range(nx):
+                ox = min(p.x + p.eff_width, (ix + 1) * cell_mm) - max(p.x, ix * cell_mm)
+                cells[iy, ix] += density * max(ox, 0.0) * max(oy, 0.0)
+    return cells
 
 
 class TestSolver:
@@ -229,11 +291,22 @@ class TestSinkFootprint:
         small = peak_temperature(solve_steady_state(pm, self.stack(3.0)))
         assert small > full
 
-    def test_non_converging_cg_raises(self, monkeypatch):
-        monkeypatch.setattr(thermal, "PCG_MAX_ITER", 1)
+    def test_wrong_capacitance_operator_caught_by_residual_guard(self, monkeypatch):
+        # a top-layer response of zero makes the capacitance system I/g: CG
+        # converges on it at once, and only the full-stack residual sees the error
+        monkeypatch.setattr(thermal, "_top_response", lambda model, p_top: np.zeros_like(p_top))
         pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
-        with pytest.raises(ThermalError, match="did not converge"):
+        with pytest.raises(ThermalError, match="residual"):
             solve_steady_state(pm, self.stack(4.0))
+
+    @pytest.mark.parametrize("side", [1.0, 10.0])
+    def test_stiff_partial_sink_balances_energy(self, side):
+        # h_top = 1e7 W/m^2K puts the uncooled cells' missing conductance far
+        # above the conduction terms; the solve must stay exact
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, h_top=1e7, sink_side_mm=side)
+        pm = power_map(np.random.default_rng(4).uniform(0.0, 0.1, size=(40, 40)))
+        tf = solve_steady_state(pm, stack)
+        assert boundary_heat_flow(tf) == pytest.approx(pm.total_power, rel=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_right_hand_side_is_ambient(self):
@@ -243,7 +316,7 @@ class TestSinkFootprint:
         assert not tf.data.any()
 
     def test_non_finite_residual_raises(self, monkeypatch):
-        monkeypatch.setattr(thermal, "_partial_sink_solve", lambda model, p: p * np.nan)
+        monkeypatch.setattr(thermal, "_solve", lambda model, p: p * np.nan)
         with pytest.raises(ThermalError, match="residual"):
             solve_steady_state(power_map(np.full((6, 6), 1.0)), self.stack(4.0))
 
