@@ -264,13 +264,16 @@ def _micrometres(text: str) -> float:
     return float(text) * 1e-6
 
 
-def _add_common(p: argparse.ArgumentParser, spec_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, spec_required: bool = True,
+                seed: bool = False, resolution: bool = False) -> None:
     p.add_argument("--spec", required=spec_required, default=None,
                    help=f"package spec JSON (bundled: {bundled_spec_path()})")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    p.add_argument("--resolution", type=float, default=None,
-                   help="thermal grid cell size, mm")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    if resolution:
+        p.add_argument("--resolution", type=float, default=None,
+                       help="thermal grid cell size, mm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,22 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_phy)
 
     p = sub.add_parser("thermal", help="steady-state temperature field")
-    _add_common(p)
+    _add_common(p, resolution=True)
     p.add_argument("--floorplan", default=None,
                    help="floorplan JSON (default: BST packing of the spec)")
     p.set_defaults(func=_cmd_thermal)
 
     p = sub.add_parser("place", help="thermally-aware annealing placement")
-    _add_common(p)
+    _add_common(p, seed=True, resolution=True)
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser("calibrate-k", help="annealing K calibration table")
-    _add_common(p)
+    _add_common(p, seed=True, resolution=True)
     p.add_argument("--k", type=_floats, required=True, help="comma-separated K0 candidates")
     p.set_defaults(func=_cmd_calibrate_k)
 
     p = sub.add_parser("sweep", help="interposer-area sweep")
-    _add_common(p)
+    _add_common(p, seed=True, resolution=True)
     p.add_argument("--sides", type=_floats, default="30,35,40,45,50",
                    help="comma-separated square side lengths, mm")
     p.set_defaults(func=_cmd_sweep)

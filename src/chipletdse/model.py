@@ -362,10 +362,6 @@ class Floorplan:
                 raise ValidationError(f"placement {p.name}: duplicate chiplet")
             seen.add(p.name)
 
-    def replaced(self, placement: PlacedChiplet) -> "Floorplan":
-        new = tuple(placement if p.name == placement.name else p for p in self.placements)
-        return replace(self, placements=new)
-
 
 def floorplan_to_document(fp: Floorplan) -> dict:
     """Standalone JSON form of a floorplan (footprints and links included)."""

@@ -145,44 +145,43 @@ WARMUP_SAMPLES = 20  # random neighbours that seed the normalization bounds
 PERSISTENCE = 5  # consecutive epochs the |dT| < tol test must hold
 
 
-def propose_move(fp: Floorplan, rng: np.random.Generator, retry_cap: int = RETRY_CAP) -> Floorplan:
+def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
     """One random legal move: translate, rotate 90 degrees, or swap two chiplets.
 
     Translation magnitude is log-uniform between 1% and 100% of an eighth of
     the longer interposer side, so tightly packed boards still find legal
-    small moves. Invalid proposals are re-drawn up to ``retry_cap`` times; if
+    small moves. Invalid proposals are re-drawn up to ``RETRY_CAP`` times; if
     none is legal the floorplan is considered too congested.
     """
     step_mm = max(fp.width, fp.height) / 8.0
     n = len(fp.placements)
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         kind = rng.integers(0, 3 if n >= 2 else 2)
+        i = int(rng.integers(0, n))  # every kind's first draw: the chiplet to move
+        placements = list(fp.placements)
+        p = placements[i]
         if kind == 0:  # translate
-            p = fp.placements[rng.integers(0, n)]
             magnitude = step_mm * 10.0 ** rng.uniform(-2.0, 0.0)
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            cand = fp.replaced(replace(p, x=p.x + magnitude * math.cos(angle),
-                                       y=p.y + magnitude * math.sin(angle)))
+            placements[i] = replace(p, x=p.x + magnitude * math.cos(angle),
+                                    y=p.y + magnitude * math.sin(angle))
         elif kind == 1:  # rotate 90 degrees about the footprint center
-            p = fp.placements[rng.integers(0, n)]
             if p.width == p.height:
                 continue  # no-op rotation, not a move
             cx, cy = p.center
-            rot = (p.rotation + 90) % 360
-            new = replace(p, rotation=rot)
-            cand = fp.replaced(replace(new, x=cx - new.eff_width / 2.0,
-                                       y=cy - new.eff_height / 2.0))
+            # a quarter turn swaps the effective width and height
+            placements[i] = replace(p, rotation=(p.rotation + 90) % 360,
+                                    x=cx - p.eff_height / 2.0, y=cy - p.eff_width / 2.0)
         else:  # swap anchor positions of two chiplets
-            i = int(rng.integers(0, n))
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
-            a, b = fp.placements[i], fp.placements[j]
-            cand = fp.replaced(replace(a, x=b.x, y=b.y))
-            cand = cand.replaced(replace(b, x=a.x, y=a.y))
+            q = placements[j]
+            placements[i], placements[j] = replace(p, x=q.x, y=q.y), replace(q, x=p.x, y=p.y)
+        cand = replace(fp, placements=tuple(placements))
         if cand.is_valid():
             return cand
-    raise PlacementError(f"floorplan too congested: no legal move in {retry_cap} attempts")
+    raise PlacementError(f"floorplan too congested: no legal move in {RETRY_CAP} attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .model import CHIPLET_LAYER, Floorplan, ThermalStack, ValidationError
 MM = 1e-3
 
 # Range check on requested grids; 0.1 mm cells on a 50 mm interposer still pass. At
-# 500 x 500 the default 8-layer stack's per-mode inverses hold 64 * 500^2 doubles, 128 MB.
+# 500 x 500 the default 8-layer stack's cached responses hold 2 * 8 * 500^2 doubles, 32 MB.
 MAX_CELLS_PER_SIDE = 500
 
 
@@ -39,10 +39,16 @@ class ThermalError(RuntimeError):
 class PowerMap:
     """Per-cell dissipated power (W) in the chiplet layer."""
 
-    nx: int
-    ny: int
     cell_mm: float
     cells: np.ndarray  # (ny, nx), W
+
+    @property
+    def nx(self) -> int:
+        return self.cells.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.cells.shape[0]
 
     @property
     def total_power(self) -> float:
@@ -94,7 +100,7 @@ def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
     ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
     oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
     density = power / (w * h)  # W/mm^2
-    return PowerMap(nx, ny, cell_mm, oy.T @ (density[:, None] * ox))
+    return PowerMap(cell_mm, oy.T @ (density[:, None] * ox))
 
 
 class _GridModel(NamedTuple):
@@ -105,7 +111,7 @@ class _GridModel(NamedTuple):
     uncooled: np.ndarray  # flat indices of the top cells outside the sink
     q_x: np.ndarray  # (nx, nx) orthonormal DCT-II basis
     q_y: np.ndarray  # (ny, ny)
-    inv: np.ndarray  # (nl, nl, ny, nx) per-mode inverse with the whole top face cooled
+    cols: np.ndarray  # (2, nl, ny, nx) per-mode inverse columns: chiplet-layer, top-layer power
 
 
 def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +124,7 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridModel:
-    """Conductances and per-mode inverses for a grid geometry.
+    """Conductances and per-mode response columns for a grid geometry.
 
     The model depends only on (stack, grid), not on the power map, so it
     is cached and re-used across solves (the annealer solves thousands of
@@ -148,9 +154,11 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     q_y, eig_y = _cosine_basis(ny)
     vert = np.diag(np.r_[g_vert, g_amb] + np.r_[0.0, g_vert])
     vert -= np.diag(g_vert, 1) + np.diag(g_vert, -1)
-    system = vert + np.diag(g_lat) * (eig_y[:, None] + eig_x)[..., None, None]
-    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(system), (0, 1), (2, 3)))
-    return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, inv)
+    system = np.diag(g_lat) * (eig_y[:, None] + eig_x)[..., None, None]
+    system += vert  # in place: at 500 x 500 each (ny, nx, nl, nl) array is 128 MB
+    unit = np.eye(len(t))[:, [stack.layer_index(CHIPLET_LAYER), -1]]
+    cols = np.ascontiguousarray(np.moveaxis(np.linalg.solve(system, unit), (3, 2), (0, 1)))
+    return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, cols)
 
 
 def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
@@ -166,45 +174,38 @@ def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _full_sink_solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
-    """Temperature rise for power p with the whole top face cooled."""
-    p_hat = model.q_y @ p @ model.q_x.T
-    t_hat = np.einsum("lmyx,myx->lyx", model.inv, p_hat)
-    return model.q_y.T @ t_hat @ model.q_x
-
-
-def _top_response(model: _GridModel, p_top: np.ndarray) -> np.ndarray:
-    """Top-layer rise, whole top face cooled, for power p_top in the top layer alone."""
-    return model.q_y.T @ (model.inv[-1, -1] * (model.q_y @ p_top @ model.q_x.T)) @ model.q_x
+def _response(model: _GridModel, p: np.ndarray, src: int, dst=slice(None)) -> np.ndarray:
+    """Rise in layers dst, whole top face cooled, for the 2-D power map p in the
+    chiplet layer (src 0) or the top layer (src 1)."""
+    return model.q_y.T @ (model.cols[src, dst] * (model.q_y @ p @ model.q_x.T)) @ model.q_x
 
 
 def _solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
-    """Temperature rise for power p under the model's sink footprint.
+    """Temperature rise in every layer for chiplet-layer power p under the sink.
 
     U selects the k uncooled top cells, so A_p = A_f - g*U*U.T and by Woodbury
     T = T_f + A_f^-1*U*y, T_f = A_f^-1*p, where y solves the SPD k x k system
     C*y = U.T*T_f, C = I/g - U.T*A_f^-1*U, by CG in at most k steps. The residual
     A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|.
     """
-    t = _full_sink_solve(model, p)
+    t = _response(model, p, 0)
     u, g = model.uncooled, model.g_amb
     if not u.size:
         return t
-    p_top, y = np.zeros(model.sink.shape), np.zeros(u.size)
+    p_top, y = np.zeros(p.shape), np.zeros(u.size)
     r = d = t[-1].ravel()[u]
     rr, stop = r @ r, (1e-12 * np.linalg.norm(p) / g) ** 2
     for _ in range(u.size):
         if not rr > stop:  # also ends on NaN, which the residual guard then rejects
             break
         p_top.flat[u] = d
-        cd = d / g - _top_response(model, p_top).ravel()[u]  # C @ d
+        cd = d / g - _response(model, p_top, 1, -1).ravel()[u]  # C @ d
         alpha = rr / (d @ cd)
         y, r = y + alpha * d, r - alpha * cd
         rr, rr_old = r @ r, rr
         d = r + (rr / rr_old) * d
-    correction = np.zeros_like(p)
-    correction[-1].flat[u] = y
-    return t + _full_sink_solve(model, correction)
+    p_top.flat[u] = y
+    return t + _response(model, p_top, 1)
 
 
 RESIDUAL_TOL = 1e-8
@@ -219,10 +220,10 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     may lie below ambient, or a ThermalError is raised.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    source = np.zeros((len(stack.layers), pm.ny, pm.nx))
-    source[stack.layer_index(CHIPLET_LAYER)] = pm.cells
-    data = stack.ambient + _solve(model, source)
+    data = stack.ambient + _solve(model, pm.cells)
 
+    source = np.zeros_like(data)
+    source[stack.layer_index(CHIPLET_LAYER)] = pm.cells
     source[-1] += model.sink * stack.ambient  # right-hand side in absolute temperature
     # relative, except for a zero right-hand side (0 C ambient, no power): absolute
     res = np.linalg.norm(_apply(model, data) - source) / (np.linalg.norm(source) or 1.0)

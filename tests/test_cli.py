@@ -237,6 +237,25 @@ class TestSpecErrors:
         assert err.startswith("error: clock_frequency: ") and err.count("\n") == 1
 
 
+class TestFlagScope:
+    """--seed and --resolution exist only on the subcommands that read them."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("cost", ["--seed", "3"]),
+        ("cost", ["--resolution", "0.1"]),
+        ("power", ["--seed", "3"]),
+        ("perf", ["--resolution", "0.1"]),
+        ("phy", ["--seed", "3", "--resolution", "0.1"]),
+        ("thermal", ["--seed", "9"]),
+    ])
+    def test_unread_flag_rejected(self, spec_path, tmp_path, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", spec_path, "--out", str(tmp_path / "o"), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestResolutionValidation:
     @pytest.mark.parametrize("command, resolution", [
         ("place", "0"), ("place", "-2"), ("thermal", "0"), ("thermal", "-1"),

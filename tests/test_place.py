@@ -30,6 +30,17 @@ def small_spec(width=20.0, height=20.0):
     return PackageSpec("small", chiplets, width, height, min_spacing=1.0)
 
 
+def oblong_spec():
+    """No chiplet is square, so every rotate move changes the footprint."""
+    chiplets = (
+        ChipletSpec("a", 8, 4, 12.0, ports=(("b", 2.0),)),
+        ChipletSpec("b", 3, 6, 6.0, ports=(("c", 1.0),)),
+        ChipletSpec("c", 5, 2.5, 3.0),
+        ChipletSpec("d", 2, 4.5, 2.0),
+    )
+    return PackageSpec("oblong", chiplets, 24.0, 20.0, min_spacing=1.0)
+
+
 FAST = AnnealConfig(max_iterations=20, moves_per_iteration=5, seed=3,
                     coarse_cell_mm=2.0, fine_cell_mm=2.0)
 
@@ -147,7 +158,24 @@ class TestProposeMove:
         fp = Floorplan(10, 10, (PlacedChiplet("a", 0, 0, 0, 10, 10, 1.0),),
                        min_spacing=0.0)
         with pytest.raises(PlacementError, match="congested"):
-            propose_move(fp, np.random.default_rng(0), retry_cap=50)
+            propose_move(fp, np.random.default_rng(0))
+
+    def test_rotation_swaps_footprint_about_its_centre(self):
+        rng = np.random.default_rng(2)
+        cur = bst_placement(oblong_spec())
+        rotations = 0
+        for _ in range(100):
+            nxt = propose_move(cur, rng)
+            nxt.validate()
+            for old, new in zip(cur.placements, nxt.placements):
+                if new.rotation == old.rotation:
+                    continue
+                rotations += 1
+                assert new.rotation == (old.rotation + 90) % 360
+                assert (new.eff_width, new.eff_height) == (old.eff_height, old.eff_width)
+                assert new.center == pytest.approx(old.center, rel=0.0, abs=1e-12)
+            cur = nxt
+        assert rotations >= 5
 
 
 class TestAnnealConfig:
@@ -184,6 +212,14 @@ class TestOptimize:
         r = optimize(small_spec(), FAST)
         r.floorplan.validate()
         assert r.iterations <= FAST.max_iterations
+
+    def test_oblong_chiplets_legal_and_deterministic(self):
+        r1 = optimize(oblong_spec(), FAST)
+        r2 = optimize(oblong_spec(), FAST)
+        r1.floorplan.validate()
+        assert r1.history == r2.history
+        assert r1.floorplan == r2.floorplan
+        assert r1.final_peak_t == r2.final_peak_t
 
     def test_cooling_schedule_in_history(self):
         r = optimize(small_spec(), FAST)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -96,9 +97,20 @@ def dense_solve(stack, pm):
     return np.linalg.solve(A, b).reshape(nl, ny, nx)
 
 
+# the chiplet layer is the top layer: both response columns come from the same row
+CHIP_ON_TOP = ThermalStack(
+    layers=(
+        LayerSpec("board", 0.5, 5.0),
+        LayerSpec("interposer", 0.1, 130.0),
+        LayerSpec("chiplet", 0.3, 130.0),
+    ),
+    h_top=2000.0,
+    ambient=45.0,
+)
+
+
 def power_map(cells, cell_mm=1.0):
-    cells = np.asarray(cells, dtype=float)
-    return PowerMap(cells.shape[1], cells.shape[0], cell_mm, cells)
+    return PowerMap(cell_mm, np.asarray(cells, dtype=float))
 
 
 class TestGridShape:
@@ -209,6 +221,17 @@ def reference_power(fp, cell_mm):
     return cells
 
 
+class TestPowerMap:
+    def test_shape_follows_cells(self):
+        pm = power_map(np.ones((6, 5)))
+        assert (pm.nx, pm.ny) == (5, 6)
+        assert solve_steady_state(pm, SMALL).data.shape == (3, 6, 5)
+
+    def test_shape_is_read_only(self):
+        with pytest.raises(AttributeError):
+            power_map(np.ones((6, 5))).nx = 6
+
+
 class TestSolver:
     def test_zero_power_is_ambient_everywhere(self):
         tf = solve_steady_state(power_map(np.zeros((4, 4))), SMALL)
@@ -216,23 +239,23 @@ class TestSolver:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        for shape, sink_side_mm in [
+        for base, (shape, sink_side_mm) in itertools.product((SMALL, CHIP_ON_TOP), [
             ((5, 6), None),
             ((6, 6), 4.0),   # partial sink: 4 x 4 of 6 x 6 top cells cooled
             ((5, 7), 3.0),   # partial sink on an odd grid
             ((5, 7), 1.0),   # a single cooled cell
             ((6, 6), 6.0),   # sink as large as the die
             ((5, 7), 50.0),  # sink larger than the die
-        ]:
-            stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top,
-                                 ambient=SMALL.ambient, sink_side_mm=sink_side_mm)
+        ]):
+            stack = ThermalStack(base.layers, h_top=base.h_top,
+                                 ambient=base.ambient, sink_side_mm=sink_side_mm)
             for _ in range(5):
                 pm = power_map(rng.uniform(0.0, 2.0, size=shape))
                 got = solve_steady_state(pm, stack).data
                 want = dense_solve(stack, pm)
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
                 if sink_side_mm is not None and sink_side_mm >= max(shape):
-                    assert np.array_equal(got, solve_steady_state(pm, SMALL).data)
+                    assert np.array_equal(got, solve_steady_state(pm, base).data)
 
     def test_energy_conservation_random_maps(self):
         rng = np.random.default_rng(11)
@@ -268,6 +291,12 @@ class TestSolver:
         assert np.unravel_index(chip.argmax(), chip.shape) == (1, 3)
         assert peak_temperature(tf) == chip.max()
 
+    def test_model_caches_two_response_columns(self):
+        # power in the chiplet layer and the correction in the top layer: each mode
+        # keeps 2 x layers entries, not the layers x layers inverse
+        model = thermal._grid_model(default_stack(), 30, 20, 1.0)
+        assert model.cols.shape == (2, len(DEFAULT_STACK_LAYERS), 20, 30)
+
     def test_default_stack_runs_hotter_with_less_cooling(self):
         pm = power_map(np.full((10, 10), 0.5))
         cool = solve_steady_state(pm, default_stack(h_top=2000.0))
@@ -292,9 +321,16 @@ class TestSinkFootprint:
         assert small > full
 
     def test_wrong_capacitance_operator_caught_by_residual_guard(self, monkeypatch):
-        # a top-layer response of zero makes the capacitance system I/g: CG
+        # a top-in/top-out response of zero makes the capacitance system I/g: CG
         # converges on it at once, and only the full-stack residual sees the error
-        monkeypatch.setattr(thermal, "_top_response", lambda model, p_top: np.zeros_like(p_top))
+        response = thermal._response
+
+        def top_zeroed(model, p, src, dst=slice(None)):
+            if src == 1 and dst == -1:  # the top-in/top-out response CG applies
+                return np.zeros_like(p)
+            return response(model, p, src, dst)
+
+        monkeypatch.setattr(thermal, "_response", top_zeroed)
         pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
         with pytest.raises(ThermalError, match="residual"):
             solve_steady_state(pm, self.stack(4.0))
@@ -316,7 +352,7 @@ class TestSinkFootprint:
         assert not tf.data.any()
 
     def test_non_finite_residual_raises(self, monkeypatch):
-        monkeypatch.setattr(thermal, "_solve", lambda model, p: p * np.nan)
+        monkeypatch.setattr(thermal, "_solve", lambda model, p: np.full((3, *p.shape), np.nan))
         with pytest.raises(ThermalError, match="residual"):
             solve_steady_state(power_map(np.full((6, 6), 1.0)), self.stack(4.0))
 
