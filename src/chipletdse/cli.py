@@ -81,8 +81,8 @@ def _cmd_cost(args, argv) -> int:
     bundle = load_bundle(Path(args.spec))
     out = _out_dir(args)
     dies = [(c.area, 1) for c in bundle.package.chiplets]
-    n_conn = bundle.process.n_connections if args.connections is None else args.connections
-    breakdown = costyield.package_cost(dies, n_conn, bundle.process)
+    process = replace(bundle.process, **_given(n_connections=args.connections))
+    breakdown = costyield.package_cost(dies, process.n_connections, process)
     rows = [
         [bundle.package.chiplets[i].name, d.area, d.gross_dies_per_wafer,
          d.die_yield, d.cost_per_die]

@@ -18,8 +18,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .phy import PhyTargets, TraceGeometry
 
 CHIPLET_KINDS = ("compute", "gpu", "memory", "io", "noc", "analog")
@@ -242,7 +240,8 @@ class PackageSpec:
     """A validated package: chiplets + interposer + thermal stack.
 
     The package is qualified for automotive use, so the ambient of its stack
-    must lie in [AMBIENT_MIN_C, AMBIENT_MAX_C].
+    must lie in [AMBIENT_MIN_C, AMBIENT_MAX_C]. The chiplets' footprints,
+    each grown by ``min_spacing``, must not exceed the interposer area.
     """
 
     name: str
@@ -258,15 +257,12 @@ class PackageSpec:
         if not AMBIENT_MIN_C <= self.stack.ambient <= AMBIENT_MAX_C:
             raise ValidationError(f"ambient: must be within [{AMBIENT_MIN_C}, {AMBIENT_MAX_C}] "
                                   "(automotive range)")
-
-    @property
-    def chiplet_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.chiplets)
-
-    def with_interposer(self, width: float, height: float) -> "PackageSpec":
-        spec = replace(self, interposer_width=width, interposer_height=height)
-        _check_footprint_budget(spec)
-        return spec
+        s = self.min_spacing
+        budget = sum((c.width + s) * (c.height + s) for c in self.chiplets)
+        area = self.interposer_width * self.interposer_height
+        if budget > area:
+            raise ValidationError(f"interposer_width: chiplet footprints with spacing halo "
+                                  f"({budget:.1f} mm^2) exceed interposer area ({area:.1f} mm^2)")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +312,7 @@ class Floorplan:
     width: float
     height: float
     placements: tuple[PlacedChiplet, ...]
-    links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a < b
+    links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a declared before b
     min_spacing: float = 0.0
 
     def __post_init__(self) -> None:
@@ -364,15 +360,12 @@ class Floorplan:
 
 
 def floorplan_to_document(fp: Floorplan) -> dict:
-    """Standalone JSON form of a floorplan (footprints and links included)."""
+    """Standalone JSON form of a floorplan (footprints and links included),
+    keyed as ``floorplan_from_document`` reads it."""
     return {
-        "interposer": {"width_mm": fp.width, "height_mm": fp.height,
-                       "min_spacing_mm": fp.min_spacing},
-        "placements": [
-            {"name": p.name, "x_mm": p.x, "y_mm": p.y, "rotation_deg": p.rotation,
-             "width_mm": p.width, "height_mm": p.height, "power_w": p.power}
-            for p in fp.placements
-        ],
+        "interposer": {key: getattr(fp, name) for name, key in _INTERPOSER_KEYS.items()},
+        "placements": [{_PLACED_KEYS.get(f.name, f.name): getattr(p, f.name) for f in fields(p)}
+                       for p in fp.placements],
         "links": [{"a": a, "b": b, "weight": w} for a, b, w in fp.links],
     }
 
@@ -402,15 +395,28 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
 
 
 def links_from_spec(spec: PackageSpec) -> tuple[tuple[str, str, float], ...]:
-    """Undirected (a, b, weight) link list from the symmetrized matrix."""
-    names = spec.chiplet_names
-    mat = validate_connectivity(spec)
-    out = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if mat[i, j] > 0:
-                out.append((names[i], names[j], float(mat[i, j])))
-    return tuple(out)
+    """The undirected (a, b, weight) links that the chiplets' ports declare.
+
+    Either end may declare a link, or both with equal weight. ``a`` is
+    declared before ``b``, and links are ordered by those declaration
+    indices. A port naming an unknown chiplet or its own chiplet, or
+    redeclaring a link with another weight, raises ValidationError.
+    """
+    names = [c.name for c in spec.chiplets]
+    index = {name: i for i, name in enumerate(names)}
+    weights: dict[tuple[int, int], float] = {}
+    for i, c in enumerate(spec.chiplets):
+        for k, (peer, weight) in enumerate(c.ports):
+            path = f"chiplets[{i}].ports[{k}]"
+            _require(peer in index, f"{path}.peer", f"unresolved peer {peer!r}")
+            _require(peer != c.name, f"{path}.peer", "chiplet cannot link to itself")
+            pair = (min(i, index[peer]), max(i, index[peer]))
+            known = weights.setdefault(pair, weight)
+            if not math.isclose(known, weight, rel_tol=1e-12):
+                raise ValidationError(
+                    f"{path}.weight: conflicting connection weights between "
+                    f"{names[pair[0]]!r} and {names[pair[1]]!r}: {known} vs {weight}")
+    return tuple((names[a], names[b], float(w)) for (a, b), w in sorted(weights.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +517,6 @@ def _stack(doc: Any, ambient: float) -> ThermalStack:
     return _section(ThermalStack, doc, "stack", _STACK_KEYS, layers=layers, ambient=ambient)
 
 
-def _check_footprint_budget(spec: PackageSpec) -> None:
-    s = spec.min_spacing
-    budget = sum((c.width + s) * (c.height + s) for c in spec.chiplets)
-    avail = spec.interposer_width * spec.interposer_height
-    _require(
-        budget <= avail,
-        "package",
-        f"chiplet footprints with spacing halo ({budget:.1f} mm^2) exceed "
-        f"interposer area ({avail:.1f} mm^2)",
-    )
-
-
 def load_spec(document: dict | str | Path) -> PackageSpec:
     """Parse and validate a package spec document: a parsed dict or a path."""
     doc = read_document(document)
@@ -533,26 +527,12 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
         raise ValidationError("chiplets: must be a non-empty list")
     chiplets = tuple(_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
-    names = [c.name for c in chiplets]
-    _unique(names, "chiplets")
-    for i, c in enumerate(chiplets):
-        for k, (peer, _) in enumerate(c.ports):
-            _require(peer in names, f"chiplets[{i}].ports[{k}].peer",
-                     f"unresolved peer {peer!r}")
-            _require(peer != c.name, f"chiplets[{i}].ports[{k}].peer",
-                     "chiplet cannot link to itself")
-
+    _unique([c.name for c in chiplets], "chiplets")
     stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", 45.0))
     spec = _section(PackageSpec, pkg, "package", _PACKAGE_KEYS, name=name, chiplets=chiplets,
                     stack=stack)
-    _check_footprint_budget(spec)
-    # Symmetrize connectivity now so invariants hold on the returned spec;
-    # raises on conflicting weights.
-    mat = validate_connectivity(spec)
-    by_name = sorted(range(len(names)), key=lambda j: names[j])
-    return replace(spec, chiplets=tuple(
-        replace(c, ports=tuple((names[j], float(mat[i, j])) for j in by_name if mat[i, j] > 0))
-        for i, c in enumerate(chiplets)))
+    links_from_spec(spec)  # a bad port fails every subcommand at load
+    return spec
 
 
 def read_document(document: dict | str | Path) -> dict:
@@ -571,30 +551,6 @@ def read_document(document: dict | str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc
-
-
-def validate_connectivity(spec: PackageSpec) -> np.ndarray:
-    """Symmetric n x n connection-weight matrix with zero diagonal.
-
-    A link declared on either endpoint is propagated to both; conflicting
-    nonzero weights are an error.
-    """
-    names = list(spec.chiplet_names)
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    mat = np.zeros((n, n))
-    for c in spec.chiplets:
-        for peer, weight in c.ports:
-            i, j = index[c.name], index[peer]
-            if mat[i, j] == 0:
-                mat[i, j] = mat[j, i] = weight
-            elif not math.isclose(mat[i, j], weight, rel_tol=1e-12):
-                raise ValidationError(
-                    f"chiplets: conflicting connection weights between "
-                    f"{names[min(i, j)]!r} and {names[max(i, j)]!r}: "
-                    f"{mat[i, j]} vs {weight}")
-    np.fill_diagonal(mat, 0.0)
-    return mat
 
 
 # ---------------------------------------------------------------------------

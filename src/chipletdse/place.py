@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import AnnealConfig, Floorplan, PackageSpec, PlacedChiplet, links_from_spec
+from .model import (AnnealConfig, Floorplan, PackageSpec, PlacedChiplet, ValidationError,
+                    links_from_spec)
 from . import thermal
 
 
@@ -325,13 +326,19 @@ class SweepRow:
 def interposer_sweep(
     spec: PackageSpec, side_lengths_mm: list[float], cfg: AnnealConfig = AnnealConfig()
 ) -> list[SweepRow]:
-    """Optimized peak temperature per square interposer side length."""
+    """Optimized peak temperature per square interposer side length.
+
+    A side too small for the chiplets' footprint budget, or for the packer,
+    is infeasible; a side that is not > 0 is an error.
+    """
+    bad = next((side for side in side_lengths_mm if not side > 0), None)
+    if bad is not None:
+        raise PlacementError(f"sides: must be > 0, got {bad}")
     rows = []
     for side in side_lengths_mm:
         try:
-            sized = spec.with_interposer(side, side)
-            result = optimize(sized, cfg)
-        except (PlacementError, ValueError):
+            result = optimize(replace(spec, interposer_width=side, interposer_height=side), cfg)
+        except (PlacementError, ValidationError):
             rows.append(SweepRow(side, side * side, None, False))
             continue
         rows.append(SweepRow(side, side * side, result.final_peak_t, True))

@@ -75,6 +75,17 @@ class TestCostCommand:
         assert main(["cost", "--spec", missing, "--out", str(tmp_path / "o")]) == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_negative_connections_names_field(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "cost"
+        assert main(["cost", "--spec", spec_path, "--out", str(out), "--connections", "-5"]) == 1
+        assert capsys.readouterr().err == "error: n_connections: must be >= 0\n"
+        assert not (out / "cost.csv").exists()
+
+    def test_connections_flag_overrides_spec(self, spec_path, tmp_path):
+        out = tmp_path / "cost"
+        assert main(["cost", "--spec", spec_path, "--out", str(out), "--connections", "7"]) == 0
+        assert read_csv(out / "cost.csv")[-1][2] == "7"
+
 
 class TestPowerCommand:
     def test_system_row(self, spec_path, tmp_path, capsys):
@@ -193,6 +204,10 @@ class TestSpecErrors:
             {"name": "a", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "b", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
          "stack.layers"),
+        ("cost", lambda d: d["chiplets"][1]["ports"].append({"peer": "a", "weight": 3.0}),
+         "chiplets[1].ports[1].weight"),
+        ("cost", lambda d: d["package"].update(interposer_width_mm=10.0, interposer_height_mm=10.0),
+         "package.interposer_width_mm"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
         path = tmp_path / "bad.json"
@@ -305,6 +320,14 @@ class TestCalibrateAndSweepCommands:
         rows = read_csv(out / "interposer_sweep.csv")
         assert rows[1][3] == "false" and rows[2][3] == "true"
         assert "infeasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sides", ["20,0", "-5", "nan"])
+    def test_non_positive_side_rejected(self, spec_path, tmp_path, capsys, sides):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", spec_path, "--out", str(out), "--sides", sides]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sides: must be > 0") and err.count("\n") == 1
+        assert not (out / "interposer_sweep.csv").exists()
 
 
 class TestRerunCommand:

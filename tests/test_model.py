@@ -1,10 +1,10 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chipletdse
 from chipletdse.model import (
+    ChipletSpec,
     Floorplan,
     PackageSpec,
     ParseError,
@@ -12,8 +12,8 @@ from chipletdse.model import (
     ValidationError,
     floorplan_from_document,
     floorplan_to_document,
+    links_from_spec,
     load_spec,
-    validate_connectivity,
 )
 
 
@@ -58,6 +58,12 @@ class TestLoadSpec:
         with pytest.raises(ValidationError, match="exceed"):
             load_spec(make_doc(chiplets, width=20.0, height=20.0))
 
+    def test_over_budget_package_spec_rejected(self):
+        # (5 + 1)^2 * 4 = 144 mm^2 of footprint with halo on a 10 x 10 interposer
+        chiplets = tuple(ChipletSpec(f"c{i}", 5.0, 5.0) for i in range(4))
+        with pytest.raises(ValidationError, match=r"^interposer_width: chiplet footprints"):
+            PackageSpec("p", chiplets, 10.0, 10.0, min_spacing=1.0)
+
     def test_unresolved_peer_rejected(self):
         doc = make_doc([chip("a", ports=[("ghost", 1.0)]), chip("b")])
         with pytest.raises(ValidationError, match="ghost"):
@@ -86,22 +92,26 @@ class TestLoadSpec:
 class TestConnectivity:
     def test_single_link(self):
         spec = load_spec(make_doc([chip("a", ports=[("b", 1.0)]), chip("b")]))
-        mat = validate_connectivity(spec)
-        assert mat.tolist() == [[0, 1], [1, 0]]
+        assert links_from_spec(spec) == (("a", "b", 1.0),)
 
     def test_isolated_chiplet_zero_row(self):
         spec = load_spec(make_doc([chip("a", ports=[("b", 1.0)]), chip("b"), chip("c")]))
-        mat = validate_connectivity(spec)
-        assert not mat[2].any() and not mat[:, 2].any()
+        assert all("c" not in link[:2] for link in links_from_spec(spec))
 
     def test_one_sided_declaration_symmetrized(self):
-        spec = load_spec(make_doc([chip("a", ports=[("b", 2.0)]), chip("b")]))
-        mat = validate_connectivity(spec)
-        assert mat[0, 1] == mat[1, 0] == 2.0
+        # declared on the later chiplet only, the link still reads (a, b)
+        spec = load_spec(make_doc([chip("a"), chip("b", ports=[("a", 2.0)])]))
+        assert links_from_spec(spec) == (("a", "b", 2.0),)
 
     def test_conflicting_weights_rejected(self):
         doc = make_doc([chip("a", ports=[("b", 2.0)]), chip("b", ports=[("a", 3.0)])])
-        with pytest.raises(ValidationError, match="conflicting"):
+        with pytest.raises(ValidationError,
+                           match=r"^chiplets\[1\]\.ports\[0\]\.weight: conflicting"):
+            load_spec(doc)
+
+    def test_self_link_rejected(self):
+        doc = make_doc([chip("a", ports=[("a", 1.0)])])
+        with pytest.raises(ValidationError, match=r"^chiplets\[0\]\.ports\[0\]\.peer: "):
             load_spec(doc)
 
     @settings(max_examples=50, deadline=None)
@@ -109,21 +119,25 @@ class TestConnectivity:
     def test_symmetry_zero_diagonal_property(self, data):
         n = data.draw(st.integers(min_value=1, max_value=6))
         names = [f"c{i}" for i in range(n)]
+        declared = {}  # (i, j) -> weights declared from either end
         chiplets = []
         for i in range(n):
             ports = []
             for j in range(n):
                 if j != i and data.draw(st.booleans()):
-                    ports.append((names[j], float(data.draw(st.integers(1, 5)))))
+                    weight = float(data.draw(st.integers(1, 5)))
+                    ports.append((names[j], weight))
+                    declared.setdefault((min(i, j), max(i, j)), set()).add(weight)
             chiplets.append(chip(names[i], 2.0, 2.0, ports=ports))
         # identical weight may be declared on both sides; conflicts rejected.
-        try:
-            spec = load_spec(make_doc(chiplets, width=60.0, height=60.0))
-        except ValidationError:
+        doc = make_doc(chiplets, width=60.0, height=60.0)
+        if any(len(weights) > 1 for weights in declared.values()):
+            with pytest.raises(ValidationError, match="conflicting"):
+                load_spec(doc)
             return
-        mat = validate_connectivity(spec)
-        assert np.array_equal(mat, mat.T)
-        assert not mat.diagonal().any()
+        links = links_from_spec(load_spec(doc))
+        assert links == tuple((names[i], names[j], weights.pop())
+                              for (i, j), weights in sorted(declared.items()))
 
 
 class TestFloorplan:
@@ -158,6 +172,15 @@ class TestFloorplan:
             PlacedChiplet("b", 8, 8, 90, 5, 3, 2.0),
         ), links=(("a", "b", 2.0),), min_spacing=1.0)
         assert floorplan_from_document(floorplan_to_document(fp)) == fp
+
+    def test_document_key_order(self):
+        doc = floorplan_to_document(Floorplan(20, 20, (PlacedChiplet("a", 1, 2, 90, 5, 3, 1.5),),
+                                              min_spacing=1.0))
+        assert list(doc) == ["interposer", "placements", "links"]
+        assert list(doc["interposer"]) == ["width_mm", "height_mm", "min_spacing_mm"]
+        assert list(doc["placements"][0].items()) == [
+            ("name", "a"), ("x_mm", 1), ("y_mm", 2), ("rotation_deg", 90), ("width_mm", 5),
+            ("height_mm", 3), ("power_w", 1.5)]
 
     @pytest.mark.parametrize("link, field", [
         ({"a": "ghost", "b": "b"}, r"links\[0\]\.a"),

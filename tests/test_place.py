@@ -124,8 +124,9 @@ class TestBstPlacement:
         assert len(fp.placements) == len(infotainment.chiplets)
 
     def test_too_small_interposer(self):
+        # within the 135 mm^2 footprint budget, but the packer finds no room for b
         with pytest.raises(PlacementError, match="does not fit"):
-            bst_placement(small_spec(width=10.0, height=10.0))
+            bst_placement(small_spec(width=12.0, height=12.0))
 
 
 class TestProposeMove:
