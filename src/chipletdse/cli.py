@@ -44,24 +44,22 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, subcommand: str, inputs: list[Path],
-                    seed: int | None, argv: list[str]) -> None:
+def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str]) -> None:
+    """Record a finished run: its argv, the hashed input files it was given
+    (--spec, --configs, --floorplan) and the seed of the subcommands that
+    take --seed."""
+    given = (vars(args).get(flag) for flag in ("spec", "configs", "floorplan"))
+    inputs = [Path(p) for p in given if p]
     manifest = {
         "tool": "chipletdse",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "argv": argv,
         "inputs": {str(p): _sha256(p) for p in inputs if p.exists()},
-        "seed": seed,
+        "seed": _anneal_config(bundle, args).seed if "seed" in vars(args) else None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _given(**flags) -> dict:
@@ -77,9 +75,7 @@ def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
 # Subcommands
 
 
-def _cmd_cost(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
+def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
     dies = [(c.area, 1) for c in bundle.package.chiplets]
     process = replace(bundle.process, **_given(n_connections=args.connections))
     breakdown = costyield.package_cost(dies, process.n_connections, process)
@@ -94,15 +90,11 @@ def _cmd_cost(args, argv) -> int:
     _write_csv(out / "cost.csv",
                ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                rows)
-    _write_manifest(out, "cost", [Path(args.spec)], None, argv)
     print(f"package_cost = {fmt(breakdown.package_cost)} "
           f"(assembly_yield {fmt(breakdown.assembly_yield)})")
-    return 0
 
 
-def _cmd_power(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
+def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
     if not bundle.tiles:
         raise SpecError(f"{args.spec}: no 'tiles' section for the power subcommand")
     rows_out, total = power.system_power(bundle.tiles)
@@ -114,36 +106,28 @@ def _cmd_power(args, argv) -> int:
     _write_csv(out / "power.csv",
                ["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
                rows)
-    _write_manifest(out, "power", [Path(args.spec)], None, argv)
     print(f"system_power_w = {fmt(total)}")
-    return 0
 
 
-def _cmd_perf(args, argv) -> int:
+def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
     if args.configs:
-        source = Path(args.configs)
-        entries = load_configs_csv(source)
-    elif args.spec:
-        source = Path(args.spec)
-        entries = load_bundle(source).configs
+        entries = load_configs_csv(Path(args.configs))
+    elif bundle:
+        entries = bundle.configs
     else:
         raise SpecError("perf needs --spec or --configs")
     if not entries:
         raise SpecError("no configuration rows found (spec 'configs' or --configs CSV)")
     ranked = perf.rank_configs(entries)
-    out = _out_dir(args)
     _write_csv(out / "perf.csv",
                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
                [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
                 for r in ranked])
-    _write_manifest(out, "perf", [source], None, argv)
     print(f"best_config = {ranked[0].name} "
           f"(golden_ratio {fmt(ranked[0].golden_ratio)})")
-    return 0
 
 
-def _cmd_phy(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec)) if args.spec else None
+def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     geometry = replace(bundle.geometry if bundle else phy.TraceGeometry(), **_given(
         trace_width=args.trace_width_um, trace_thickness=args.trace_thickness_um,
         ground_thickness=args.ground_thickness_um, interposer_height=args.interposer_height_um,
@@ -154,25 +138,17 @@ def _cmd_phy(args, argv) -> int:
     max_len = phy.max_trace_length(targets, geometry)
     lengths = [i * 1e-3 for i in range(1, 101)]
     curve = phy.bandwidth_curve(lengths, targets, geometry)
-    out = _out_dir(args)
     _write_csv(out / "bandwidth_curve.csv",
                ["length_mm", "log10_bw_hz", "log10_target_hz"],
                [[L * 1e3, bw, tgt] for L, bw, tgt in curve])
-    _write_manifest(out, "phy", [Path(args.spec)] if args.spec else [], None, argv)
     print(f"c_per_length_pf_m = {fmt(lp.c_per_length * 1e12)}")
     print(f"r_total_per_length_ohm_m = {fmt(lp.r_total_per_length)}")
     print(f"max_trace_length_mm = {fmt(max_len * 1e3)}")
-    return 0
 
 
-def _cmd_thermal(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
-    inputs = [Path(args.spec)]
+def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
     if args.floorplan:
-        fpath = Path(args.floorplan)
-        inputs.append(fpath)
-        fp = floorplan_from_document(fpath)
+        fp = floorplan_from_document(Path(args.floorplan))
     else:
         fp = place.bst_placement(bundle.package)
     cell = 1.0 if args.resolution is None else args.resolution
@@ -181,15 +157,11 @@ def _cmd_thermal(args, argv) -> int:
     rows = [[lname, ix, iy, t] for lname, layer in zip(tf.stack.layer_names, tf.data)
             for iy, row in enumerate(layer) for ix, t in enumerate(row)]
     _write_csv(out / "temperature_field.csv", ["layer", "x", "y", "t_c"], rows)
-    _write_manifest(out, "thermal", inputs, None, argv)
     for lname in tf.stack.layer_names:
         print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
-    return 0
 
 
-def _cmd_place(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
+def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
     cfg = _anneal_config(bundle, args)
     result = place.optimize(bundle.package, cfg)
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
@@ -200,31 +172,23 @@ def _cmd_place(args, argv) -> int:
                ["iteration", "peak_t_c", "wirelength_mm", "cost", "k"],
                [[h.iteration, h.peak_t, h.wirelength, h.cost, h.k]
                 for h in result.history])
-    _write_manifest(out, "place", [Path(args.spec)], cfg.seed, argv)
     print(f"initial_peak_t_c = {fmt(result.initial_peak_t)}")
     print(f"final_peak_t_c = {fmt(result.final_peak_t)}")
     print(f"iterations = {result.iterations} converged = {result.converged}")
-    return 0
 
 
-def _cmd_calibrate_k(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
+def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
     cfg = _anneal_config(bundle, args)
     rows = place.calibrate_k(bundle.package, args.k, cfg)
     _write_csv(out / "k_calibration.csv",
                ["k0", "iterations_to_converge", "final_peak_t_c"],
                [[r.k0, r.iterations, r.final_peak_t] for r in rows])
-    _write_manifest(out, "calibrate-k", [Path(args.spec)], cfg.seed, argv)
     for r in rows:
         print(f"k0={fmt(r.k0)} iterations={r.iterations} "
               f"final_peak_t_c={fmt(r.final_peak_t)}")
-    return 0
 
 
-def _cmd_sweep(args, argv) -> int:
-    bundle = load_bundle(Path(args.spec))
-    out = _out_dir(args)
+def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     cfg = _anneal_config(bundle, args)
     rows = place.interposer_sweep(bundle.package, args.sides, cfg)
     _write_csv(out / "interposer_sweep.csv",
@@ -232,14 +196,12 @@ def _cmd_sweep(args, argv) -> int:
                [[r.side_mm, r.area_mm2,
                  r.peak_t if r.peak_t is not None else "infeasible", r.feasible]
                 for r in rows])
-    _write_manifest(out, "sweep", [Path(args.spec)], cfg.seed, argv)
     for r in rows:
         status = fmt(r.peak_t) if r.feasible else "infeasible"
         print(f"side={fmt(r.side_mm)}mm peak_t_c={status}")
-    return 0
 
 
-def _cmd_rerun(args, argv) -> int:
+def _rerun(args) -> int:
     """Re-execute a recorded run, unless an input it hashed has changed since."""
     recorded = read_document(Path(args.manifest))
     recorded_argv, inputs = recorded.get("argv"), recorded.get("inputs")
@@ -334,16 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="re-execute a recorded manifest")
     p.add_argument("manifest", help="manifest.json from a previous run")
-    p.set_defaults(func=_cmd_rerun)
 
     return parser
 
 
 def _dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line. Every subcommand but rerun gets the loaded spec
+    (None without --spec) and its created --out directory; once it returns,
+    the run is recorded in --out/manifest.json."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        if args.subcommand == "rerun":
+            return _rerun(args)
+        bundle = load_bundle(Path(args.spec)) if args.spec else None
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, bundle, out)
+        _write_manifest(out, args, bundle, argv)
+        return 0
     except (SpecError, costyield.CostModelError, perf.PerfError, phy.PhyError,
             power.PowerError, thermal.ThermalError, place.PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)

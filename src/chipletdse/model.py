@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -87,6 +87,20 @@ class LayerSpec:
         _positive(self, "thickness_mm", "conductivity")
 
 
+#: Default 2.5D sandwich. Conductivities are standard material values and
+#: the bump layers are homogenized. All overridable in the spec file.
+DEFAULT_STACK_LAYERS = (
+    LayerSpec("substrate", 1.0, 0.3),
+    LayerSpec("c4", 0.1, 2.0),
+    LayerSpec("interposer", 0.1, 130.0),
+    LayerSpec("microbumps", 0.05, 2.0),
+    LayerSpec("chiplet", 0.5, 130.0),
+    LayerSpec("tim", 0.1, 5.0),
+    LayerSpec("spreader", 0.3, 400.0),
+    LayerSpec("sink", 0.6, 400.0),
+)
+
+
 @dataclass(frozen=True)
 class ThermalStack:
     """Ordered 2.5D package layers, bottom (substrate) to top (heatsink).
@@ -96,7 +110,7 @@ class ThermalStack:
     None means the whole top face is cooled.
     """
 
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[LayerSpec, ...] = DEFAULT_STACK_LAYERS
     h_top: float = 1000.0  # W/(m^2 K), convective top boundary
     ambient: float = 45.0  # degrees C
     sink_side_mm: float | None = None
@@ -119,24 +133,6 @@ class ThermalStack:
             return self.layer_names.index(name)
         except ValueError:
             raise KeyError(f"unknown layer {name!r}; have {self.layer_names}") from None
-
-
-#: Default 2.5D sandwich. Conductivities are standard material values and
-#: the bump layers are homogenized. All overridable in the spec file.
-DEFAULT_STACK_LAYERS = (
-    LayerSpec("substrate", 1.0, 0.3),
-    LayerSpec("c4", 0.1, 2.0),
-    LayerSpec("interposer", 0.1, 130.0),
-    LayerSpec("microbumps", 0.05, 2.0),
-    LayerSpec("chiplet", 0.5, 130.0),
-    LayerSpec("tim", 0.1, 5.0),
-    LayerSpec("spreader", 0.3, 400.0),
-    LayerSpec("sink", 0.6, 400.0),
-)
-
-
-def default_stack(ambient: float = 45.0, h_top: float = 1000.0) -> ThermalStack:
-    return ThermalStack(DEFAULT_STACK_LAYERS, h_top=h_top, ambient=ambient)
 
 
 @dataclass(frozen=True)
@@ -249,7 +245,7 @@ class PackageSpec:
     interposer_width: float
     interposer_height: float
     min_spacing: float = 1.0
-    stack: ThermalStack = field(default_factory=default_stack)
+    stack: ThermalStack = ThermalStack()
 
     def __post_init__(self) -> None:
         _positive(self, "interposer_width", "interposer_height")
@@ -339,23 +335,23 @@ class Floorplan:
         """
         margin = self.min_spacing / 2.0
         eps = 1e-9
-        for p in self.placements:
-            if (p.x < margin - eps or p.y < margin - eps
-                    or p.x + p.eff_width > self.width - margin + eps
-                    or p.y + p.eff_height > self.height - margin + eps):
-                raise ValidationError(f"placement {p.name}: outside interposer bounds")
+        boxes = [(p.x, p.y, p.x + p.eff_width, p.y + p.eff_height) for p in self.placements]
+        for i, (x0, y0, x1, y1) in enumerate(boxes):
+            if (x0 < margin - eps or y0 < margin - eps
+                    or x1 > self.width - margin + eps or y1 > self.height - margin + eps):
+                raise ValidationError(f"placements[{i}]: outside interposer bounds")
         s = self.min_spacing
-        for i, a in enumerate(self.placements):
-            for b in self.placements[i + 1:]:
-                if (a.x < b.x + b.eff_width + s - eps
-                        and b.x < a.x + a.eff_width + s - eps
-                        and a.y < b.y + b.eff_height + s - eps
-                        and b.y < a.y + a.eff_height + s - eps):
-                    raise ValidationError(f"placements {a.name} and {b.name} overlap or violate spacing")
+        for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+            for j in range(i + 1, len(boxes)):
+                bx0, by0, bx1, by1 = boxes[j]
+                if (ax0 < bx1 + s - eps and bx0 < ax1 + s - eps
+                        and ay0 < by1 + s - eps and by0 < ay1 + s - eps):
+                    raise ValidationError(
+                        f"placements[{j}]: overlaps placements[{i}] or violates spacing")
         seen: set[str] = set()
-        for p in self.placements:
+        for j, p in enumerate(self.placements):
             if p.name in seen:
-                raise ValidationError(f"placement {p.name}: duplicate chiplet")
+                raise ValidationError(f"placements[{j}].name: duplicate chiplet {p.name!r}")
             seen.add(p.name)
 
 
@@ -507,10 +503,10 @@ def _chiplet(doc: Any, path: str) -> ChipletSpec:
 
 
 def _stack(doc: Any, ambient: float) -> ThermalStack:
-    """The ``stack`` section; its layers default to DEFAULT_STACK_LAYERS."""
+    """The ``stack`` section; absent layers take ThermalStack's default."""
     if not isinstance(doc, dict):
         raise ValidationError("stack: expected an object")
-    layers = DEFAULT_STACK_LAYERS if "layers" not in doc else tuple(
+    layers = ThermalStack.layers if "layers" not in doc else tuple(
         _section(LayerSpec, ld, f"stack.layers[{i}]", _LAYER_KEYS,
                  name=_name(ld, f"stack.layers[{i}]"))
         for i, ld in enumerate(_list(doc, "layers", "stack")))
@@ -528,7 +524,7 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
     chiplets = tuple(_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
     _unique([c.name for c in chiplets], "chiplets")
-    stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", 45.0))
+    stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", ThermalStack.ambient))
     spec = _section(PackageSpec, pkg, "package", _PACKAGE_KEYS, name=name, chiplets=chiplets,
                     stack=stack)
     links_from_spec(spec)  # a bad port fails every subcommand at load

@@ -80,10 +80,11 @@ def anneal_cost(t: float, w: float, nb: NormalizationBounds) -> float:
 
 
 def acceptance_probability(cost_current: float, cost_neighbor: float, k: float) -> float:
-    """min(1, exp((cost_current - cost_neighbor)/K)); improving moves always accepted."""
+    """min(1, exp((cost_current - cost_neighbor)/K)); improving moves always accepted.
+    The exponent is clamped at 0, so a tiny decayed K cannot overflow ``exp``."""
     if k <= 0:
         raise PlacementError("acceptance scale K must be > 0")
-    return min(1.0, math.exp((cost_current - cost_neighbor) / k))
+    return math.exp(min(0.0, (cost_current - cost_neighbor) / k))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from chipletdse.model import (
     PowerParams,
     ProcessCostParams,
     ServiceSpec,
-    default_stack,
+    ThermalStack,
 )
 from tests.test_thermal import SMALL, dense_solve, power_map, soc_plan, split_plan
 
@@ -122,7 +122,7 @@ class TestCriterion4ThermalProperties:
 class TestCriterion5SocVsChiplet:
     def test_power_controlled_delta(self):
         with report(5, "SoC vs spaced chiplets peak delta >= 2 K"):
-            stack = default_stack()
+            stack = ThermalStack()
             peak_soc, peak_split, delta = thermal.compare_soc_vs_chiplet(
                 soc_plan(), split_plan(4.0), stack, cell_mm=1.0)
             assert delta >= 2.0

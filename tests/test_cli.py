@@ -221,6 +221,9 @@ class TestSpecErrors:
         (lambda d: d["placements"][0].update(width_mm=-3), "placements[0].width_mm"),
         (lambda d: d["placements"][0].update(power_w=-30), "placements[0].power_w"),
         (lambda d: d["interposer"].update(min_spacing_mm=-3), "interposer.min_spacing_mm"),
+        (lambda d: d["placements"][1].update(x_mm=-5.0), "placements[1]"),  # out of bounds
+        (lambda d: d["placements"][1].update(x_mm=1.0), "placements[1]"),  # onto placements[0]
+        (lambda d: d["placements"][3].update(name="a"), "placements[3].name"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_floorplan_field_named(self, spec_path, tmp_path, capsys, edit, field):
         path = tmp_path / "floorplan.json"
@@ -304,6 +307,12 @@ class TestPlaceCommand:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["seed"] == 7
 
+    def test_fast_decay_runs(self, tmp_path):
+        # once K has decayed, an improving move's acceptance exponent is huge
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(edited(lambda d: d["anneal"].update(decay=0.5, tol_c=1e-3))))
+        assert main(["place", "--spec", str(path), "--out", str(tmp_path / "p")]) == 0
+
 
 class TestCalibrateAndSweepCommands:
     def test_calibrate_duplicate_candidates(self, spec_path, tmp_path):
@@ -364,3 +373,53 @@ class TestRerunCommand:
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "gone.json")]) == 1
         assert "gone.json" in capsys.readouterr().err
+
+
+class TestRunManifest:
+    """Every run subcommand records its subcommand, given input files and seed."""
+
+    @pytest.fixture()
+    def inputs(self, spec_path, tmp_path):
+        csv_path = tmp_path / "configs.csv"
+        csv_path.write_text("name,cost,throughput,latency\nX,100,1e9,10\nY,100,1e9,20\n")
+        fp_path = tmp_path / "floorplan.json"
+        fp_path.write_text(json.dumps(FLOORPLAN_DOC))
+        return {"SPEC": spec_path, "CSV": str(csv_path), "FP": str(fp_path)}
+
+    def run(self, command, inputs, out):
+        return main([inputs.get(a, a) for a in command.split()] + ["--out", str(out)])
+
+    @pytest.mark.parametrize("argv, given, seed", [
+        ("cost --spec SPEC", "SPEC", None),
+        ("power --spec SPEC", "SPEC", None),
+        ("perf --spec SPEC", "SPEC", None),
+        ("perf --configs CSV", "CSV", None),
+        ("phy", "", None),
+        ("phy --spec SPEC", "SPEC", None),
+        ("thermal --spec SPEC --resolution 2", "SPEC", None),
+        ("thermal --spec SPEC --floorplan FP", "SPEC FP", None),
+        ("place --spec SPEC", "SPEC", 2),
+        ("place --spec SPEC --seed 7", "SPEC", 7),
+        ("calibrate-k --spec SPEC --k 0.1", "SPEC", 2),
+        ("calibrate-k --spec SPEC --k 0.1 --seed 5", "SPEC", 5),
+        ("sweep --spec SPEC --sides 20", "SPEC", 2),
+        ("sweep --spec SPEC --sides 20 --seed 4", "SPEC", 4),
+    ])
+    def test_manifest(self, inputs, tmp_path, argv, given, seed):
+        out = tmp_path / "run"
+        assert self.run(argv, inputs, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == argv.split()[0]
+        assert list(manifest["inputs"]) == [inputs[g] for g in given.split()]
+        assert manifest["seed"] == seed
+
+    def test_perf_needs_an_input(self, tmp_path, capsys):
+        assert main(["perf", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: perf needs --spec or --configs\n"
+
+    def test_perf_configs_replace_spec_rows(self, inputs, tmp_path):
+        out = tmp_path / "run"
+        assert self.run("perf --spec SPEC --configs CSV", inputs, out) == 0
+        assert [r[0] for r in read_csv(out / "perf.csv")[1:]] == ["X", "Y"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["inputs"]) == [inputs["SPEC"], inputs["CSV"]]

@@ -154,6 +154,17 @@ class TestFloorplan:
         with pytest.raises(ValidationError, match="bounds"):
             fp.validate()
 
+    @pytest.mark.parametrize("second, message", [
+        (PlacedChiplet("b", 4, 4, 0, 5, 5), "placements[1]: overlaps placements[0] or violates spacing"),
+        (PlacedChiplet("b", 18, 1, 0, 5, 5), "placements[1]: outside interposer bounds"),
+        (PlacedChiplet("a", 10, 10, 0, 5, 5), "placements[1].name: duplicate chiplet 'a'"),
+    ])
+    def test_errors_name_placement_index(self, second, message):
+        fp = Floorplan(20, 20, (PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0), second))
+        with pytest.raises(ValidationError) as exc:
+            fp.validate()
+        assert str(exc.value) == message
+
     def test_rotation_swaps_footprint(self):
         p = PlacedChiplet("a", 0, 0, 90, 4, 2, 1.0)
         assert (p.eff_width, p.eff_height) == (2, 4)

@@ -102,6 +102,9 @@ class TestCostFunction:
         assert acceptance_probability(0.3, 0.2, 0.1) == 1.0  # improving
         assert acceptance_probability(0.2, 0.3, 0.1) == pytest.approx(math.exp(-1.0))
 
+    def test_acceptance_with_decayed_k(self):
+        assert acceptance_probability(0.5, 0.4, 1e-8) == 1.0  # exp(1e7) would overflow
+
     def test_acceptance_requires_positive_k(self):
         with pytest.raises(PlacementError):
             acceptance_probability(0.1, 0.2, 0.0)

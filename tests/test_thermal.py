@@ -12,7 +12,6 @@ from chipletdse.model import (
     PlacedChiplet,
     ThermalStack,
     ValidationError,
-    default_stack,
 )
 from chipletdse.thermal import (
     PowerMap,
@@ -294,13 +293,13 @@ class TestSolver:
     def test_model_caches_two_response_columns(self):
         # power in the chiplet layer and the correction in the top layer: each mode
         # keeps 2 x layers entries, not the layers x layers inverse
-        model = thermal._grid_model(default_stack(), 30, 20, 1.0)
+        model = thermal._grid_model(ThermalStack(), 30, 20, 1.0)
         assert model.cols.shape == (2, len(DEFAULT_STACK_LAYERS), 20, 30)
 
     def test_default_stack_runs_hotter_with_less_cooling(self):
         pm = power_map(np.full((10, 10), 0.5))
-        cool = solve_steady_state(pm, default_stack(h_top=2000.0))
-        warm = solve_steady_state(pm, default_stack(h_top=500.0))
+        cool = solve_steady_state(pm, ThermalStack(h_top=2000.0))
+        warm = solve_steady_state(pm, ThermalStack(h_top=500.0))
         assert peak_temperature(warm) > peak_temperature(cool)
 
 
@@ -392,7 +391,7 @@ class TestSocVsChiplet:
                                    split_plan(4.0, power=90.0), SMALL)
 
     def test_split_runs_cooler_and_gap_helps(self):
-        stack = default_stack()
+        stack = ThermalStack()
         peak_soc, peak_4, delta = compare_soc_vs_chiplet(
             soc_plan(), split_plan(4.0), stack, cell_mm=1.0)
         assert delta > 0
