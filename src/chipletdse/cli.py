@@ -21,6 +21,7 @@ from . import __version__, bundled_spec_path
 from . import costyield, perf, phy, place, power, svgout, thermal
 from .model import (
     AnnealConfig,
+    ChipletdseError,
     SpecBundle,
     SpecError,
     floorplan_from_document,
@@ -129,8 +130,8 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
 
 def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     geometry = replace(bundle.geometry if bundle else phy.TraceGeometry(), **_given(
-        trace_width=args.trace_width_um, trace_thickness=args.trace_thickness_um,
-        ground_thickness=args.ground_thickness_um, interposer_height=args.interposer_height_um,
+        trace_width_um=args.trace_width_um, trace_thickness_um=args.trace_thickness_um,
+        ground_thickness_um=args.ground_thickness_um, interposer_height_um=args.interposer_height_um,
         relative_permittivity=args.er, conductivity=args.sigma))
     targets = replace(bundle.targets if bundle else phy.PhyTargets(), **_given(
         clock_frequency=args.clock, safety_factor=args.sf))
@@ -222,10 +223,6 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _micrometres(text: str) -> float:
-    return float(text) * 1e-6
-
-
 def _add_common(p: argparse.ArgumentParser, spec_required: bool = True,
                 seed: bool = False, resolution: bool = False) -> None:
     p.add_argument("--spec", required=spec_required, default=None,
@@ -265,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, spec_required=False)
     p.add_argument("--clock", type=float, default=None, help="clock frequency, Hz")
     p.add_argument("--sf", type=float, default=None, help="bandwidth safety factor")
-    p.add_argument("--trace-width-um", type=_micrometres, default=None)
-    p.add_argument("--trace-thickness-um", type=_micrometres, default=None)
-    p.add_argument("--ground-thickness-um", type=_micrometres, default=None)
-    p.add_argument("--interposer-height-um", type=_micrometres, default=None)
+    p.add_argument("--trace-width-um", type=float, default=None)
+    p.add_argument("--trace-thickness-um", type=float, default=None)
+    p.add_argument("--ground-thickness-um", type=float, default=None)
+    p.add_argument("--interposer-height-um", type=float, default=None)
     p.add_argument("--er", type=float, default=None, help="relative permittivity")
     p.add_argument("--sigma", type=float, default=None, help="trace conductivity, S/m")
     p.set_defaults(func=_cmd_phy)
@@ -314,8 +311,7 @@ def _dispatch(argv: list[str]) -> int:
         args.func(args, bundle, out)
         _write_manifest(out, args, bundle, argv)
         return 0
-    except (SpecError, costyield.CostModelError, perf.PerfError, phy.PhyError,
-            power.PowerError, thermal.ThermalError, place.PlacementError) as exc:
+    except ChipletdseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ProcessCostParams
+from .model import ChipletdseError, ProcessCostParams
 
 
-class CostModelError(ValueError):
+class CostModelError(ChipletdseError, ValueError):
     pass
 
 

@@ -18,8 +18,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .phy import PhyTargets, TraceGeometry
-
 CHIPLET_KINDS = ("compute", "gpu", "memory", "io", "noc", "analog")
 CHIPLET_LAYER = "chiplet"  # the stack layer that takes the floorplan's power
 
@@ -27,7 +25,12 @@ AMBIENT_MIN_C = -40.0  # automotive qualification range
 AMBIENT_MAX_C = 125.0
 
 
-class SpecError(ValueError):
+class ChipletdseError(Exception):
+    """Root of the errors the package raises for bad input or an infeasible
+    model; the CLI reports any of them as ``error: <message>``."""
+
+
+class SpecError(ChipletdseError, ValueError):
     """Malformed or invalid specification document."""
 
 
@@ -50,6 +53,18 @@ def _non_negative(obj: Any, *names: str) -> None:
     for name in names:
         if not getattr(obj, name) >= 0:
             raise ValidationError(f"{name}: must be >= 0")
+
+
+def _require(cond: bool, path: str, msg: str) -> None:
+    if not cond:
+        raise ValidationError(f"{path}: {msg}")
+
+
+def require_unique(names: list[str], path: str) -> None:
+    """Raise ``ValidationError("<path>: duplicate name '<name>'")`` on the
+    first name that repeats an earlier one."""
+    dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    _require(dup is None, path, f"duplicate name {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,7 @@ class ThermalStack:
             raise ValidationError("layers: at least 2 layers required")
         if CHIPLET_LAYER not in self.layer_names:
             raise ValidationError(f"layers: no layer named {CHIPLET_LAYER!r}")
+        require_unique(list(self.layer_names), "layers")
         _positive(self, "h_top")
         if self.sink_side_mm is not None:
             _positive(self, "sink_side_mm")
@@ -191,6 +207,41 @@ class PowerParams:
         _non_negative(self, *(f.name for f in fields(self)))
         if not self.activity <= 1:
             raise ValidationError("activity: must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class TraceGeometry:
+    """Copper stripline on a Si/SiO2 interposer; lengths in micrometres."""
+
+    trace_width_um: float = 50.0
+    trace_thickness_um: float = 20.0
+    ground_thickness_um: float = 50.0
+    interposer_height_um: float = 100.0
+    relative_permittivity: float = 11.68
+    conductivity: float = 5.98e7  # S/m
+
+    def __post_init__(self) -> None:
+        for name in ("trace_width_um", "trace_thickness_um", "ground_thickness_um",
+                     "interposer_height_um", "conductivity"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name}: must be > 0 and finite")
+        if not 1 <= self.relative_permittivity < math.inf:
+            raise ValidationError("relative_permittivity: must be >= 1 and finite")
+
+
+@dataclass(frozen=True)
+class PhyTargets:
+    clock_frequency: float = 2e9  # Hz
+    safety_factor: float = 1.5
+
+    def __post_init__(self) -> None:
+        for name in ("clock_frequency", "safety_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name}: must be > 0 and finite")
+
+    @property
+    def target_bandwidth(self) -> float:
+        return self.safety_factor * self.clock_frequency
 
 
 @dataclass(frozen=True)
@@ -419,11 +470,6 @@ def links_from_spec(spec: PackageSpec) -> tuple[tuple[str, str, float], ...]:
 # Loading / validation
 
 
-def _require(cond: bool, path: str, msg: str) -> None:
-    if not cond:
-        raise ValidationError(f"{path}: {msg}")
-
-
 def _num(doc: dict, key: str, path: str, default: float | None = None) -> float:
     if key not in doc:
         if default is None:
@@ -452,19 +498,13 @@ def _list(doc: dict, key: str, path: str = "") -> list:
     return value
 
 
-def _unique(names: list[str], path: str) -> None:
-    dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
-    _require(dup is None, path, f"duplicate name {dup!r}")
-
-
-def _section(cls, doc: Any, path: str, keys: dict[str, str],
-             scale: dict[str, float] | None = None, **given):
+def _section(cls, doc: Any, path: str, keys: dict[str, str], **given):
     """Build dataclass ``cls`` from the spec object ``doc``.
 
     Each field not in ``given`` reads spec key ``keys.get(field, field)``,
-    multiplied by ``scale[key]`` where the spec unit differs; a field whose
-    default is an int reads an integer. An absent key takes the field's
-    default, or is a missing-field error if it has none. A range error that
+    in the unit the field holds; a field whose default is an int reads an
+    integer. An absent key takes the field's default, or is a missing-field
+    error if it has none. A range error that
     ``cls`` raises as ``"<field>: <reason>"`` is re-raised as
     ``ValidationError("<path>.<key>: <reason>")``.
     """
@@ -475,7 +515,7 @@ def _section(cls, doc: Any, path: str, keys: dict[str, str],
         key = keys.get(f.name, f.name)
         if f.name in given or (key not in doc and f.default is not MISSING):
             continue
-        value = _num(doc, key, path) * (scale or {}).get(key, 1.0)
+        value = _num(doc, key, path)
         if isinstance(f.default, int):  # int() of the JSON value keeps a large seed exact
             _require(value.is_integer(), f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
             value = int(doc[key])
@@ -523,7 +563,7 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
         raise ValidationError("chiplets: must be a non-empty list")
     chiplets = tuple(_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
-    _unique([c.name for c in chiplets], "chiplets")
+    require_unique([c.name for c in chiplets], "chiplets")
     stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", ThermalStack.ambient))
     spec = _section(PackageSpec, pkg, "package", _PACKAGE_KEYS, name=name, chiplets=chiplets,
                     stack=stack)
@@ -565,11 +605,7 @@ _PLACED_KEYS = {**_CHIPLET_KEYS, "x": "x_mm", "y": "y_mm", "rotation": "rotation
 _INTERPOSER_KEYS = {"width": "width_mm", "height": "height_mm", "min_spacing": "min_spacing_mm"}
 _PROCESS_KEYS = {"wafer_diameter": "wafer_diameter_mm", "d0": "d0_per_mm2"}
 _ANNEAL_KEYS = {"tol": "tol_c"}
-_TRACE_KEYS = {"trace_width": "trace_width_um", "trace_thickness": "trace_thickness_um",
-               "ground_thickness": "ground_thickness_um",
-               "interposer_height": "interposer_height_um", "conductivity": "conductivity_s_m"}
-_MICROMETRES = dict.fromkeys(
-    ("trace_width_um", "trace_thickness_um", "ground_thickness_um", "interposer_height_um"), 1e-6)
+_TRACE_KEYS = {"conductivity": "conductivity_s_m"}
 _TARGET_KEYS = {"clock_frequency": "clock_frequency_hz"}
 _TILE_KEYS = {  # PowerParams and TileOperatingPoint; both take the tile's F and V
     "frequency": "frequency_hz",
@@ -616,7 +652,7 @@ def _config_row(doc: Any, path: str) -> ConfigRow:
 
 def _config_rows(docs: list, path: str) -> tuple[ConfigRow, ...]:
     rows = tuple(_config_row(doc, f"{path}[{i}]") for i, doc in enumerate(docs))
-    _unique([r[0] for r in rows], path)
+    require_unique([r[0] for r in rows], path)
     return rows
 
 
@@ -645,12 +681,12 @@ def load_bundle(document: dict | str | Path) -> SpecBundle:
     package = load_spec(doc)
     phy = doc.get("phy", {})
     tiles = tuple(_tile(td, f"tiles[{i}]") for i, td in enumerate(_list(doc, "tiles")))
-    _unique([t.name for t in tiles], "tiles")
+    require_unique([t.name for t in tiles], "tiles")
     return SpecBundle(
         package=package,
         process=_section(ProcessCostParams, doc.get("process", {}), "process", _PROCESS_KEYS),
         anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal", _ANNEAL_KEYS),
-        geometry=_section(TraceGeometry, phy, "phy", _TRACE_KEYS, _MICROMETRES),
+        geometry=_section(TraceGeometry, phy, "phy", _TRACE_KEYS),
         targets=_section(PhyTargets, phy, "phy", _TARGET_KEYS),
         tiles=tiles,
         configs=_config_rows(_list(doc, "configs"), "configs"),

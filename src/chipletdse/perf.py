@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ServiceSpec
+from .model import ChipletdseError, ServiceSpec, require_unique
 
 
-class PerfError(ValueError):
+class PerfError(ChipletdseError, ValueError):
     pass
 
 
@@ -55,10 +55,11 @@ def rank_configs(results: list[tuple[str, float, float, float]]) -> list[ConfigR
     """Rank (name, cost, throughput, latency) rows by golden ratio, descending.
 
     ``relative`` normalizes each golden ratio to the minimum over the set.
-    Ties are broken by name.
+    Ties are broken by name, so names must be unique.
     """
     if not results:
         raise PerfError("need at least one configuration")
+    require_unique([name for name, *_ in results], "configs")
     ratios = {name: golden_ratio(tp, lat, cost) for name, cost, tp, lat in results}
     gr_min = min(ratios.values())
     rows = [

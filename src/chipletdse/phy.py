@@ -12,48 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import ChipletdseError, PhyTargets, TraceGeometry
+
 MU0 = 1.2566e-6
 EPS0 = 8.8542e-12
 LN9 = math.log(9.0)
 
 
-class PhyError(ValueError):
+class PhyError(ChipletdseError, ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TraceGeometry:
-    """Copper stripline on a Si/SiO2 interposer. All lengths in metres."""
-
-    trace_width: float = 50e-6
-    trace_thickness: float = 20e-6
-    ground_thickness: float = 50e-6
-    interposer_height: float = 100e-6
-    relative_permittivity: float = 11.68
-    conductivity: float = 5.98e7  # S/m
-
-    def __post_init__(self) -> None:
-        for name in ("trace_width", "trace_thickness", "ground_thickness",
-                     "interposer_height", "conductivity"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise PhyError(f"{name}: must be > 0 and finite")
-        if not 1 <= self.relative_permittivity < math.inf:
-            raise PhyError("relative_permittivity: must be >= 1 and finite")
-
-
-@dataclass(frozen=True)
-class PhyTargets:
-    clock_frequency: float = 2e9
-    safety_factor: float = 1.5
-
-    def __post_init__(self) -> None:
-        for name in ("clock_frequency", "safety_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise PhyError(f"{name}: must be > 0 and finite")
-
-    @property
-    def target_bandwidth(self) -> float:
-        return self.safety_factor * self.clock_frequency
 
 
 @dataclass(frozen=True)
@@ -72,21 +39,23 @@ def line_params(g: TraceGeometry, f: float) -> LineParams:
     """Per-length capacitance and DC/AC resistance at frequency f."""
     if f <= 0:
         raise PhyError("frequency must be > 0")
+    width, thickness, ground, height = (v * 1e-6 for v in (  # um -> m
+        g.trace_width_um, g.trace_thickness_um, g.ground_thickness_um, g.interposer_height_um))
     v0 = 1.0 / math.sqrt(MU0 * EPS0)
-    c_len = (g.relative_permittivity
-             * (g.trace_width / g.interposer_height + 0.441)
-             / (30.0 * math.pi * v0))
     try:
+        c_len = (g.relative_permittivity
+                 * (width / height + 0.441)
+                 / (30.0 * math.pi * v0))
         r_dc = (1.0 / g.conductivity) * (
-            1.0 / (g.trace_width * g.trace_thickness)
-            + 1.0 / (2.0 * g.ground_thickness))
+            1.0 / (width * thickness)
+            + 1.0 / (2.0 * ground))
         delta = (math.pi * f * MU0 * g.conductivity) ** -0.5
-        perimeter = 2.0 * g.trace_thickness - 4.0 * delta + 2.0 * g.trace_width
+        perimeter = 2.0 * thickness - 4.0 * delta + 2.0 * width
         if perimeter <= 0:
             raise PhyError("skin depth exceeds geometry")
         r_ac = (1.0 / g.conductivity) * (
             1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity))
-    except ZeroDivisionError:  # a product of extreme geometry underflowed to 0
+    except ZeroDivisionError:  # a tiny length, or a product of two, underflowed to 0 m
         raise PhyError("line parameters out of floating-point range") from None
     return LineParams(c_len, r_dc, r_ac, delta)
 

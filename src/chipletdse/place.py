@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (AnnealConfig, Floorplan, PackageSpec, PlacedChiplet, ValidationError,
-                    links_from_spec)
+from .model import (AnnealConfig, ChipletdseError, Floorplan, PackageSpec, PlacedChiplet,
+                    ValidationError, links_from_spec)
 from . import thermal
 
 
-class PlacementError(RuntimeError):
+class PlacementError(ChipletdseError, RuntimeError):
     pass
 
 

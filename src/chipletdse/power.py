@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import PowerParams, TileOperatingPoint
+from .model import ChipletdseError, PowerParams, TileOperatingPoint, require_unique
 
 
-class PowerError(ValueError):
+class PowerError(ChipletdseError, ValueError):
     pass
 
 
@@ -43,9 +43,6 @@ def power_breakdown(p: PowerParams) -> PowerBreakdown:
 
 def system_power(tiles: list[TileOperatingPoint]) -> tuple[list[tuple[str, PowerBreakdown]], float]:
     """Per-tile breakdowns and their exact sum."""
-    names = [t.name for t in tiles]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise PowerError(f"duplicate tile name {dup!r}")
+    require_unique([t.name for t in tiles], "tiles")
     rows = [(t.name, power_breakdown(t.effective_params())) for t in tiles]
     return rows, sum(b.total for _, b in rows)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CHIPLET_LAYER, Floorplan, ThermalStack, ValidationError
+from .model import CHIPLET_LAYER, ChipletdseError, Floorplan, ThermalStack, ValidationError
 
 MM = 1e-3
 
@@ -31,7 +31,7 @@ MM = 1e-3
 MAX_CELLS_PER_SIDE = 500
 
 
-class ThermalError(RuntimeError):
+class ThermalError(ChipletdseError, RuntimeError):
     pass
 
 

@@ -204,6 +204,10 @@ class TestSpecErrors:
             {"name": "a", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "b", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
          "stack.layers"),
+        ("thermal", lambda d: d.update(stack={"layers": [
+            {"name": "chiplet", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
+            {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
+         "stack.layers"),
         ("cost", lambda d: d["chiplets"][1]["ports"].append({"peer": "a", "weight": 3.0}),
          "chiplets[1].ports[1].weight"),
         ("cost", lambda d: d["package"].update(interposer_width_mm=10.0, interposer_height_mm=10.0),
@@ -253,6 +257,10 @@ class TestSpecErrors:
         assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: clock_frequency: ") and err.count("\n") == 1
+
+    def test_micrometre_flag_error_names_its_field(self, tmp_path, capsys):
+        status = main(["phy", "--trace-width-um", "0", "--out", str(tmp_path / "o")])
+        assert_field_error(status, capsys.readouterr().err, "trace_width_um")
 
 
 class TestFlagScope:

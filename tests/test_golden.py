@@ -78,7 +78,6 @@ def _produced(out: Path, name: str) -> bytes:
 def test_reports_match_fixtures(case, tmp_path, capsys):
     args, spec, files = CASES[case]
     out = tmp_path / "out"
-    capsys.readouterr()
     assert main([*args, *_spec_args(spec, tmp_path), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     expected = GOLDEN / case

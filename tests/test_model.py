@@ -1,14 +1,22 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chipletdse
 from chipletdse.model import (
+    ChipletdseError,
     ChipletSpec,
     Floorplan,
     PackageSpec,
     ParseError,
     PlacedChiplet,
+    SpecError,
     ValidationError,
     floorplan_from_document,
     floorplan_to_document,
@@ -207,3 +215,31 @@ class TestFloorplan:
         doc["links"] = [link]
         with pytest.raises(ValidationError, match=field):
             floorplan_from_document(doc)
+
+
+class TestLayering:
+    """model.py is the package's base module: it holds the domain types and
+    the error root, and imports no other package module."""
+
+    def test_model_imports_no_package_module_and_no_numpy(self):
+        code = ("import sys, chipletdse.model; print(sorted(m for m in sys.modules "
+                "if m.startswith('chipletdse.') or m.split('.')[0] == 'numpy'))")
+        src = str(Path(chipletdse.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "['chipletdse.model']"
+
+    @pytest.mark.parametrize("module, name, base", [
+        ("model", "SpecError", ValueError),
+        ("model", "ParseError", SpecError),
+        ("model", "ValidationError", SpecError),
+        ("costyield", "CostModelError", ValueError),
+        ("perf", "PerfError", ValueError),
+        ("phy", "PhyError", ValueError),
+        ("power", "PowerError", ValueError),
+        ("thermal", "ThermalError", RuntimeError),
+        ("place", "PlacementError", RuntimeError),
+    ])
+    def test_error_class_under_one_root(self, module, name, base):
+        cls = getattr(importlib.import_module(f"chipletdse.{module}"), name)
+        assert issubclass(cls, ChipletdseError) and issubclass(cls, base)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipletdse.model import ValidationError
 from chipletdse.phy import (
     LN9,
     PhyError,
@@ -45,15 +46,22 @@ class TestLineParams:
     def test_skin_depth_exceeding_geometry_rejected(self):
         # at low frequency the skin depth outgrows the conductor cross
         # section and the AC perimeter model breaks down
-        thin = TraceGeometry(trace_width=1e-6, trace_thickness=1e-6)
+        thin = TraceGeometry(trace_width_um=1.0, trace_thickness_um=1.0)
         with pytest.raises(PhyError, match="skin depth"):
             line_params(thin, 1e3)
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(PhyError):
-            TraceGeometry(trace_width=0.0)
-        with pytest.raises(PhyError):
+        with pytest.raises(ValidationError):
+            TraceGeometry(trace_width_um=0.0)
+        with pytest.raises(ValidationError):
             TraceGeometry(relative_permittivity=0.5)
+
+    @pytest.mark.parametrize("field", ["trace_width_um", "trace_thickness_um",
+                                       "ground_thickness_um", "interposer_height_um"])
+    def test_length_underflowing_in_metres_rejected(self, field):
+        # 1e-320 um passes the > 0 check but is 0.0 m once converted
+        with pytest.raises(PhyError, match="out of floating-point range"):
+            line_params(TraceGeometry(**{field: 1e-320}), 2e9)
 
     @settings(max_examples=50, deadline=None)
     @given(f1=st.floats(1e8, 1e11), f2=st.floats(1e8, 1e11))
@@ -112,7 +120,7 @@ class TestMaxTraceLength:
         assert bandwidth_3db(L, lp) == pytest.approx(t.target_bandwidth, rel=1e-9)
 
     def test_bad_targets_rejected(self):
-        with pytest.raises(PhyError):
+        with pytest.raises(ValidationError):
             PhyTargets(clock_frequency=-1.0)
 
 
