@@ -180,12 +180,12 @@ def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
     cfg = _anneal_config(bundle, args)
-    rows = place.calibrate_k(bundle.package, args.k, cfg)
+    runs = list(zip(args.k, place.calibrate_k(bundle.package, args.k, cfg)))
     _write_csv(out / "k_calibration.csv",
                ["k0", "iterations_to_converge", "final_peak_t_c"],
-               [[r.k0, r.iterations, r.final_peak_t] for r in rows])
-    for r in rows:
-        print(f"k0={fmt(r.k0)} iterations={r.iterations} "
+               [[k0, r.iterations, r.final_peak_t] for k0, r in runs])
+    for k0, r in runs:
+        print(f"k0={fmt(k0)} iterations={r.iterations} "
               f"final_peak_t_c={fmt(r.final_peak_t)}")
 
 

@@ -52,31 +52,30 @@ def assembly_yield(n_dies: int, n_connections: int, params: ProcessCostParams) -
 @dataclass(frozen=True)
 class DieCost:
     area: float
-    count: int
     gross_dies_per_wafer: int
     die_yield: float
-    cost_per_die: float
+    cost_per_die: float  # of one good die
 
 
 @dataclass(frozen=True)
 class CostBreakdown:
     dies: tuple[DieCost, ...]
-    n_dies: int
     n_connections: int
     raw_die_cost: float
     assembly_yield: float
     package_cost: float
 
 
-def cost_per_die(area: float, params: ProcessCostParams) -> float:
-    """Cost of one good die: wafer_cost / (gross_dies_per_wafer * die_yield)."""
+def die_cost(area: float, params: ProcessCostParams) -> DieCost:
+    """A die's yield, gross dies per wafer and the cost of one good die,
+    wafer_cost / (gross_dies_per_wafer * die_yield)."""
     y = die_yield(area, params)
     gross = gross_dies_per_wafer(area, params.wafer_diameter)
     if gross == 0:
         raise CostModelError(f"die of {area} mm^2 exceeds wafer capacity")
     if y == 0:
         raise CostModelError(f"die of {area} mm^2: yield underflows to 0")
-    return params.wafer_cost / (gross * y)
+    return DieCost(area, gross, y, params.wafer_cost / (gross * y))
 
 
 def package_cost(
@@ -85,29 +84,18 @@ def package_cost(
     params: ProcessCostParams,
 ) -> CostBreakdown:
     """Total package cost for a list of (die area, count) entries."""
-    total_dies = sum(count for _, count in dies)
-    if total_dies == 0:
-        return CostBreakdown((), 0, n_connections, 0.0, 1.0, 0.0)
-    rows = []
+    if any(count < 0 for _, count in dies):
+        raise CostModelError("die count must be >= 0")
+    counted = [(die_cost(area, params), count) for area, count in dies if count > 0]
+    if not counted:
+        return CostBreakdown((), n_connections, 0.0, 1.0, 0.0)
     raw = 0.0
-    for area, count in dies:
-        if count < 0:
-            raise CostModelError("die count must be >= 0")
-        if count == 0:
-            continue
-        per_die = cost_per_die(area, params)
-        rows.append(DieCost(
-            area=area,
-            count=count,
-            gross_dies_per_wafer=gross_dies_per_wafer(area, params.wafer_diameter),
-            die_yield=die_yield(area, params),
-            cost_per_die=per_die,
-        ))
-        raw += per_die * count
-    ay = assembly_yield(total_dies, n_connections, params)
+    for d, count in counted:  # in entry order: the report's sum is byte-stable
+        raw += d.cost_per_die * count
+    ay = assembly_yield(sum(count for _, count in counted), n_connections, params)
     if ay == 0:
         raise CostModelError("assembly yield underflows to 0")
-    return CostBreakdown(tuple(rows), total_dies, n_connections, raw, ay, raw / ay)
+    return CostBreakdown(tuple(d for d, _ in counted), n_connections, raw, ay, raw / ay)
 
 
 def cost_ratio(

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -204,6 +204,7 @@ class PowerParams:
     area: float = 100.0  # mm^2
 
     def __post_init__(self) -> None:
+        _positive(self, "frequency")
         _non_negative(self, *(f.name for f in fields(self)))
         if not self.activity <= 1:
             raise ValidationError("activity: must be in [0, 1]")
@@ -246,19 +247,10 @@ class PhyTargets:
 
 @dataclass(frozen=True)
 class TileOperatingPoint:
-    """A tile's DVFS operating point: its own (F, V) over shared params."""
+    """A tile's DVFS operating point: its params hold its own (F, V)."""
 
     name: str
-    frequency: float  # Hz
-    voltage: float  # V
     params: PowerParams
-
-    def __post_init__(self) -> None:
-        _positive(self, "frequency")
-        _non_negative(self, "voltage")
-
-    def effective_params(self) -> PowerParams:
-        return replace(self.params, frequency=self.frequency, voltage=self.voltage)
 
 
 @dataclass(frozen=True)
@@ -607,7 +599,7 @@ _PROCESS_KEYS = {"wafer_diameter": "wafer_diameter_mm", "d0": "d0_per_mm2"}
 _ANNEAL_KEYS = {"tol": "tol_c"}
 _TRACE_KEYS = {"conductivity": "conductivity_s_m"}
 _TARGET_KEYS = {"clock_frequency": "clock_frequency_hz"}
-_TILE_KEYS = {  # PowerParams and TileOperatingPoint; both take the tile's F and V
+_TILE_KEYS = {  # PowerParams, with the tile's own F and V
     "frequency": "frequency_hz",
     "voltage": "voltage_v",
     "load_capacitance": "load_capacitance_f",
@@ -638,8 +630,7 @@ class SpecBundle:
 
 
 def _tile(doc: Any, path: str) -> TileOperatingPoint:
-    return _section(TileOperatingPoint, doc, path, _TILE_KEYS, name=_name(doc, path),
-                    params=_section(PowerParams, doc, path, _TILE_KEYS))
+    return TileOperatingPoint(_name(doc, path), _section(PowerParams, doc, path, _TILE_KEYS))
 
 
 def _config_row(doc: Any, path: str) -> ConfigRow:

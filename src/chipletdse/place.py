@@ -229,14 +229,10 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     stack = spec.stack
     current = bst_placement(spec)
 
-    if len(spec.chiplets) == 1:
-        c = spec.chiplets[0]
-        centered = Floorplan(
-            spec.interposer_width, spec.interposer_height,
-            (PlacedChiplet(c.name, (spec.interposer_width - c.width) / 2.0,
-                           (spec.interposer_height - c.height) / 2.0,
-                           0, c.width, c.height, c.power),),
-            links=(), min_spacing=spec.min_spacing)
+    if len(current.placements) == 1:
+        p = current.placements[0]
+        centered = replace(current, placements=(
+            replace(p, x=(current.width - p.width) / 2.0, y=(current.height - p.height) / 2.0),))
         t, w = _evaluate(centered, stack, cfg.coarse_cell_mm)
         row = HistoryRow(0, t, w, 0.0, cfg.k0)
         return AnnealResult(centered, (row,), t,
@@ -265,7 +261,8 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     converged = False
 
     for it in range(cfg.max_iterations):
-        k = cfg.k0 * cfg.decay ** it
+        # a K that underflows to 0 takes its K -> 0+ limit: only no-worse moves pass
+        k = max(cfg.k0 * cfg.decay ** it, math.ulp(0.0))
         for _ in range(cfg.moves_per_iteration):
             neighbor = propose_move(current, rng)
             nb_t, nb_w = _evaluate(neighbor, stack, cfg.coarse_cell_mm)
@@ -296,24 +293,13 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 # Calibration and sweeps
 
 
-@dataclass(frozen=True)
-class KCalibrationRow:
-    k0: float
-    iterations: int
-    final_peak_t: float
-
-
 def calibrate_k(
     spec: PackageSpec, k_candidates: list[float], cfg: AnnealConfig = AnnealConfig()
-) -> list[KCalibrationRow]:
-    """Run the annealer once per K0 candidate with a shared seed."""
+) -> list[AnnealResult]:
+    """Run the annealer once per K0 candidate with a shared seed; one result each."""
     if not k_candidates:
         raise PlacementError("need at least one K candidate")
-    rows = []
-    for k0 in k_candidates:
-        result = optimize(spec, replace(cfg, k0=k0))
-        rows.append(KCalibrationRow(k0, result.iterations, result.final_peak_t))
-    return rows
+    return [optimize(spec, replace(cfg, k0=k0)) for k0 in k_candidates]
 
 
 @dataclass(frozen=True)

@@ -44,5 +44,5 @@ def power_breakdown(p: PowerParams) -> PowerBreakdown:
 def system_power(tiles: list[TileOperatingPoint]) -> tuple[list[tuple[str, PowerBreakdown]], float]:
     """Per-tile breakdowns and their exact sum."""
     require_unique([t.name for t in tiles], "tiles")
-    rows = [(t.name, power_breakdown(t.effective_params())) for t in tiles]
+    rows = [(t.name, power_breakdown(t.params)) for t in tiles]
     return rows, sum(b.total for _, b in rows)

@@ -219,6 +219,14 @@ class TestSpecErrors:
         status = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
         assert_field_error(status, capsys.readouterr().err, field)
 
+    @pytest.mark.parametrize("frequency", [0, -1])
+    def test_tile_frequency_reason(self, tmp_path, capsys, frequency):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edited(lambda d: d["tiles"][0].update(frequency_hz=frequency))))
+        status = main(["power", "--spec", str(path), "--out", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == "error: tiles[0].frequency_hz: must be > 0\n"
+
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d["placements"][0].update(rotation_deg=0.5), "placements[0].rotation_deg"),
         (lambda d: d["placements"][0].update(rotation_deg=45), "placements[0].rotation_deg"),

@@ -86,6 +86,10 @@ class TestPackageCost:
         assert bd.package_cost == 0.0
         assert bd.assembly_yield == 1.0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(cy.CostModelError, match="count must be >= 0"):
+            cy.package_cost([(100.0, 1), (50.0, -1)], 0, P)
+
     def test_die_exceeding_wafer(self):
         with pytest.raises(cy.CostModelError, match="exceeds wafer"):
             cy.package_cost([(80000.0, 1)], 0, P)

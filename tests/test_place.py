@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,14 @@ class TestOptimize:
             assert row.iteration == i
             assert row.k == pytest.approx(FAST.k0 * FAST.decay ** i, rel=1e-12)
 
+    def test_underflowed_k_keeps_annealing(self):
+        # k0 * decay**it reaches 0.0 by the third epoch; K then takes its 0+ limit
+        r = optimize(small_spec(), AnnealConfig(decay=1e-200, max_iterations=10,
+                                                moves_per_iteration=5, seed=3,
+                                                coarse_cell_mm=2.0, fine_cell_mm=2.0))
+        assert len(r.history) == 10
+        assert all(row.k > 0 for row in r.history)
+
     def test_single_chiplet_centered(self):
         spec = PackageSpec("one", (ChipletSpec("a", 5, 5, 3.0),), 20.0, 20.0)
         r = optimize(spec, FAST)
@@ -252,6 +261,10 @@ class TestCalibrateAndSweep:
         rows = calibrate_k(small_spec(), [0.1, 0.1], FAST)
         assert rows[0].iterations == rows[1].iterations
         assert rows[0].final_peak_t == rows[1].final_peak_t
+
+    def test_one_result_per_candidate(self):
+        assert calibrate_k(small_spec(), [0.05], FAST)[0] == optimize(small_spec(),
+                                                                      replace(FAST, k0=0.05))
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(PlacementError):

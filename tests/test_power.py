@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipletdse.model import PowerParams
+from chipletdse.model import PowerParams, ValidationError
 from chipletdse.power import TileOperatingPoint, power_breakdown, system_power
 
 
@@ -29,6 +29,11 @@ class TestPowerBreakdown:
         p = PowerParams(leakage_current=1e-10, voltage=1.0,
                         transistor_density=1e8, area=100.0)
         assert power_breakdown(p).leakage == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0])
+    def test_frequency_must_be_positive(self, frequency):
+        with pytest.raises(ValidationError, match=r"^frequency: must be > 0$"):
+            PowerParams(frequency=frequency)
 
     def test_total_is_exact_sum(self):
         b = power_breakdown(PowerParams())
@@ -62,31 +67,30 @@ class TestSystemPower:
         assert rows == [] and total == 0.0
 
     def test_single_tile_matches_breakdown(self):
-        tile = TileOperatingPoint("t0", 2e9, 1.0, PowerParams())
+        tile = TileOperatingPoint("t0", PowerParams())
         rows, total = system_power([tile])
-        assert total == power_breakdown(tile.effective_params()).total
+        assert total == power_breakdown(tile.params).total
 
     def test_two_identical_tiles_double(self):
-        tile = lambda n: TileOperatingPoint(n, 2e9, 1.0, PowerParams())
+        tile = lambda n: TileOperatingPoint(n, PowerParams())
         _, one = system_power([tile("a")])
         _, two = system_power([tile("a"), tile("b")])
         assert two == pytest.approx(2 * one, rel=1e-15)
 
     def test_duplicate_names_rejected(self):
-        tiles = [TileOperatingPoint("a", 2e9, 1.0, PowerParams())] * 2
+        tiles = [TileOperatingPoint("a", PowerParams())] * 2
         with pytest.raises(ValueError, match="duplicate"):
             system_power(tiles)
 
     def test_area_split_preserves_total(self):
         # splitting one block into n equal-area tiles leaves total power
         # unchanged: the quantitative core of the SoC-vs-chiplet power claim
-        whole = TileOperatingPoint("soc", 2e9, 1.0, PowerParams(area=800.0))
+        whole = TileOperatingPoint("soc", PowerParams(area=800.0))
         _, p_whole = system_power([whole])
         # the aggregate logic is split too: C and B divide across the tiles
         parts = [
-            TileOperatingPoint(f"c{i}", 2e9, 1.0,
-                               PowerParams(area=200.0, load_capacitance=0.25e-9,
-                                           gain_factor=0.25e-4))
+            TileOperatingPoint(f"c{i}", PowerParams(area=200.0, load_capacitance=0.25e-9,
+                                                    gain_factor=0.25e-4))
             for i in range(4)
         ]
         _, p_parts = system_power(parts)
