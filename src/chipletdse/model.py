@@ -630,7 +630,9 @@ class SpecBundle:
 
 
 def _tile(doc: Any, path: str) -> TileOperatingPoint:
-    return TileOperatingPoint(_name(doc, path), _section(PowerParams, doc, path, _TILE_KEYS))
+    return TileOperatingPoint(_name(doc, path), _section(  # a tile states its own F and V
+        PowerParams, doc, path, _TILE_KEYS, frequency=_num(doc, "frequency_hz", path),
+        voltage=_num(doc, "voltage_v", path)))
 
 
 def _config_row(doc: Any, path: str) -> ConfigRow:

@@ -219,10 +219,17 @@ class TestSpecErrors:
         status = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
         assert_field_error(status, capsys.readouterr().err, field)
 
-    @pytest.mark.parametrize("frequency", [0, -1])
-    def test_tile_frequency_reason(self, tmp_path, capsys, frequency):
+    @pytest.mark.parametrize("key", ["frequency_hz", "voltage_v"])
+    def test_tile_operating_point_required(self, tmp_path, capsys, key):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(edited(lambda d: d["tiles"][0].update(frequency_hz=frequency))))
+        path.write_text(json.dumps(edited(lambda d: d["tiles"][0].pop(key))))
+        status = main(["power", "--spec", str(path), "--out", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: tiles[0].{key}: missing required field\n"
+
+    def test_negative_tile_frequency_reason(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edited(lambda d: d["tiles"][0].update(frequency_hz=-1))))
         status = main(["power", "--spec", str(path), "--out", str(tmp_path / "o")])
         assert status == 1
         assert capsys.readouterr().err == "error: tiles[0].frequency_hz: must be > 0\n"
