@@ -31,6 +31,12 @@ def _side50(doc: dict) -> None:
     doc["package"].update(interposer_width_mm=50.0, interposer_height_mm=50.0)
 
 
+def _side50_pinned(doc: dict) -> None:
+    """The 50 mm variant at 40 epochs: every coarse peak comes from a partial-sink solve."""
+    _side50(doc)
+    _pinned(doc)
+
+
 PLACE = ("history.csv", "floorplan.json")
 FIELD = ("temperature_field.csv.sha256",)
 PHY = ("bandwidth_curve.csv",)
@@ -41,6 +47,7 @@ CASES = {
     "place_seed0": (["place", "--seed", "0"], "bundled", PLACE),
     "place_seed1": (["place", "--seed", "1"], "bundled", PLACE),
     "place_seed5": (["place", "--seed", "5"], "bundled", PLACE),
+    "place_seed7_50mm": (["place", "--seed", "7"], _side50_pinned, PLACE),
     "sweep": (["sweep", "--sides", "30,35,45,50"], _pinned, ("interposer_sweep.csv",)),
     "calibrate_k": (["calibrate-k", "--k", "0.05,0.1"], "bundled", ("k_calibration.csv",)),
     "cost": (["cost"], "bundled", ("cost.csv",)),
