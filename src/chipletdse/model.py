@@ -343,6 +343,14 @@ class PlacedChiplet:
     def center(self) -> tuple[float, float]:
         return (self.x + self.eff_width / 2.0, self.y + self.eff_height / 2.0)
 
+    @property
+    def box(self) -> tuple[float, float, float, float]:
+        """(x0, y0, x1, y1) of the effective footprint, mm."""
+        return (self.x, self.y, self.x + self.eff_width, self.y + self.eff_height)
+
+
+_PLACEMENT_EPS_MM = 1e-9  # slack of every bounds and spacing test
+
 
 @dataclass(frozen=True)
 class Floorplan:
@@ -370,25 +378,34 @@ class Floorplan:
             return False
         return True
 
+    # The legality rule, shared by validate and admits.
+    def _in_bounds(self, box: tuple[float, float, float, float]) -> bool:
+        """The footprint keeps a min_spacing/2 margin to every interposer edge."""
+        margin, eps = self.min_spacing / 2.0, _PLACEMENT_EPS_MM
+        x0, y0, x1, y1 = box
+        return not (x0 < margin - eps or y0 < margin - eps
+                    or x1 > self.width - margin + eps or y1 > self.height - margin + eps)
+
+    def _apart(self, a: tuple[float, float, float, float],
+               b: tuple[float, float, float, float]) -> bool:
+        """Two footprints are at least min_spacing apart (the spacing halo)."""
+        s, eps = self.min_spacing, _PLACEMENT_EPS_MM
+        return not (a[0] < b[2] + s - eps and b[0] < a[2] + s - eps
+                    and a[1] < b[3] + s - eps and b[1] < a[3] + s - eps)
+
     def validate(self) -> None:
         """Raise unless all placements are in bounds and non-overlapping.
 
         Bounds require min_spacing/2 margin to the interposer edge; pairs
         require min_spacing separation (the spacing halo).
         """
-        margin = self.min_spacing / 2.0
-        eps = 1e-9
-        boxes = [(p.x, p.y, p.x + p.eff_width, p.y + p.eff_height) for p in self.placements]
-        for i, (x0, y0, x1, y1) in enumerate(boxes):
-            if (x0 < margin - eps or y0 < margin - eps
-                    or x1 > self.width - margin + eps or y1 > self.height - margin + eps):
+        boxes = [p.box for p in self.placements]
+        for i, box in enumerate(boxes):
+            if not self._in_bounds(box):
                 raise ValidationError(f"placements[{i}]: outside interposer bounds")
-        s = self.min_spacing
-        for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+        for i, a in enumerate(boxes):
             for j in range(i + 1, len(boxes)):
-                bx0, by0, bx1, by1 = boxes[j]
-                if (ax0 < bx1 + s - eps and bx0 < ax1 + s - eps
-                        and ay0 < by1 + s - eps and by0 < ay1 + s - eps):
+                if not self._apart(a, boxes[j]):
                     raise ValidationError(
                         f"placements[{j}]: overlaps placements[{i}] or violates spacing")
         seen: set[str] = set()
@@ -396,6 +413,23 @@ class Floorplan:
             if p.name in seen:
                 raise ValidationError(f"placements[{j}].name: duplicate chiplet {p.name!r}")
             seen.add(p.name)
+
+    def admits(self, moved: dict[int, PlacedChiplet]) -> bool:
+        """Whether this plan stays legal with ``moved[i]`` in place of placements[i].
+
+        Only the moved rows are tested, each against every other row: O(n) per
+        row, not validate's O(n^2). So this plan must itself be legal and each
+        moved row must keep its name; then the answer equals ``is_valid`` on the
+        new plan.
+        """
+        new = {i: p.box for i, p in moved.items()}
+        for i, a in new.items():
+            if not self._in_bounds(a):
+                return False
+            for j, q in enumerate(self.placements):
+                if j != i and not self._apart(a, new[j] if j in new else q.box):
+                    return False
+        return True
 
 
 def floorplan_to_document(fp: Floorplan) -> dict:

@@ -145,6 +145,13 @@ def bst_placement(spec: PackageSpec) -> Floorplan:
 RETRY_CAP = 200  # proposals drawn per move before the board counts as congested
 WARMUP_SAMPLES = 20  # random neighbours that seed the normalization bounds
 PERSISTENCE = 5  # consecutive epochs the |dT| < tol test must hold
+SCORE_GUARD_C = 1e-9  # how far a move score may lie from its plan's guarded full solve
+
+
+def _at(p: PlacedChiplet, x: float, y: float, rotation: int | None = None) -> PlacedChiplet:
+    """p anchored at (x, y), built directly: ``replace`` is slow on the per-move path."""
+    return PlacedChiplet(p.name, x, y, p.rotation if rotation is None else rotation,
+                         p.width, p.height, p.power)
 
 
 def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
@@ -153,36 +160,36 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
     Translation magnitude is log-uniform between 1% and 100% of an eighth of
     the longer interposer side, so tightly packed boards still find legal
     small moves. Invalid proposals are re-drawn up to ``RETRY_CAP`` times; if
-    none is legal the floorplan is considered too congested.
+    none is legal the floorplan is considered too congested. fp must be legal:
+    a proposal is checked only for the rows it moves (``Floorplan.admits``).
     """
     step_mm = max(fp.width, fp.height) / 8.0
     n = len(fp.placements)
     for _ in range(RETRY_CAP):
         kind = rng.integers(0, 3 if n >= 2 else 2)
         i = int(rng.integers(0, n))  # every kind's first draw: the chiplet to move
-        placements = list(fp.placements)
-        p = placements[i]
+        p = fp.placements[i]
         if kind == 0:  # translate
             magnitude = step_mm * 10.0 ** rng.uniform(-2.0, 0.0)
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            placements[i] = replace(p, x=p.x + magnitude * math.cos(angle),
-                                    y=p.y + magnitude * math.sin(angle))
+            moved = {i: _at(p, p.x + magnitude * math.cos(angle),
+                            p.y + magnitude * math.sin(angle))}
         elif kind == 1:  # rotate 90 degrees about the footprint center
             if p.width == p.height:
                 continue  # no-op rotation, not a move
             cx, cy = p.center
             # a quarter turn swaps the effective width and height
-            placements[i] = replace(p, rotation=(p.rotation + 90) % 360,
-                                    x=cx - p.eff_height / 2.0, y=cy - p.eff_width / 2.0)
+            moved = {i: _at(p, cx - p.eff_height / 2.0, cy - p.eff_width / 2.0,
+                            (p.rotation + 90) % 360)}
         else:  # swap anchor positions of two chiplets
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
-            q = placements[j]
-            placements[i], placements[j] = replace(p, x=q.x, y=q.y), replace(q, x=p.x, y=p.y)
-        cand = replace(fp, placements=tuple(placements))
-        if cand.is_valid():
-            return cand
+            q = fp.placements[j]
+            moved = {i: _at(p, q.x, q.y), j: _at(q, p.x, p.y)}
+        if fp.admits(moved):
+            placements = tuple(moved.get(k, q) for k, q in enumerate(fp.placements))
+            return Floorplan(fp.width, fp.height, placements, fp.links, fp.min_spacing)
     raise PlacementError(f"floorplan too congested: no legal move in {RETRY_CAP} attempts")
 
 
@@ -212,11 +219,17 @@ class AnnealResult:
         return len(self.history)
 
 
-def _evaluate(fp: Floorplan, stack, cell_mm: float) -> tuple[float, float]:
-    """(peak chiplet temperature on a cell_mm grid, wirelength)."""
-    pm = thermal.rasterize(fp, cell_mm)
-    tf = thermal.solve_steady_state(pm, stack)
-    return thermal.peak_temperature(tf), wirelength(fp)
+def _peak(fp: Floorplan, stack, cell_mm: float) -> float:
+    """Peak chiplet temperature on a cell_mm grid, from a full field that
+    passed ``solve_steady_state``'s residual guard."""
+    tf = thermal.solve_steady_state(thermal.rasterize(fp, cell_mm), stack)
+    return thermal.peak_temperature(tf)
+
+
+def _score(fp: Floorplan, stack, cell_mm: float) -> tuple[float, float]:
+    """(``_peak``, wirelength) of a plan ``propose_move`` has just proved legal:
+    no second validate, and the chiplet layer alone (``thermal.chiplet_peak``)."""
+    return thermal.chiplet_peak(thermal._rasterize(fp, cell_mm), stack), wirelength(fp)
 
 
 def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealResult:
@@ -233,13 +246,12 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         p = current.placements[0]
         centered = replace(current, placements=(
             replace(p, x=(current.width - p.width) / 2.0, y=(current.height - p.height) / 2.0),))
-        t, w = _evaluate(centered, stack, cfg.coarse_cell_mm)
+        t, w = _peak(centered, stack, cfg.coarse_cell_mm), wirelength(centered)
         row = HistoryRow(0, t, w, 0.0, cfg.k0)
-        return AnnealResult(centered, (row,), t,
-                            _evaluate(centered, stack, cfg.fine_cell_mm)[0], True)
+        return AnnealResult(centered, (row,), t, _peak(centered, stack, cfg.fine_cell_mm), True)
 
     bounds = NormalizationBounds()
-    t0, w0 = _evaluate(current, stack, cfg.coarse_cell_mm)
+    t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
     initial_peak = t0
     bounds.update(t0, w0)
 
@@ -249,7 +261,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
             probe = propose_move(current, rng)
         except PlacementError:
             break
-        bounds.update(*_evaluate(probe, stack, cfg.coarse_cell_mm))
+        bounds.update(*_score(probe, stack, cfg.coarse_cell_mm))
 
     cur_t, cur_w = t0, w0
     # every state the chain visits; "best" is chosen under the final bounds
@@ -265,13 +277,18 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         k = max(cfg.k0 * cfg.decay ** it, math.ulp(0.0))
         for _ in range(cfg.moves_per_iteration):
             neighbor = propose_move(current, rng)
-            nb_t, nb_w = _evaluate(neighbor, stack, cfg.coarse_cell_mm)
+            nb_t, nb_w = _score(neighbor, stack, cfg.coarse_cell_mm)
             bounds.update(nb_t, nb_w)
             cur_cost = anneal_cost(cur_t, cur_w, bounds)
             nb_cost = anneal_cost(nb_t, nb_w, bounds)
             if rng.random() < acceptance_probability(cur_cost, nb_cost, k):
                 current, cur_t, cur_w = neighbor, nb_t, nb_w
                 visited.append((current, cur_t, cur_w))
+        # once per epoch the full field: residual-checked, and the score must agree
+        full_t = _peak(current, stack, cfg.coarse_cell_mm)
+        if not abs(full_t - cur_t) <= SCORE_GUARD_C:
+            raise PlacementError(f"epoch {it}: move score {cur_t!r} C disagrees with "
+                                 f"the full solve's {full_t!r} C")
         history.append(HistoryRow(it, cur_t, cur_w,
                                   anneal_cost(cur_t, cur_w, bounds), k))
         if it > 0 and abs(cur_t - prev_peak) < cfg.tol:
@@ -286,7 +303,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     best, _, _ = min(visited, key=lambda entry: anneal_cost(entry[1], entry[2], bounds))
     best.validate()
     return AnnealResult(best, tuple(history), initial_peak,
-                        _evaluate(best, stack, cfg.fine_cell_mm)[0], converged)
+                        _peak(best, stack, cfg.fine_cell_mm), converged)
 
 
 # ---------------------------------------------------------------------------

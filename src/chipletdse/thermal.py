@@ -89,14 +89,18 @@ def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
     if not cell_mm > 0:
         raise ThermalError(f"cell size must be > 0 mm, got {cell_mm}")
     floorplan.validate()
-    for p in floorplan.placements:
-        if cell_mm > min(p.eff_width, p.eff_height):
-            raise ThermalError(
-                f"cell size {cell_mm} mm exceeds smallest dimension of "
-                f"chiplet {p.name!r}")
-    nx, ny = grid_shape(floorplan.width, floorplan.height, cell_mm)
+    return _rasterize(floorplan, cell_mm)
+
+
+def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
+    """``rasterize`` of a floorplan already known to be legal, with cell_mm > 0."""
     x, y, w, h, power = np.array([(p.x, p.y, p.eff_width, p.eff_height, p.power)
                                   for p in floorplan.placements]).reshape(-1, 5).T
+    small = np.flatnonzero(np.minimum(w, h) < cell_mm)
+    if small.size:
+        raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
+                           f"chiplet {floorplan.placements[small[0]].name!r}")
+    nx, ny = grid_shape(floorplan.width, floorplan.height, cell_mm)
     ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
     oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
     density = power / (w * h)  # W/mm^2
@@ -180,23 +184,25 @@ def _response(model: _GridModel, p: np.ndarray, src: int, dst=slice(None)) -> np
     return model.q_y.T @ (model.cols[src, dst] * (model.q_y @ p @ model.q_x.T)) @ model.q_x
 
 
-def _solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
-    """Temperature rise in every layer for chiplet-layer power p under the sink.
+def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
+    """Temperature rise in layers dst under the sink for chiplet-layer power p.
 
     U selects the k uncooled top cells, so A_p = A_f - g*U*U.T and by Woodbury
     T = T_f + A_f^-1*U*y, T_f = A_f^-1*p, where y solves the SPD k x k system
     C*y = U.T*T_f, C = I/g - U.T*A_f^-1*U, by CG in at most k steps. The residual
-    A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|.
+    A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|; a
+    CG that ends short of that bound (NaN included) raises ThermalError.
     """
-    t = _response(model, p, 0)
+    t = _response(model, p, 0, dst)
     u, g = model.uncooled, model.g_amb
     if not u.size:
         return t
+    top = t[-1] if dst == slice(None) else _response(model, p, 0, -1)
     p_top, y = np.zeros(p.shape), np.zeros(u.size)
-    r = d = t[-1].ravel()[u]
+    r = d = top.ravel()[u]
     rr, stop = r @ r, (1e-12 * np.linalg.norm(p) / g) ** 2
     for _ in range(u.size):
-        if not rr > stop:  # also ends on NaN, which the residual guard then rejects
+        if not rr > stop:  # also ends on NaN, which the check below rejects
             break
         p_top.flat[u] = d
         cd = d / g - _response(model, p_top, 1, -1).ravel()[u]  # C @ d
@@ -204,8 +210,10 @@ def _solve(model: _GridModel, p: np.ndarray) -> np.ndarray:
         y, r = y + alpha * d, r - alpha * cd
         rr, rr_old = r @ r, rr
         d = r + (rr / rr_old) * d
+    if not rr <= stop:
+        raise ThermalError(f"sink correction did not converge in {u.size} CG steps")
     p_top.flat[u] = y
-    return t + _response(model, p_top, 1)
+    return t + _response(model, p_top, 1, dst)
 
 
 RESIDUAL_TOL = 1e-8
@@ -215,9 +223,9 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     """Solve the discretized steady-state heat equation.
 
     Directly in the cosine basis, plus the exact Woodbury correction for the top
-    cells a smaller sink leaves uncooled (``_solve``). The relative residual,
-    measured with a stencil on the full field, must come out <= 1e-8 and no cell
-    may lie below ambient, or a ThermalError is raised.
+    cells a smaller sink leaves uncooled (``_solve``, whose CG fails closed). The
+    relative residual, measured with a stencil on the full field, must come out
+    <= 1e-8 and no cell may lie below ambient, or a ThermalError is raised.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
     data = stack.ambient + _solve(model, pm.cells)
@@ -232,6 +240,24 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     if data.min() < stack.ambient - 1e-6:
         raise ThermalError("temperature field dips below ambient; model is inconsistent")
     return TemperatureField(stack, pm.cell_mm, data)
+
+
+def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
+    """Peak chiplet-layer temperature, solved for that layer alone.
+
+    The annealer's per-move score: ``_solve`` transforms only the chiplet layer
+    (and, under a partial sink, the top layer that starts CG), so no full field
+    or stencil residual is built. The rise is computed by the same operations as
+    ``solve_steady_state``'s, and adding ambient rounds monotonically, so this
+    equals ``peak_temperature(solve_steady_state(pm, stack))`` bit for bit. It
+    fails closed: a CG that misses its bound, or a peak below ambient (NaN
+    included), raises ThermalError.
+    """
+    model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
+    peak = stack.ambient + _solve(model, pm.cells, stack.layer_index(CHIPLET_LAYER)).max()
+    if not peak >= stack.ambient - 1e-6:
+        raise ThermalError(f"chiplet-layer peak {peak} C lies below ambient")
+    return float(peak)
 
 
 def boundary_heat_flow(tf: TemperatureField) -> float:

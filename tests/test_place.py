@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chipletdse import thermal
 from chipletdse.model import ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ValidationError
 from chipletdse.place import (
     AnnealConfig,
@@ -183,6 +186,59 @@ class TestProposeMove:
         assert rotations >= 5
 
 
+@st.composite
+def proposals(draw):
+    """A legal plan of oblong chiplets and a move of one or two of its rows:
+    a translation that may leave the board, a contact with another row's
+    spacing halo or with the edge margin a few eps either side, a swap, or a
+    quarter turn."""
+    fp = bst_placement(oblong_spec())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 20))):
+        fp = propose_move(fp, rng)
+    n, s = len(fp.placements), fp.min_spacing
+    i = draw(st.integers(0, n - 1))
+    j = (i + draw(st.integers(1, n - 1))) % n
+    p, q = fp.placements[i], fp.placements[j]
+    kind = draw(st.sampled_from(["translate", "contact", "swap", "rotate"]))
+    if kind == "translate":
+        return fp, {i: replace(p, x=draw(st.floats(-5.0, fp.width + 5.0)),
+                               y=draw(st.floats(-5.0, fp.height + 5.0)))}
+    if kind == "swap":
+        return fp, {i: replace(p, x=q.x, y=q.y), j: replace(q, x=p.x, y=p.y)}
+    if kind == "rotate":
+        cx, cy = p.center
+        return fp, {i: replace(p, rotation=(p.rotation + 90) % 360,
+                               x=cx - p.eff_height / 2.0, y=cy - p.eff_width / 2.0)}
+    off = draw(st.sampled_from([-3e-9, -1e-9, -0.5e-9, 0.0, 0.5e-9, 1e-9, 3e-9]))
+    gap = s + off
+    x, y = {
+        "right of": (q.x + q.eff_width + gap, q.y),
+        "left of": (q.x - gap - p.eff_width, q.y),
+        "above": (q.x, q.y + q.eff_height + gap),
+        "below": (q.x, q.y - gap - p.eff_height),
+        "low edge": (s / 2.0 + off, p.y),
+        "high edge": (fp.width - s / 2.0 - off - p.eff_width, p.y),
+    }[draw(st.sampled_from(["right of", "left of", "above", "below", "low edge", "high edge"]))]
+    return fp, {i: replace(p, x=x, y=y)}
+
+
+class TestRowLegality:
+    @settings(max_examples=300, deadline=None)
+    @given(proposals())
+    def test_admits_agrees_with_full_validate(self, proposal):
+        fp, moved = proposal
+        cand = replace(fp, placements=tuple(moved.get(k, p) for k, p in enumerate(fp.placements)))
+        assert fp.admits(moved) == cand.is_valid()
+
+    def test_proposals_skip_full_validate(self, monkeypatch):
+        fp = bst_placement(oblong_spec())
+        monkeypatch.setattr(Floorplan, "validate", lambda self: pytest.fail("full validate"))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            fp = propose_move(fp, rng)
+
+
 class TestAnnealConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
@@ -239,6 +295,12 @@ class TestOptimize:
                                                 coarse_cell_mm=2.0, fine_cell_mm=2.0))
         assert len(r.history) == 10
         assert all(row.k > 0 for row in r.history)
+
+    def test_score_drift_fails_the_epoch_guard(self, monkeypatch):
+        exact = thermal.chiplet_peak
+        monkeypatch.setattr(thermal, "chiplet_peak", lambda pm, stack: exact(pm, stack) + 1e-6)
+        with pytest.raises(PlacementError, match="disagrees with the full solve"):
+            optimize(small_spec(), FAST)
 
     def test_single_chiplet_centered(self):
         spec = PackageSpec("one", (ChipletSpec("a", 5, 5, 3.0),), 20.0, 20.0)

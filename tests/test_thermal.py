@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipletdse import thermal
 from chipletdse.model import (
@@ -17,6 +19,7 @@ from chipletdse.thermal import (
     PowerMap,
     ThermalError,
     boundary_heat_flow,
+    chiplet_peak,
     compare_soc_vs_chiplet,
     grid_shape,
     peak_temperature,
@@ -359,6 +362,49 @@ class TestSinkFootprint:
         pm = power_map(np.full((6, 6), 1.0))
         with pytest.raises(ThermalError, match="sink footprint"):
             solve_steady_state(pm, self.stack(0.5))
+
+
+class TestChipletPeak:
+    """The annealer's per-move score against the guarded full-field solve."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cell_mm=st.sampled_from([0.7, 1.0, 2.0]),
+           layers=st.sampled_from([DEFAULT_STACK_LAYERS, SMALL.layers, CHIP_ON_TOP.layers]),
+           h_top=st.floats(100.0, 1e5), ambient=st.floats(0.0, 85.0),
+           sink_side_mm=st.none() | st.floats(3.0, 40.0))
+    def test_equals_full_solve_peak(self, seed, cell_mm, layers, h_top, ambient, sink_side_mm):
+        # sinks below 30 x 24 mm leave top cells uncooled: the CG path
+        pm = rasterize(random_floorplan(np.random.default_rng(seed), cell_mm), cell_mm)
+        stack = ThermalStack(layers, h_top=h_top, ambient=ambient, sink_side_mm=sink_side_mm)
+        want = peak_temperature(solve_steady_state(pm, stack))
+        assert abs(chiplet_peak(pm, stack) - want) <= 1e-9
+
+    @pytest.mark.parametrize("side, reason", [(None, "below ambient"), (4.0, "converge")])
+    def test_nan_cell_raises(self, side, reason):
+        cells = np.full((6, 6), 1.0)
+        cells[2, 3] = np.nan
+        stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top, ambient=SMALL.ambient,
+                             sink_side_mm=side)
+        with pytest.raises(ThermalError, match=reason):
+            chiplet_peak(power_map(cells), stack)
+
+    def test_peak_below_ambient_raises(self):
+        with pytest.raises(ThermalError, match="below ambient"):
+            chiplet_peak(power_map(np.full((4, 4), -1.0)), SMALL)
+
+    def test_unconverged_correction_raises(self, monkeypatch):
+        # an affine top-in/top-out response: CG runs its k steps without meeting its bound
+        response = thermal._response
+
+        def offset(model, p, src, dst=slice(None)):
+            return response(model, p, src, dst) + (1e-3 if src == 1 and dst == -1 else 0.0)
+
+        monkeypatch.setattr(thermal, "_response", offset)
+        stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top, ambient=SMALL.ambient,
+                             sink_side_mm=4.0)
+        pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
+        with pytest.raises(ThermalError, match="converge"):
+            chiplet_peak(pm, stack)
 
 
 def soc_plan(board=50.0, power=100.0):
