@@ -308,6 +308,10 @@ class PackageSpec:
 # Floorplans (shared between the thermal solver and the placer)
 
 
+Box = tuple[float, float, float, float]  # (x0, y0, x1, y1), mm
+_PLACEMENT_EPS_MM = 1e-9  # slack of every bounds and spacing test
+
+
 @dataclass(frozen=True)
 class PlacedChiplet:
     """A chiplet instance placed on the interposer.
@@ -344,12 +348,9 @@ class PlacedChiplet:
         return (self.x + self.eff_width / 2.0, self.y + self.eff_height / 2.0)
 
     @property
-    def box(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of the effective footprint, mm."""
+    def box(self) -> Box:
+        """The effective footprint."""
         return (self.x, self.y, self.x + self.eff_width, self.y + self.eff_height)
-
-
-_PLACEMENT_EPS_MM = 1e-9  # slack of every bounds and spacing test
 
 
 @dataclass(frozen=True)
@@ -379,15 +380,14 @@ class Floorplan:
         return True
 
     # The legality rule, shared by validate and admits.
-    def _in_bounds(self, box: tuple[float, float, float, float]) -> bool:
+    def _in_bounds(self, box: Box) -> bool:
         """The footprint keeps a min_spacing/2 margin to every interposer edge."""
         margin, eps = self.min_spacing / 2.0, _PLACEMENT_EPS_MM
         x0, y0, x1, y1 = box
         return not (x0 < margin - eps or y0 < margin - eps
                     or x1 > self.width - margin + eps or y1 > self.height - margin + eps)
 
-    def _apart(self, a: tuple[float, float, float, float],
-               b: tuple[float, float, float, float]) -> bool:
+    def _apart(self, a: Box, b: Box) -> bool:
         """Two footprints are at least min_spacing apart (the spacing halo)."""
         s, eps = self.min_spacing, _PLACEMENT_EPS_MM
         return not (a[0] < b[2] + s - eps and b[0] < a[2] + s - eps

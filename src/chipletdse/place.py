@@ -188,8 +188,10 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
             q = fp.placements[j]
             moved = {i: _at(p, q.x, q.y), j: _at(q, p.x, p.y)}
         if fp.admits(moved):
-            placements = tuple(moved.get(k, q) for k, q in enumerate(fp.placements))
-            return Floorplan(fp.width, fp.height, placements, fp.links, fp.min_spacing)
+            placements = list(fp.placements)
+            for k, row in moved.items():
+                placements[k] = row
+            return replace(fp, placements=tuple(placements))
     raise PlacementError(f"floorplan too congested: no legal move in {RETRY_CAP} attempts")
 
 
