@@ -132,10 +132,10 @@ def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     geometry = replace(bundle.geometry if bundle else phy.TraceGeometry(), **_given(
         trace_width_um=args.trace_width_um, trace_thickness_um=args.trace_thickness_um,
         ground_thickness_um=args.ground_thickness_um, interposer_height_um=args.interposer_height_um,
-        relative_permittivity=args.er, conductivity=args.sigma))
+        relative_permittivity=args.er, conductivity_s_m=args.sigma))
     targets = replace(bundle.targets if bundle else phy.PhyTargets(), **_given(
-        clock_frequency=args.clock, safety_factor=args.sf))
-    lp = phy.line_params(geometry, targets.clock_frequency)
+        clock_frequency_hz=args.clock, safety_factor=args.sf))
+    lp = phy.line_params(geometry, targets.clock_frequency_hz)
     max_len = phy.max_trace_length(targets, geometry)
     lengths = [i * 1e-3 for i in range(1, 101)]
     curve = phy.bandwidth_curve(lengths, targets, geometry)

@@ -22,7 +22,7 @@ def die_yield(area: float, params: ProcessCostParams) -> float:
     """Fraction of defect-free dies of the given area, in (0, 1]."""
     if area < 0:
         raise CostModelError("area must be >= 0")
-    return (1.0 + params.d0 * area / params.alpha_yield) ** (-params.alpha_yield)
+    return (1.0 + params.d0_per_mm2 * area / params.alpha_yield) ** (-params.alpha_yield)
 
 
 def gross_dies_per_wafer(area: float, wafer_diameter: float) -> int:
@@ -70,7 +70,7 @@ def die_cost(area: float, params: ProcessCostParams) -> DieCost:
     """A die's yield, gross dies per wafer and the cost of one good die,
     wafer_cost / (gross_dies_per_wafer * die_yield)."""
     y = die_yield(area, params)
-    gross = gross_dies_per_wafer(area, params.wafer_diameter)
+    gross = gross_dies_per_wafer(area, params.wafer_diameter_mm)
     if gross == 0:
         raise CostModelError(f"die of {area} mm^2 exceeds wafer capacity")
     if y == 0:

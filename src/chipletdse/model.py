@@ -1,10 +1,13 @@
 """Shared domain types, spec-file ingestion, and validation.
 
-All lengths are mm, power in W, temperature in degrees C unless a field
-name says otherwise. Spec files are JSON documents with top-level keys
-``package``, ``chiplets``, ``stack``, ``process``, ``phy``, ``anneal``,
-``tiles`` and ``configs`` (schema documented in the repository README);
-``load_bundle`` is the only code that reads them.
+Spec files are JSON documents with top-level keys ``package``,
+``chiplets``, ``stack``, ``process``, ``phy``, ``anneal``, ``tiles`` and
+``configs`` (schema documented in the repository README); ``load_bundle`` is
+the only code that reads them. Each spec key is the name of the dataclass
+field that holds it, and a unit-bearing key ends in its unit (``width_mm``,
+``power_w``, ``frequency_hz``), so a range error names the same field from a
+constructor as from a spec: ``"<field>: <reason>"``, prefixed by the
+section's path. Derived values are in mm, W and degrees C.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -72,15 +75,15 @@ class ChipletSpec:
     """One die: footprint, dissipated power, and logical connectivity."""
 
     name: str
-    width: float
-    height: float
-    power: float = 0.0
+    width_mm: float
+    height_mm: float
+    power_w: float = 0.0
     kind: str = "compute"
     ports: tuple[tuple[str, float], ...] = ()  # (peer, weight)
 
     def __post_init__(self) -> None:
-        _positive(self, "width", "height")
-        _non_negative(self, "power")
+        _positive(self, "width_mm", "height_mm")
+        _non_negative(self, "power_w")
         if self.kind not in CHIPLET_KINDS:
             raise ValidationError(f"kind: must be one of {CHIPLET_KINDS}")
         for k, (_, weight) in enumerate(self.ports):
@@ -89,17 +92,17 @@ class ChipletSpec:
 
     @property
     def area(self) -> float:
-        return self.width * self.height
+        return self.width_mm * self.height_mm
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
     thickness_mm: float
-    conductivity: float  # W/(m K)
+    conductivity_w_mk: float
 
     def __post_init__(self) -> None:
-        _positive(self, "thickness_mm", "conductivity")
+        _positive(self, "thickness_mm", "conductivity_w_mk")
 
 
 #: Default 2.5D sandwich. Conductivities are standard material values and
@@ -126,8 +129,8 @@ class ThermalStack:
     """
 
     layers: tuple[LayerSpec, ...] = DEFAULT_STACK_LAYERS
-    h_top: float = 1000.0  # W/(m^2 K), convective top boundary
-    ambient: float = 45.0  # degrees C
+    h_top_w_m2k: float = 1000.0  # convective top boundary
+    ambient_c: float = 45.0
     sink_side_mm: float | None = None
 
     def __post_init__(self) -> None:
@@ -136,7 +139,7 @@ class ThermalStack:
         if CHIPLET_LAYER not in self.layer_names:
             raise ValidationError(f"layers: no layer named {CHIPLET_LAYER!r}")
         require_unique(list(self.layer_names), "layers")
-        _positive(self, "h_top")
+        _positive(self, "h_top_w_m2k")
         if self.sink_side_mm is not None:
             _positive(self, "sink_side_mm")
 
@@ -157,16 +160,16 @@ class ProcessCostParams:
     package's inter-die connection count that the cost report prices."""
 
     wafer_cost: float = 10000.0
-    wafer_diameter: float = 300.0  # mm
-    d0: float = 0.002  # defects per mm^2
+    wafer_diameter_mm: float = 300.0
+    d0_per_mm2: float = 0.002  # defect density
     alpha_yield: float = 3.0
     assembly_die_survival: float = 0.999
     assembly_conn_survival: float = 0.999999
     n_connections: int = 20000
 
     def __post_init__(self) -> None:
-        _positive(self, "wafer_cost", "wafer_diameter", "alpha_yield")
-        _non_negative(self, "d0", "n_connections")
+        _positive(self, "wafer_cost", "wafer_diameter_mm", "alpha_yield")
+        _non_negative(self, "d0_per_mm2", "n_connections")
         for name in ("assembly_die_survival", "assembly_conn_survival"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValidationError(f"{name}: must be in (0, 1]")
@@ -193,18 +196,18 @@ class PowerParams:
     """CMOS power model inputs (switching, short-circuit, leakage)."""
 
     activity: float = 0.1
-    load_capacitance: float = 1e-9  # F
-    frequency: float = 2e9  # Hz
-    voltage: float = 1.0  # V
-    gain_factor: float = 1e-4  # A/V^2
-    transition_time: float = 50e-12  # s
-    threshold: float = 0.3  # V
-    leakage_current: float = 1e-10  # A per transistor
-    transistor_density: float = 1e8  # transistors/mm^2
-    area: float = 100.0  # mm^2
+    load_capacitance_f: float = 1e-9
+    frequency_hz: float = 2e9
+    voltage_v: float = 1.0
+    gain_factor_a_v2: float = 1e-4
+    transition_time_s: float = 50e-12
+    threshold_v: float = 0.3
+    leakage_current_a: float = 1e-10  # per transistor
+    transistor_density_mm2: float = 1e8  # transistors per mm^2
+    area_mm2: float = 100.0
 
     def __post_init__(self) -> None:
-        _positive(self, "frequency")
+        _positive(self, "frequency_hz")
         _non_negative(self, *(f.name for f in fields(self)))
         if not self.activity <= 1:
             raise ValidationError("activity: must be in [0, 1]")
@@ -219,11 +222,11 @@ class TraceGeometry:
     ground_thickness_um: float = 50.0
     interposer_height_um: float = 100.0
     relative_permittivity: float = 11.68
-    conductivity: float = 5.98e7  # S/m
+    conductivity_s_m: float = 5.98e7
 
     def __post_init__(self) -> None:
         for name in ("trace_width_um", "trace_thickness_um", "ground_thickness_um",
-                     "interposer_height_um", "conductivity"):
+                     "interposer_height_um", "conductivity_s_m"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name}: must be > 0 and finite")
         if not 1 <= self.relative_permittivity < math.inf:
@@ -232,17 +235,17 @@ class TraceGeometry:
 
 @dataclass(frozen=True)
 class PhyTargets:
-    clock_frequency: float = 2e9  # Hz
+    clock_frequency_hz: float = 2e9
     safety_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        for name in ("clock_frequency", "safety_factor"):
+        for name in ("clock_frequency_hz", "safety_factor"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name}: must be > 0 and finite")
 
     @property
     def target_bandwidth(self) -> float:
-        return self.safety_factor * self.clock_frequency
+        return self.safety_factor * self.clock_frequency_hz
 
 
 @dataclass(frozen=True)
@@ -259,7 +262,7 @@ class AnnealConfig:
 
     k0: float = 0.1
     decay: float = 0.97
-    tol: float = 0.1  # degrees C
+    tol_c: float = 0.1
     max_iterations: int = 500
     moves_per_iteration: int = 10
     seed: int = 0
@@ -267,7 +270,7 @@ class AnnealConfig:
     fine_cell_mm: float = 1.0  # final solve on the returned plan
 
     def __post_init__(self) -> None:
-        _positive(self, "k0", "tol", "coarse_cell_mm", "fine_cell_mm", "max_iterations",
+        _positive(self, "k0", "tol_c", "coarse_cell_mm", "fine_cell_mm", "max_iterations",
                   "moves_per_iteration")
         _non_negative(self, "seed")
         if not 0 < self.decay < 1:
@@ -280,27 +283,27 @@ class PackageSpec:
 
     The package is qualified for automotive use, so the ambient of its stack
     must lie in [AMBIENT_MIN_C, AMBIENT_MAX_C]. The chiplets' footprints,
-    each grown by ``min_spacing``, must not exceed the interposer area.
+    each grown by ``min_spacing_mm``, must not exceed the interposer area.
     """
 
     name: str
     chiplets: tuple[ChipletSpec, ...]
-    interposer_width: float
-    interposer_height: float
-    min_spacing: float = 1.0
+    interposer_width_mm: float
+    interposer_height_mm: float
+    min_spacing_mm: float = 1.0
     stack: ThermalStack = ThermalStack()
 
     def __post_init__(self) -> None:
-        _positive(self, "interposer_width", "interposer_height")
-        _non_negative(self, "min_spacing")
-        if not AMBIENT_MIN_C <= self.stack.ambient <= AMBIENT_MAX_C:
-            raise ValidationError(f"ambient: must be within [{AMBIENT_MIN_C}, {AMBIENT_MAX_C}] "
+        _positive(self, "interposer_width_mm", "interposer_height_mm")
+        _non_negative(self, "min_spacing_mm")
+        if not AMBIENT_MIN_C <= self.stack.ambient_c <= AMBIENT_MAX_C:
+            raise ValidationError(f"ambient_c: must be within [{AMBIENT_MIN_C}, {AMBIENT_MAX_C}] "
                                   "(automotive range)")
-        s = self.min_spacing
-        budget = sum((c.width + s) * (c.height + s) for c in self.chiplets)
-        area = self.interposer_width * self.interposer_height
+        s = self.min_spacing_mm
+        budget = sum((c.width_mm + s) * (c.height_mm + s) for c in self.chiplets)
+        area = self.interposer_width_mm * self.interposer_height_mm
         if budget > area:
-            raise ValidationError(f"interposer_width: chiplet footprints with spacing halo "
+            raise ValidationError(f"interposer_width_mm: chiplet footprints with spacing halo "
                                   f"({budget:.1f} mm^2) exceed interposer area ({area:.1f} mm^2)")
 
 
@@ -316,61 +319,61 @@ _PLACEMENT_EPS_MM = 1e-9  # slack of every bounds and spacing test
 class PlacedChiplet:
     """A chiplet instance placed on the interposer.
 
-    (x, y) is the lower-left corner of the *effective* (rotated) footprint;
-    width/height are the unrotated footprint.
+    (x_mm, y_mm) is the lower-left corner of the *effective* (rotated)
+    footprint; width_mm/height_mm are the unrotated footprint.
     """
 
     name: str
-    x: float
-    y: float
-    rotation: int  # degrees: 0 / 90 / 180 / 270
-    width: float
-    height: float
-    power: float = 0.0
+    x_mm: float
+    y_mm: float
+    rotation_deg: int  # 0 / 90 / 180 / 270
+    width_mm: float
+    height_mm: float
+    power_w: float = 0.0
 
     def __post_init__(self) -> None:
         # O(1): the annealer builds one of these per proposed move
-        if self.rotation not in (0, 90, 180, 270):
-            raise ValidationError("rotation: must be 0, 90, 180 or 270")
-        _positive(self, "width", "height")
-        _non_negative(self, "power")
+        if self.rotation_deg not in (0, 90, 180, 270):
+            raise ValidationError("rotation_deg: must be 0, 90, 180 or 270")
+        _positive(self, "width_mm", "height_mm")
+        _non_negative(self, "power_w")
 
     @property
     def eff_width(self) -> float:
-        return self.height if self.rotation in (90, 270) else self.width
+        return self.height_mm if self.rotation_deg in (90, 270) else self.width_mm
 
     @property
     def eff_height(self) -> float:
-        return self.width if self.rotation in (90, 270) else self.height
+        return self.width_mm if self.rotation_deg in (90, 270) else self.height_mm
 
     @property
     def center(self) -> tuple[float, float]:
-        return (self.x + self.eff_width / 2.0, self.y + self.eff_height / 2.0)
+        return (self.x_mm + self.eff_width / 2.0, self.y_mm + self.eff_height / 2.0)
 
     @property
     def box(self) -> Box:
         """The effective footprint."""
-        return (self.x, self.y, self.x + self.eff_width, self.y + self.eff_height)
+        return (self.x_mm, self.y_mm, self.x_mm + self.eff_width, self.y_mm + self.eff_height)
 
 
 @dataclass(frozen=True)
 class Floorplan:
     """Placements on an interposer plus the inter-chiplet connectivity."""
 
-    width: float
-    height: float
+    width_mm: float
+    height_mm: float
     placements: tuple[PlacedChiplet, ...]
     links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a declared before b
-    min_spacing: float = 0.0
+    min_spacing_mm: float = 0.0
 
     def __post_init__(self) -> None:
         # O(1), as the annealer builds one per move; placement legality is validate()'s job
-        _positive(self, "width", "height")
-        _non_negative(self, "min_spacing")
+        _positive(self, "width_mm", "height_mm")
+        _non_negative(self, "min_spacing_mm")
 
     @property
     def total_power(self) -> float:
-        return sum(p.power for p in self.placements)
+        return sum(p.power_w for p in self.placements)
 
     def is_valid(self) -> bool:
         try:
@@ -381,23 +384,23 @@ class Floorplan:
 
     # The legality rule, shared by validate and admits.
     def _in_bounds(self, box: Box) -> bool:
-        """The footprint keeps a min_spacing/2 margin to every interposer edge."""
-        margin, eps = self.min_spacing / 2.0, _PLACEMENT_EPS_MM
+        """The footprint keeps a min_spacing_mm/2 margin to every interposer edge."""
+        margin, eps = self.min_spacing_mm / 2.0, _PLACEMENT_EPS_MM
         x0, y0, x1, y1 = box
         return not (x0 < margin - eps or y0 < margin - eps
-                    or x1 > self.width - margin + eps or y1 > self.height - margin + eps)
+                    or x1 > self.width_mm - margin + eps or y1 > self.height_mm - margin + eps)
 
     def _apart(self, a: Box, b: Box) -> bool:
-        """Two footprints are at least min_spacing apart (the spacing halo)."""
-        s, eps = self.min_spacing, _PLACEMENT_EPS_MM
+        """Two footprints are at least min_spacing_mm apart (the spacing halo)."""
+        s, eps = self.min_spacing_mm, _PLACEMENT_EPS_MM
         return not (a[0] < b[2] + s - eps and b[0] < a[2] + s - eps
                     and a[1] < b[3] + s - eps and b[1] < a[3] + s - eps)
 
     def validate(self) -> None:
         """Raise unless all placements are in bounds and non-overlapping.
 
-        Bounds require min_spacing/2 margin to the interposer edge; pairs
-        require min_spacing separation (the spacing halo).
+        Bounds require min_spacing_mm/2 margin to the interposer edge; pairs
+        require min_spacing_mm separation (the spacing halo).
         """
         boxes = [p.box for p in self.placements]
         for i, box in enumerate(boxes):
@@ -436,9 +439,9 @@ def floorplan_to_document(fp: Floorplan) -> dict:
     """Standalone JSON form of a floorplan (footprints and links included),
     keyed as ``floorplan_from_document`` reads it."""
     return {
-        "interposer": {key: getattr(fp, name) for name, key in _INTERPOSER_KEYS.items()},
-        "placements": [{_PLACED_KEYS.get(f.name, f.name): getattr(p, f.name) for f in fields(p)}
-                       for p in fp.placements],
+        "interposer": {key: getattr(fp, key)
+                       for key in ("width_mm", "height_mm", "min_spacing_mm")},
+        "placements": [asdict(p) for p in fp.placements],
         "links": [{"a": a, "b": b, "weight": w} for a, b, w in fp.links],
     }
 
@@ -446,9 +449,9 @@ def floorplan_to_document(fp: Floorplan) -> dict:
 def floorplan_from_document(document: dict | str | Path) -> Floorplan:
     doc = read_document(document)
     placements = tuple(
-        _section(PlacedChiplet, pd, f"placements[{i}]", _PLACED_KEYS,
+        _section(PlacedChiplet, pd, f"placements[{i}]",
                  name=_name(pd, f"placements[{i}]", f"chiplet{i}"),
-                 rotation=_num(pd, "rotation_deg", f"placements[{i}]", 0.0))
+                 rotation_deg=_int(pd, "rotation_deg", f"placements[{i}]", 0))
         for i, pd in enumerate(_list(doc, "placements")))
     names = [p.name for p in placements]
     links = []
@@ -461,7 +464,7 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
         weight = _num(ld, "weight", path, 1.0)
         _require(weight > 0, f"{path}.weight", "must be > 0")
         links.append((ld["a"], ld["b"], weight))
-    fp = _section(Floorplan, doc.get("interposer"), "interposer", _INTERPOSER_KEYS,
+    fp = _section(Floorplan, doc.get("interposer"), "interposer",
                   placements=placements, links=tuple(links))
     fp.validate()
     return fp
@@ -508,6 +511,16 @@ def _num(doc: dict, key: str, path: str, default: float | None = None) -> float:
     return float(v)
 
 
+def _int(doc: dict, key: str, path: str, default: int | None = None) -> int:
+    """``_num`` of a key that must hold an integer; int() of the JSON value
+    keeps a large one (a seed) exact."""
+    if key not in doc and default is not None:
+        return default
+    value = _num(doc, key, path)
+    _require(value.is_integer(), f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
+    return int(doc[key])
+
+
 def _name(doc: Any, path: str, default: str | None = None) -> str:
     """The non-empty ``name`` of the object ``doc``."""
     if not isinstance(doc, dict):
@@ -524,33 +537,26 @@ def _list(doc: dict, key: str, path: str = "") -> list:
     return value
 
 
-def _section(cls, doc: Any, path: str, keys: dict[str, str], **given):
+def _section(cls, doc: Any, path: str, **given):
     """Build dataclass ``cls`` from the spec object ``doc``.
 
-    Each field not in ``given`` reads spec key ``keys.get(field, field)``,
-    in the unit the field holds; a field whose default is an int reads an
-    integer. An absent key takes the field's default, or is a missing-field
-    error if it has none. A range error that
+    Each field not in ``given`` reads the spec key of its own name; a field
+    whose default is an int reads an integer. An absent key takes the field's
+    default, or is a missing-field error if it has none. A range error that
     ``cls`` raises as ``"<field>: <reason>"`` is re-raised as
-    ``ValidationError("<path>.<key>: <reason>")``.
+    ``ValidationError("<path>.<field>: <reason>")``.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
     kwargs = dict(given)
     for f in fields(cls):
-        key = keys.get(f.name, f.name)
-        if f.name in given or (key not in doc and f.default is not MISSING):
+        if f.name in given or (f.name not in doc and f.default is not MISSING):
             continue
-        value = _num(doc, key, path)
-        if isinstance(f.default, int):  # int() of the JSON value keeps a large seed exact
-            _require(value.is_integer(), f"{path}.{key}", f"expected an integer, got {doc[key]!r}")
-            value = int(doc[key])
-        kwargs[f.name] = value
+        kwargs[f.name] = (_int if isinstance(f.default, int) else _num)(doc, f.name, path)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        name, _, reason = str(exc).partition(": ")
-        raise ValidationError(f"{path}.{keys.get(name, name)}: {reason}") from None
+        raise ValidationError(f"{path}.{exc}") from None
 
 
 def _port(doc: Any, path: str) -> tuple[str, float]:
@@ -562,21 +568,20 @@ def _port(doc: Any, path: str) -> tuple[str, float]:
 
 
 def _chiplet(doc: Any, path: str) -> ChipletSpec:
-    return _section(ChipletSpec, doc, path, _CHIPLET_KEYS, name=_name(doc, path),
+    return _section(ChipletSpec, doc, path, name=_name(doc, path),
                     kind=doc.get("kind", "compute"),
                     ports=tuple(_port(pd, f"{path}.ports[{k}]")
                                 for k, pd in enumerate(_list(doc, "ports", path))))
 
 
-def _stack(doc: Any, ambient: float) -> ThermalStack:
+def _stack(doc: Any, ambient_c: float) -> ThermalStack:
     """The ``stack`` section; absent layers take ThermalStack's default."""
     if not isinstance(doc, dict):
         raise ValidationError("stack: expected an object")
     layers = ThermalStack.layers if "layers" not in doc else tuple(
-        _section(LayerSpec, ld, f"stack.layers[{i}]", _LAYER_KEYS,
-                 name=_name(ld, f"stack.layers[{i}]"))
+        _section(LayerSpec, ld, f"stack.layers[{i}]", name=_name(ld, f"stack.layers[{i}]"))
         for i, ld in enumerate(_list(doc, "layers", "stack")))
-    return _section(ThermalStack, doc, "stack", _STACK_KEYS, layers=layers, ambient=ambient)
+    return _section(ThermalStack, doc, "stack", layers=layers, ambient_c=ambient_c)
 
 
 def load_spec(document: dict | str | Path) -> PackageSpec:
@@ -590,9 +595,8 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
     chiplets = tuple(_chiplet(cd, f"chiplets[{i}]") for i, cd in enumerate(chiplets_doc))
 
     require_unique([c.name for c in chiplets], "chiplets")
-    stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", ThermalStack.ambient))
-    spec = _section(PackageSpec, pkg, "package", _PACKAGE_KEYS, name=name, chiplets=chiplets,
-                    stack=stack)
+    stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", ThermalStack.ambient_c))
+    spec = _section(PackageSpec, pkg, "package", name=name, chiplets=chiplets, stack=stack)
     links_from_spec(spec)  # a bad port fails every subcommand at load
     return spec
 
@@ -619,31 +623,6 @@ def read_document(document: dict | str | Path) -> dict:
 # Full spec-file bundle (CLI entry): package plus the optional sections
 # driving the other subcommands.
 
-# spec key of each dataclass field whose name differs from it
-_PACKAGE_KEYS = {"interposer_width": "interposer_width_mm",
-                 "interposer_height": "interposer_height_mm",
-                 "min_spacing": "min_spacing_mm",
-                 "ambient": "ambient_c"}  # a PackageSpec check on its stack's ambient
-_CHIPLET_KEYS = {"width": "width_mm", "height": "height_mm", "power": "power_w"}
-_STACK_KEYS = {"h_top": "h_top_w_m2k"}
-_LAYER_KEYS = {"conductivity": "conductivity_w_mk"}
-_PLACED_KEYS = {**_CHIPLET_KEYS, "x": "x_mm", "y": "y_mm", "rotation": "rotation_deg"}
-_INTERPOSER_KEYS = {"width": "width_mm", "height": "height_mm", "min_spacing": "min_spacing_mm"}
-_PROCESS_KEYS = {"wafer_diameter": "wafer_diameter_mm", "d0": "d0_per_mm2"}
-_ANNEAL_KEYS = {"tol": "tol_c"}
-_TRACE_KEYS = {"conductivity": "conductivity_s_m"}
-_TARGET_KEYS = {"clock_frequency": "clock_frequency_hz"}
-_TILE_KEYS = {  # PowerParams, with the tile's own F and V
-    "frequency": "frequency_hz",
-    "voltage": "voltage_v",
-    "load_capacitance": "load_capacitance_f",
-    "gain_factor": "gain_factor_a_v2",
-    "transition_time": "transition_time_s",
-    "threshold": "threshold_v",
-    "leakage_current": "leakage_current_a",
-    "transistor_density": "transistor_density_mm2",
-    "area": "area_mm2",
-}
 _CONFIG_COLUMNS = ("cost", "throughput", "latency")
 
 #: One configuration to rank: (name, cost, throughput, latency).
@@ -665,8 +644,8 @@ class SpecBundle:
 
 def _tile(doc: Any, path: str) -> TileOperatingPoint:
     return TileOperatingPoint(_name(doc, path), _section(  # a tile states its own F and V
-        PowerParams, doc, path, _TILE_KEYS, frequency=_num(doc, "frequency_hz", path),
-        voltage=_num(doc, "voltage_v", path)))
+        PowerParams, doc, path, frequency_hz=_num(doc, "frequency_hz", path),
+        voltage_v=_num(doc, "voltage_v", path)))
 
 
 def _config_row(doc: Any, path: str) -> ConfigRow:
@@ -711,10 +690,10 @@ def load_bundle(document: dict | str | Path) -> SpecBundle:
     require_unique([t.name for t in tiles], "tiles")
     return SpecBundle(
         package=package,
-        process=_section(ProcessCostParams, doc.get("process", {}), "process", _PROCESS_KEYS),
-        anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal", _ANNEAL_KEYS),
-        geometry=_section(TraceGeometry, phy, "phy", _TRACE_KEYS),
-        targets=_section(PhyTargets, phy, "phy", _TARGET_KEYS),
+        process=_section(ProcessCostParams, doc.get("process", {}), "process"),
+        anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal"),
+        geometry=_section(TraceGeometry, phy, "phy"),
+        targets=_section(PhyTargets, phy, "phy"),
         tiles=tiles,
         configs=_config_rows(_list(doc, "configs"), "configs"),
     )

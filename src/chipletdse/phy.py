@@ -46,15 +46,15 @@ def line_params(g: TraceGeometry, f: float) -> LineParams:
         c_len = (g.relative_permittivity
                  * (width / height + 0.441)
                  / (30.0 * math.pi * v0))
-        r_dc = (1.0 / g.conductivity) * (
+        r_dc = (1.0 / g.conductivity_s_m) * (
             1.0 / (width * thickness)
             + 1.0 / (2.0 * ground))
-        delta = (math.pi * f * MU0 * g.conductivity) ** -0.5
+        delta = (math.pi * f * MU0 * g.conductivity_s_m) ** -0.5
         perimeter = 2.0 * thickness - 4.0 * delta + 2.0 * width
         if perimeter <= 0:
             raise PhyError("skin depth exceeds geometry")
-        r_ac = (1.0 / g.conductivity) * (
-            1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity))
+        r_ac = (1.0 / g.conductivity_s_m) * (
+            1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity_s_m))
     except ZeroDivisionError:  # a tiny length, or a product of two, underflowed to 0 m
         raise PhyError("line parameters out of floating-point range") from None
     return LineParams(c_len, r_dc, r_ac, delta)
@@ -86,7 +86,7 @@ def max_trace_length(targets: PhyTargets, g: TraceGeometry) -> float:
 
     Closed-form inversion of bandwidth_3db(L) = SF * f_clk.
     """
-    lp = line_params(g, targets.clock_frequency)
+    lp = line_params(g, targets.clock_frequency_hz)
     denom = (targets.target_bandwidth
              * lp.r_total_per_length * lp.c_per_length * LN9)
     return math.sqrt(0.35 / _in_range(denom, "bandwidth target"))
@@ -98,6 +98,6 @@ def bandwidth_curve(
     """(length, log10 bandwidth, log10 target) rows for plotting/CSV."""
     if not lengths:
         raise PhyError("length range must be non-empty")
-    lp = line_params(g, targets.clock_frequency)
+    lp = line_params(g, targets.clock_frequency_hz)
     log_target = math.log10(_in_range(targets.target_bandwidth, "target bandwidth"))
     return [(L, math.log10(bandwidth_3db(L, lp)), log_target) for L in lengths]

@@ -120,20 +120,20 @@ def bst_placement(spec: PackageSpec) -> Floorplan:
     Each chiplet is inserted with its spacing halo; the result is the
     deterministic baseline the annealer starts from.
     """
-    s = spec.min_spacing
-    root = _BspNode(s / 2.0, s / 2.0, spec.interposer_width - s, spec.interposer_height - s)
+    s = spec.min_spacing_mm
+    root = _BspNode(s / 2.0, s / 2.0, spec.interposer_width_mm - s, spec.interposer_height_mm - s)
     placements = []
     for c in spec.chiplets:
-        pos = root.insert(c.width + s, c.height + s)
+        pos = root.insert(c.width_mm + s, c.height_mm + s)
         if pos is None:
             raise PlacementError(
                 f"chiplet {c.name!r} does not fit: interposer "
-                f"{spec.interposer_width}x{spec.interposer_height} mm is too small")
+                f"{spec.interposer_width_mm}x{spec.interposer_height_mm} mm is too small")
         placements.append(PlacedChiplet(
-            c.name, pos[0] + s / 2.0, pos[1] + s / 2.0, 0, c.width, c.height, c.power))
+            c.name, pos[0] + s / 2.0, pos[1] + s / 2.0, 0, c.width_mm, c.height_mm, c.power_w))
     fp = Floorplan(
-        spec.interposer_width, spec.interposer_height, tuple(placements),
-        links=links_from_spec(spec), min_spacing=s)
+        spec.interposer_width_mm, spec.interposer_height_mm, tuple(placements),
+        links=links_from_spec(spec), min_spacing_mm=s)
     fp.validate()
     return fp
 
@@ -144,14 +144,14 @@ def bst_placement(spec: PackageSpec) -> Floorplan:
 
 RETRY_CAP = 200  # proposals drawn per move before the board counts as congested
 WARMUP_SAMPLES = 20  # random neighbours that seed the normalization bounds
-PERSISTENCE = 5  # consecutive epochs the |dT| < tol test must hold
+PERSISTENCE = 5  # consecutive epochs the |dT| < tol_c test must hold
 SCORE_GUARD_C = 1e-9  # how far a move score may lie from its plan's guarded full solve
 
 
 def _at(p: PlacedChiplet, x: float, y: float, rotation: int | None = None) -> PlacedChiplet:
     """p anchored at (x, y), built directly: ``replace`` is slow on the per-move path."""
-    return PlacedChiplet(p.name, x, y, p.rotation if rotation is None else rotation,
-                         p.width, p.height, p.power)
+    return PlacedChiplet(p.name, x, y, p.rotation_deg if rotation is None else rotation,
+                         p.width_mm, p.height_mm, p.power_w)
 
 
 def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
@@ -163,7 +163,7 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
     none is legal the floorplan is considered too congested. fp must be legal:
     a proposal is checked only for the rows it moves (``Floorplan.admits``).
     """
-    step_mm = max(fp.width, fp.height) / 8.0
+    step_mm = max(fp.width_mm, fp.height_mm) / 8.0
     n = len(fp.placements)
     for _ in range(RETRY_CAP):
         kind = rng.integers(0, 3 if n >= 2 else 2)
@@ -172,21 +172,21 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
         if kind == 0:  # translate
             magnitude = step_mm * 10.0 ** rng.uniform(-2.0, 0.0)
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            moved = {i: _at(p, p.x + magnitude * math.cos(angle),
-                            p.y + magnitude * math.sin(angle))}
+            moved = {i: _at(p, p.x_mm + magnitude * math.cos(angle),
+                            p.y_mm + magnitude * math.sin(angle))}
         elif kind == 1:  # rotate 90 degrees about the footprint center
-            if p.width == p.height:
+            if p.width_mm == p.height_mm:
                 continue  # no-op rotation, not a move
             cx, cy = p.center
             # a quarter turn swaps the effective width and height
             moved = {i: _at(p, cx - p.eff_height / 2.0, cy - p.eff_width / 2.0,
-                            (p.rotation + 90) % 360)}
+                            (p.rotation_deg + 90) % 360)}
         else:  # swap anchor positions of two chiplets
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
             q = fp.placements[j]
-            moved = {i: _at(p, q.x, q.y), j: _at(q, p.x, p.y)}
+            moved = {i: _at(p, q.x_mm, q.y_mm), j: _at(q, p.x_mm, p.y_mm)}
         if fp.admits(moved):
             placements = list(fp.placements)
             for k, row in moved.items():
@@ -246,8 +246,9 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 
     if len(current.placements) == 1:
         p = current.placements[0]
-        centered = replace(current, placements=(
-            replace(p, x=(current.width - p.width) / 2.0, y=(current.height - p.height) / 2.0),))
+        centered = replace(current, placements=(replace(
+            p, x_mm=(current.width_mm - p.width_mm) / 2.0,
+            y_mm=(current.height_mm - p.height_mm) / 2.0),))
         t, w = _peak(centered, stack, cfg.coarse_cell_mm), wirelength(centered)
         row = HistoryRow(0, t, w, 0.0, cfg.k0)
         return AnnealResult(centered, (row,), t, _peak(centered, stack, cfg.fine_cell_mm), True)
@@ -293,7 +294,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
                                  f"the full solve's {full_t!r} C")
         history.append(HistoryRow(it, cur_t, cur_w,
                                   anneal_cost(cur_t, cur_w, bounds), k))
-        if it > 0 and abs(cur_t - prev_peak) < cfg.tol:
+        if it > 0 and abs(cur_t - prev_peak) < cfg.tol_c:
             stable_epochs += 1
             if stable_epochs >= PERSISTENCE:
                 converged = True
@@ -343,7 +344,8 @@ def interposer_sweep(
     rows = []
     for side in side_lengths_mm:
         try:
-            result = optimize(replace(spec, interposer_width=side, interposer_height=side), cfg)
+            sized = replace(spec, interposer_width_mm=side, interposer_height_mm=side)
+            result = optimize(sized, cfg)
         except (PlacementError, ValidationError):
             rows.append(SweepRow(side, side * side, None, False))
             continue

@@ -31,13 +31,13 @@ def power_breakdown(p: PowerParams) -> PowerBreakdown:
     leakage   = I*V * TDensity * area
     """
     try:
-        switching = p.activity * p.load_capacitance * p.frequency * p.voltage ** 2
-        overdrive = p.voltage - 2.0 * p.threshold
-        short = (p.activity * (p.gain_factor / 12.0) * p.frequency
-                 * p.transition_time * overdrive ** 3) if overdrive > 0 else 0.0
+        switching = p.activity * p.load_capacitance_f * p.frequency_hz * p.voltage_v ** 2
+        overdrive = p.voltage_v - 2.0 * p.threshold_v
+        short = (p.activity * (p.gain_factor_a_v2 / 12.0) * p.frequency_hz
+                 * p.transition_time_s * overdrive ** 3) if overdrive > 0 else 0.0
     except OverflowError:
-        raise PowerError(f"voltage {p.voltage} V overflows the power model") from None
-    leakage = p.leakage_current * p.voltage * p.transistor_density * p.area
+        raise PowerError(f"voltage {p.voltage_v} V overflows the power model") from None
+    leakage = p.leakage_current_a * p.voltage_v * p.transistor_density_mm2 * p.area_mm2
     return PowerBreakdown(switching, short, leakage)
 
 

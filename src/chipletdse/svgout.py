@@ -30,7 +30,7 @@ def fmt(value) -> str:
 def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
     """Render a floorplan; y is flipped so (0,0) is the lower-left corner."""
     kinds = kinds or {}
-    w_px, h_px = fp.width * SCALE, fp.height * SCALE
+    w_px, h_px = fp.width_mm * SCALE, fp.height_mm * SCALE
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -40,10 +40,10 @@ def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
         f'fill="#f4f6f7" stroke="#2c3e50" stroke-width="2"/>',
     ]
     for p in fp.placements:
-        x = p.x * SCALE
-        y = (fp.height - p.y - p.eff_height) * SCALE
+        x = p.x_mm * SCALE
+        y = (fp.height_mm - p.y_mm - p.eff_height) * SCALE
         fill = _KIND_FILL.get(kinds.get(p.name, ""), "#d5d8dc")
-        label = p.name if p.rotation == 0 else f"{p.name} (r{p.rotation})"
+        label = p.name if p.rotation_deg == 0 else f"{p.name} (r{p.rotation_deg})"
         cx = x + p.eff_width * SCALE / 2.0
         cy = y + p.eff_height * SCALE / 2.0
         lines.append(

@@ -94,13 +94,13 @@ def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
 
 def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
     """``rasterize`` of a floorplan already known to be legal, with cell_mm > 0."""
-    x, y, w, h, power = np.array([(p.x, p.y, p.eff_width, p.eff_height, p.power)
+    x, y, w, h, power = np.array([(p.x_mm, p.y_mm, p.eff_width, p.eff_height, p.power_w)
                                   for p in floorplan.placements]).reshape(-1, 5).T
     small = np.flatnonzero(np.minimum(w, h) < cell_mm)
     if small.size:
         raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
                            f"chiplet {floorplan.placements[small[0]].name!r}")
-    nx, ny = grid_shape(floorplan.width, floorplan.height, cell_mm)
+    nx, ny = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
     ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
     oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
     density = power / (w * h)  # W/mm^2
@@ -137,13 +137,13 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     cell = cell_mm * MM
     a_face = cell * cell  # horizontal cell face, m^2
     t = np.array([layer.thickness_mm for layer in stack.layers]) * MM
-    k = np.array([layer.conductivity for layer in stack.layers])
+    k = np.array([layer.conductivity_w_mk for layer in stack.layers])
     g_lat = k * (cell * t) / cell
     # vertical conduction to the layer above (half-thickness series)
     g_vert = a_face / (t[:-1] / (2.0 * k[:-1]) + t[1:] / (2.0 * k[1:]))
     # convective top boundary: half top-layer conduction in series with h,
     # applied to the top cells whose centres the centred sink footprint covers
-    g_amb = 1.0 / (t[-1] / (2.0 * k[-1] * a_face) + 1.0 / (stack.h_top * a_face))
+    g_amb = 1.0 / (t[-1] / (2.0 * k[-1] * a_face) + 1.0 / (stack.h_top_w_m2k * a_face))
     half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2.0
     in_x = np.abs((np.arange(nx) + 0.5) * cell_mm - nx * cell_mm / 2.0) <= half
     in_y = np.abs((np.arange(ny) + 0.5) * cell_mm - ny * cell_mm / 2.0) <= half
@@ -228,16 +228,16 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     <= 1e-8 and no cell may lie below ambient, or a ThermalError is raised.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    data = stack.ambient + _solve(model, pm.cells)
+    data = stack.ambient_c + _solve(model, pm.cells)
 
     source = np.zeros_like(data)
     source[stack.layer_index(CHIPLET_LAYER)] = pm.cells
-    source[-1] += model.sink * stack.ambient  # right-hand side in absolute temperature
+    source[-1] += model.sink * stack.ambient_c  # right-hand side in absolute temperature
     # relative, except for a zero right-hand side (0 C ambient, no power): absolute
     res = np.linalg.norm(_apply(model, data) - source) / (np.linalg.norm(source) or 1.0)
     if not res <= RESIDUAL_TOL:  # fails closed on NaN
         raise ThermalError(f"solver residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    if data.min() < stack.ambient - 1e-6:
+    if data.min() < stack.ambient_c - 1e-6:
         raise ThermalError("temperature field dips below ambient; model is inconsistent")
     return TemperatureField(stack, pm.cell_mm, data)
 
@@ -254,8 +254,8 @@ def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
     included), raises ThermalError.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    peak = stack.ambient + _solve(model, pm.cells, stack.layer_index(CHIPLET_LAYER)).max()
-    if not peak >= stack.ambient - 1e-6:
+    peak = stack.ambient_c + _solve(model, pm.cells, stack.layer_index(CHIPLET_LAYER)).max()
+    if not peak >= stack.ambient_c - 1e-6:
         raise ThermalError(f"chiplet-layer peak {peak} C lies below ambient")
     return float(peak)
 
@@ -267,7 +267,7 @@ def boundary_heat_flow(tf: TemperatureField) -> float:
     """
     ny, nx = tf.data.shape[1:]
     sink = _grid_model(tf.stack, nx, ny, tf.cell_mm).sink
-    return float(((tf.data[-1] - tf.stack.ambient) * sink).sum())
+    return float(((tf.data[-1] - tf.stack.ambient_c) * sink).sum())
 
 
 def peak_temperature(tf: TemperatureField, layer: str = CHIPLET_LAYER) -> float:

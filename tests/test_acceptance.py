@@ -46,7 +46,7 @@ class TestCriterion1Phy:
         with report(1, "PHY per-length constants and max trace length"):
             g = phy.TraceGeometry()
             t = phy.PhyTargets()
-            lp = phy.line_params(g, t.clock_frequency)
+            lp = phy.line_params(g, t.clock_frequency_hz)
             assert lp.c_per_length == pytest.approx(389e-12, rel=5e-3)
             assert lp.r_dc_per_length == pytest.approx(16.72, rel=5e-3)
             assert lp.r_ac_per_length == pytest.approx(85.64, rel=5e-3)
@@ -96,7 +96,7 @@ class TestCriterion4ThermalProperties:
         with report(4, "thermal solver conservation/superposition/equivalence"):
             # zero power -> ambient
             tf = thermal.solve_steady_state(power_map(np.zeros((5, 5))), SMALL)
-            assert np.allclose(tf.data, SMALL.ambient, atol=1e-9)
+            assert np.allclose(tf.data, SMALL.ambient_c, atol=1e-9)
             # energy conservation on 50 random maps
             rng = np.random.default_rng(42)
             for _ in range(50):
@@ -106,10 +106,10 @@ class TestCriterion4ThermalProperties:
             # superposition
             p1 = power_map(rng.uniform(0.0, 3.0, size=(5, 5)))
             p2 = power_map(rng.uniform(0.0, 3.0, size=(5, 5)))
-            t1 = thermal.solve_steady_state(p1, SMALL).data - SMALL.ambient
-            t2 = thermal.solve_steady_state(p2, SMALL).data - SMALL.ambient
+            t1 = thermal.solve_steady_state(p1, SMALL).data - SMALL.ambient_c
+            t2 = thermal.solve_steady_state(p2, SMALL).data - SMALL.ambient_c
             t12 = thermal.solve_steady_state(
-                power_map(p1.cells + p2.cells), SMALL).data - SMALL.ambient
+                power_map(p1.cells + p2.cells), SMALL).data - SMALL.ambient_c
             assert np.allclose(t12, t1 + t2, rtol=1e-9, atol=1e-9)
             # equivalence with a dense direct solve on small grids
             for shape in ((3, 3), (6, 6), (4, 6)):
@@ -178,10 +178,10 @@ class TestCriterion8FormulaSuite:
                 pytest.approx(155.3, abs=0.5)
 
             b = power.power_breakdown(PowerParams(
-                activity=0.1, load_capacitance=1e-9, frequency=2e9, voltage=1.0))
+                activity=0.1, load_capacitance_f=1e-9, frequency_hz=2e9, voltage_v=1.0))
             assert b.switching == pytest.approx(0.2, rel=1e-9)
             assert power.power_breakdown(
-                PowerParams(voltage=0.5, threshold=0.3)).short_circuit == 0.0
+                PowerParams(voltage_v=0.5, threshold_v=0.3)).short_circuit == 0.0
 
             s = ServiceSpec(word_bits=512, service_bandwidth=64e9, base_latency=20e-9)
             assert perf.service_latency(s) == pytest.approx(2.8e-8, rel=1e-9)
@@ -203,5 +203,5 @@ class TestCriterion8FormulaSuite:
             fp = Floorplan(20, 20, (
                 PlacedChiplet("a", 0, 0, 0, 5, 5, 1.0),
                 PlacedChiplet("b", 4, 6, 0, 5, 5, 1.0),
-            ), links=(("a", "b", 1.0),), min_spacing=0.0)
+            ), links=(("a", "b", 1.0),), min_spacing_mm=0.0)
             assert place.wirelength(fp) == pytest.approx(10.0, rel=1e-12)

@@ -271,7 +271,7 @@ class TestSpecErrors:
     def test_explicit_zero_phy_flag_rejected(self, tmp_path, capsys):
         assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: clock_frequency: ") and err.count("\n") == 1
+        assert err.startswith("error: clock_frequency_hz: ") and err.count("\n") == 1
 
     def test_micrometre_flag_error_names_its_field(self, tmp_path, capsys):
         status = main(["phy", "--trace-width-um", "0", "--out", str(tmp_path / "o")])

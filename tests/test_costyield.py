@@ -14,9 +14,9 @@ def brute_package_cost(areas, n_conn, params):
     # independent arithmetic oracle, no shared code path beyond primitives
     total = 0.0
     for a in areas:
-        gross = math.floor(math.pi * (params.wafer_diameter / 2) ** 2 / a
-                           - math.pi * params.wafer_diameter / math.sqrt(2 * a))
-        y = (1 + params.d0 * a / params.alpha_yield) ** -params.alpha_yield
+        gross = math.floor(math.pi * (params.wafer_diameter_mm / 2) ** 2 / a
+                           - math.pi * params.wafer_diameter_mm / math.sqrt(2 * a))
+        y = (1 + params.d0_per_mm2 * a / params.alpha_yield) ** -params.alpha_yield
         total += params.wafer_cost / (gross * y)
     ay = params.assembly_die_survival ** len(areas) * params.assembly_conn_survival ** n_conn
     return total / ay
@@ -39,8 +39,8 @@ class TestDieYield:
         lo_a, hi_a = sorted((a1, a2))
         lo_d, hi_d = sorted((d1, d2))
         assert cy.die_yield(hi_a, P) <= cy.die_yield(lo_a, P)
-        p_lo = ProcessCostParams(d0=lo_d)
-        p_hi = ProcessCostParams(d0=hi_d)
+        p_lo = ProcessCostParams(d0_per_mm2=lo_d)
+        p_hi = ProcessCostParams(d0_per_mm2=hi_d)
         assert cy.die_yield(500.0, p_hi) <= cy.die_yield(500.0, p_lo)
 
 
@@ -112,7 +112,7 @@ class TestCostRatio:
     def test_zero_defect_density_equal_silicon(self):
         # with d0=0 and an area-preserving split only assembly yield and
         # edge loss differ; the advantage collapses
-        p0 = ProcessCostParams(d0=0.0)
+        p0 = ProcessCostParams(d0_per_mm2=0.0)
         assert cy.cost_ratio(858.0, [858.0 / 4] * 4, 20000, p0) < 1.2
 
     @settings(max_examples=30, deadline=None)

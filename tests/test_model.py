@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,19 +13,28 @@ from hypothesis import strategies as st
 
 import chipletdse
 from chipletdse.model import (
+    AnnealConfig,
     ChipletdseError,
     ChipletSpec,
     Floorplan,
+    LayerSpec,
     PackageSpec,
     ParseError,
+    PhyTargets,
     PlacedChiplet,
+    PowerParams,
+    ProcessCostParams,
     SpecError,
+    ThermalStack,
+    TraceGeometry,
     ValidationError,
     floorplan_from_document,
     floorplan_to_document,
     links_from_spec,
+    load_bundle,
     load_spec,
 )
+from chipletdse.place import bst_placement
 
 
 def make_doc(chiplets, width=40.0, height=40.0, spacing=1.0, ambient=45.0):
@@ -69,8 +81,8 @@ class TestLoadSpec:
     def test_over_budget_package_spec_rejected(self):
         # (5 + 1)^2 * 4 = 144 mm^2 of footprint with halo on a 10 x 10 interposer
         chiplets = tuple(ChipletSpec(f"c{i}", 5.0, 5.0) for i in range(4))
-        with pytest.raises(ValidationError, match=r"^interposer_width: chiplet footprints"):
-            PackageSpec("p", chiplets, 10.0, 10.0, min_spacing=1.0)
+        with pytest.raises(ValidationError, match=r"^interposer_width_mm: chiplet footprints"):
+            PackageSpec("p", chiplets, 10.0, 10.0, min_spacing_mm=1.0)
 
     def test_unresolved_peer_rejected(self):
         doc = make_doc([chip("a", ports=[("ghost", 1.0)]), chip("b")])
@@ -181,7 +193,7 @@ class TestFloorplan:
         fp = Floorplan(20, 20, (
             PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0),
             PlacedChiplet("b", 6.5, 1, 0, 5, 5, 1.0),
-        ), min_spacing=1.0)
+        ), min_spacing_mm=1.0)
         with pytest.raises(ValidationError):
             fp.validate()
 
@@ -189,17 +201,23 @@ class TestFloorplan:
         fp = Floorplan(20, 20, (
             PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0),
             PlacedChiplet("b", 8, 8, 90, 5, 3, 2.0),
-        ), links=(("a", "b", 2.0),), min_spacing=1.0)
+        ), links=(("a", "b", 2.0),), min_spacing_mm=1.0)
         assert floorplan_from_document(floorplan_to_document(fp)) == fp
 
     def test_document_key_order(self):
         doc = floorplan_to_document(Floorplan(20, 20, (PlacedChiplet("a", 1, 2, 90, 5, 3, 1.5),),
-                                              min_spacing=1.0))
+                                              min_spacing_mm=1.0))
         assert list(doc) == ["interposer", "placements", "links"]
         assert list(doc["interposer"]) == ["width_mm", "height_mm", "min_spacing_mm"]
         assert list(doc["placements"][0].items()) == [
             ("name", "a"), ("x_mm", 1), ("y_mm", 2), ("rotation_deg", 90), ("width_mm", 5),
             ("height_mm", 3), ("power_w", 1.5)]
+
+    def test_json_roundtrip_keeps_rotation_an_integer(self):
+        fp = Floorplan(20, 20, (PlacedChiplet("a", 1, 1, 90, 5, 3, 1.0),))
+        back = floorplan_from_document(json.loads(json.dumps(floorplan_to_document(fp))))
+        assert type(back.placements[0].rotation_deg) is int
+        assert '"rotation_deg": 90,' in json.dumps(floorplan_to_document(back))
 
     @pytest.mark.parametrize("link, field", [
         ({"a": "ghost", "b": "b"}, r"links\[0\]\.a"),
@@ -243,3 +261,58 @@ class TestLayering:
     def test_error_class_under_one_root(self, module, name, base):
         cls = getattr(importlib.import_module(f"chipletdse.{module}"), name)
         assert issubclass(cls, ChipletdseError) and issubclass(cls, base)
+
+
+BUNDLED_DOC = json.loads(Path(chipletdse.bundled_spec_path()).read_text())
+FLOORPLAN_DOC = floorplan_to_document(bst_placement(load_spec(BUNDLED_DOC)))
+
+#: (dataclass, path of the section it reads, that section in a document)
+SECTIONS = [
+    (PackageSpec, "package", lambda d: d["package"]),
+    (ChipletSpec, "chiplets[0]", lambda d: d["chiplets"][0]),
+    (ThermalStack, "stack", lambda d: d["stack"]),
+    (LayerSpec, "stack.layers[0]", lambda d: d["stack"]["layers"][0]),
+    (ProcessCostParams, "process", lambda d: d["process"]),
+    (AnnealConfig, "anneal", lambda d: d["anneal"]),
+    (TraceGeometry, "phy", lambda d: d["phy"]),
+    (PhyTargets, "phy", lambda d: d["phy"]),
+    (PowerParams, "tiles[0]", lambda d: d["tiles"][0]),
+    (PlacedChiplet, "placements[0]", lambda d: d["placements"][0]),
+    (Floorplan, "interposer", lambda d: d["interposer"]),
+]
+HELD_ELSEWHERE = {"ambient_c": ("package", lambda d: d["package"])}  # ThermalStack's
+GIVEN_KEYS = {"name", "kind", "ports", "layers"}  # passed to _section through ``given``
+OUT_OF_RANGE = {"ambient_c": 200.0}  # -1 C is a legal ambient; -1 fails every other check
+BOUNDS_CHECKED = {"x_mm", "y_mm"}  # no field check: a corner off the board fails validate
+
+
+def range_cases():
+    for cls, path, section in SECTIONS:
+        for f in dataclasses.fields(cls):
+            if f.type in ("float", "int", "float | None"):
+                where, get = HELD_ELSEWHERE.get(f.name, (path, section))
+                yield pytest.param(cls, where, get, f.name, id=f"{where}.{f.name}")
+
+
+class TestSpecKeysAreFieldNames:
+    """Each spec key is the name of the field that holds it, so a range error
+    reads ``<section path>.<field>: <reason>``."""
+
+    @pytest.mark.parametrize("cls, path, section, field", list(range_cases()))
+    def test_range_error_names_the_field(self, cls, path, section, field):
+        floorplan = cls in (PlacedChiplet, Floorplan)
+        doc = copy.deepcopy(FLOORPLAN_DOC if floorplan else BUNDLED_DOC)
+        section(doc)[field] = OUT_OF_RANGE.get(field, -1)
+        with pytest.raises(ValidationError) as exc:
+            (floorplan_from_document if floorplan else load_bundle)(doc)
+        prefix = f"{path}: " if field in BOUNDS_CHECKED else f"{path}.{field}: "
+        assert str(exc.value).startswith(prefix)
+
+    def test_every_bundled_key_is_a_field_of_its_reader(self):
+        readers = {path: set() for _, path, _ in SECTIONS}
+        for cls, path, _ in SECTIONS:
+            readers[path] |= {f.name for f in dataclasses.fields(cls)}
+        readers["package"] |= set(HELD_ELSEWHERE)
+        for cls, path, section in SECTIONS:
+            doc = FLOORPLAN_DOC if cls in (PlacedChiplet, Floorplan) else BUNDLED_DOC
+            assert set(section(doc)) - readers[path] <= GIVEN_KEYS, path

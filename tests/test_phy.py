@@ -19,7 +19,7 @@ from chipletdse.phy import (
 
 GEOM = TraceGeometry()
 TARGETS = PhyTargets()
-LP = line_params(GEOM, TARGETS.clock_frequency)
+LP = line_params(GEOM, TARGETS.clock_frequency_hz)
 
 
 class TestLineParams:
@@ -107,21 +107,21 @@ class TestMaxTraceLength:
         assert bandwidth_3db(L, LP) == pytest.approx(TARGETS.target_bandwidth, rel=1e-9)
 
     def test_shrinks_with_clock(self):
-        slow = max_trace_length(PhyTargets(clock_frequency=1e9), GEOM)
-        fast = max_trace_length(PhyTargets(clock_frequency=4e9), GEOM)
+        slow = max_trace_length(PhyTargets(clock_frequency_hz=1e9), GEOM)
+        fast = max_trace_length(PhyTargets(clock_frequency_hz=4e9), GEOM)
         assert fast < max_trace_length(TARGETS, GEOM) < slow
 
     @settings(max_examples=50, deadline=None)
     @given(f=st.floats(5e8, 2e10), sf=st.floats(1.0, 3.0))
     def test_round_trip_property(self, f, sf):
-        t = PhyTargets(clock_frequency=f, safety_factor=sf)
+        t = PhyTargets(clock_frequency_hz=f, safety_factor=sf)
         L = max_trace_length(t, GEOM)
         lp = line_params(GEOM, f)
         assert bandwidth_3db(L, lp) == pytest.approx(t.target_bandwidth, rel=1e-9)
 
     def test_bad_targets_rejected(self):
         with pytest.raises(ValidationError):
-            PhyTargets(clock_frequency=-1.0)
+            PhyTargets(clock_frequency_hz=-1.0)
 
 
 class TestBandwidthCurve:

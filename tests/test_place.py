@@ -31,7 +31,7 @@ def small_spec(width=20.0, height=20.0):
         ChipletSpec("c", 4, 4, 3.0),
         ChipletSpec("d", 4, 4, 2.0),
     )
-    return PackageSpec("small", chiplets, width, height, min_spacing=1.0)
+    return PackageSpec("small", chiplets, width, height, min_spacing_mm=1.0)
 
 
 def oblong_spec():
@@ -42,7 +42,7 @@ def oblong_spec():
         ChipletSpec("c", 5, 2.5, 3.0),
         ChipletSpec("d", 2, 4.5, 2.0),
     )
-    return PackageSpec("oblong", chiplets, 24.0, 20.0, min_spacing=1.0)
+    return PackageSpec("oblong", chiplets, 24.0, 20.0, min_spacing_mm=1.0)
 
 
 FAST = AnnealConfig(max_iterations=20, moves_per_iteration=5, seed=3,
@@ -54,7 +54,7 @@ class TestWirelength:
         fp = Floorplan(20, 20, (
             PlacedChiplet("a", 0, 0, 0, 5, 5, 1.0),
             PlacedChiplet("b", 4, 6, 0, 5, 5, 1.0),
-        ), links=(("a", "b", 1.0),), min_spacing=0.0)
+        ), links=(("a", "b", 1.0),), min_spacing_mm=0.0)
         # centers (2.5, 2.5) and (6.5, 8.5): |dx| + |dy| = 10
         assert wirelength(fp) == pytest.approx(10.0, rel=1e-12)
 
@@ -62,7 +62,7 @@ class TestWirelength:
         fp = Floorplan(20, 20, (
             PlacedChiplet("a", 0, 0, 0, 5, 5, 1.0),
             PlacedChiplet("b", 4, 6, 0, 5, 5, 1.0),
-        ), links=(("a", "b", 0.7),), min_spacing=0.0)
+        ), links=(("a", "b", 0.7),), min_spacing_mm=0.0)
         assert wirelength(fp) == pytest.approx(7.0, rel=1e-12)
 
     def test_no_links_zero(self):
@@ -164,7 +164,7 @@ class TestProposeMove:
         # a square chiplet covering the whole board: no translation fits
         # and rotations are no-ops
         fp = Floorplan(10, 10, (PlacedChiplet("a", 0, 0, 0, 10, 10, 1.0),),
-                       min_spacing=0.0)
+                       min_spacing_mm=0.0)
         with pytest.raises(PlacementError, match="congested"):
             propose_move(fp, np.random.default_rng(0))
 
@@ -176,10 +176,10 @@ class TestProposeMove:
             nxt = propose_move(cur, rng)
             nxt.validate()
             for old, new in zip(cur.placements, nxt.placements):
-                if new.rotation == old.rotation:
+                if new.rotation_deg == old.rotation_deg:
                     continue
                 rotations += 1
-                assert new.rotation == (old.rotation + 90) % 360
+                assert new.rotation_deg == (old.rotation_deg + 90) % 360
                 assert (new.eff_width, new.eff_height) == (old.eff_height, old.eff_width)
                 assert new.center == pytest.approx(old.center, rel=0.0, abs=1e-12)
             cur = nxt
@@ -196,31 +196,32 @@ def proposals(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for _ in range(draw(st.integers(0, 20))):
         fp = propose_move(fp, rng)
-    n, s = len(fp.placements), fp.min_spacing
+    n, s = len(fp.placements), fp.min_spacing_mm
     i = draw(st.integers(0, n - 1))
     j = (i + draw(st.integers(1, n - 1))) % n
     p, q = fp.placements[i], fp.placements[j]
     kind = draw(st.sampled_from(["translate", "contact", "swap", "rotate"]))
     if kind == "translate":
-        return fp, {i: replace(p, x=draw(st.floats(-5.0, fp.width + 5.0)),
-                               y=draw(st.floats(-5.0, fp.height + 5.0)))}
+        return fp, {i: replace(p, x_mm=draw(st.floats(-5.0, fp.width_mm + 5.0)),
+                               y_mm=draw(st.floats(-5.0, fp.height_mm + 5.0)))}
     if kind == "swap":
-        return fp, {i: replace(p, x=q.x, y=q.y), j: replace(q, x=p.x, y=p.y)}
+        return fp, {i: replace(p, x_mm=q.x_mm, y_mm=q.y_mm),
+                    j: replace(q, x_mm=p.x_mm, y_mm=p.y_mm)}
     if kind == "rotate":
         cx, cy = p.center
-        return fp, {i: replace(p, rotation=(p.rotation + 90) % 360,
-                               x=cx - p.eff_height / 2.0, y=cy - p.eff_width / 2.0)}
+        return fp, {i: replace(p, rotation_deg=(p.rotation_deg + 90) % 360,
+                               x_mm=cx - p.eff_height / 2.0, y_mm=cy - p.eff_width / 2.0)}
     off = draw(st.sampled_from([-3e-9, -1e-9, -0.5e-9, 0.0, 0.5e-9, 1e-9, 3e-9]))
     gap = s + off
     x, y = {
-        "right of": (q.x + q.eff_width + gap, q.y),
-        "left of": (q.x - gap - p.eff_width, q.y),
-        "above": (q.x, q.y + q.eff_height + gap),
-        "below": (q.x, q.y - gap - p.eff_height),
-        "low edge": (s / 2.0 + off, p.y),
-        "high edge": (fp.width - s / 2.0 - off - p.eff_width, p.y),
+        "right of": (q.x_mm + q.eff_width + gap, q.y_mm),
+        "left of": (q.x_mm - gap - p.eff_width, q.y_mm),
+        "above": (q.x_mm, q.y_mm + q.eff_height + gap),
+        "below": (q.x_mm, q.y_mm - gap - p.eff_height),
+        "low edge": (s / 2.0 + off, p.y_mm),
+        "high edge": (fp.width_mm - s / 2.0 - off - p.eff_width, p.y_mm),
     }[draw(st.sampled_from(["right of", "left of", "above", "below", "low edge", "high edge"]))]
-    return fp, {i: replace(p, x=x, y=y)}
+    return fp, {i: replace(p, x_mm=x, y_mm=y)}
 
 
 class TestRowLegality:
@@ -246,7 +247,7 @@ class TestAnnealConfig:
         with pytest.raises(ValidationError):
             AnnealConfig(decay=1.0)
         with pytest.raises(ValidationError):
-            AnnealConfig(tol=0.0)
+            AnnealConfig(tol_c=0.0)
         with pytest.raises(ValidationError):
             AnnealConfig(max_iterations=0)
         with pytest.raises(ValidationError, match="moves_per_iteration"):
@@ -306,7 +307,7 @@ class TestOptimize:
         spec = PackageSpec("one", (ChipletSpec("a", 5, 5, 3.0),), 20.0, 20.0)
         r = optimize(spec, FAST)
         p = r.floorplan.placements[0]
-        assert (p.x, p.y) == (7.5, 7.5)
+        assert (p.x_mm, p.y_mm) == (7.5, 7.5)
         assert len(r.history) == 1
         assert r.converged
 

@@ -36,8 +36,8 @@ SMALL = ThermalStack(
         LayerSpec("chiplet", 0.3, 130.0),
         LayerSpec("lid", 0.4, 50.0),
     ),
-    h_top=2000.0,
-    ambient=45.0,
+    h_top_w_m2k=2000.0,
+    ambient_c=45.0,
 )
 
 
@@ -62,7 +62,7 @@ def dense_solve(stack, pm):
 
     for l, layer in enumerate(stack.layers):
         t = layer.thickness_mm * MM
-        g_lat = layer.conductivity * t  # k * (cell*t) / cell
+        g_lat = layer.conductivity_w_mk * t  # k * (cell*t) / cell
         for iy in range(ny):
             for ix in range(nx):
                 if ix + 1 < nx:
@@ -71,15 +71,15 @@ def dense_solve(stack, pm):
                     couple(idx(l, iy, ix), idx(l, iy + 1, ix), g_lat)
         if l + 1 < nl:
             up = stack.layers[l + 1]
-            r = (t / (2 * layer.conductivity)
-                 + up.thickness_mm * MM / (2 * up.conductivity)) / (cell * cell)
+            r = (t / (2 * layer.conductivity_w_mk)
+                 + up.thickness_mm * MM / (2 * up.conductivity_w_mk)) / (cell * cell)
             for iy in range(ny):
                 for ix in range(nx):
                     couple(idx(l, iy, ix), idx(l + 1, iy, ix), 1.0 / r)
 
     top = stack.layers[-1]
-    r_amb = (top.thickness_mm * MM / (2 * top.conductivity * cell * cell)
-             + 1.0 / (stack.h_top * cell * cell))
+    r_amb = (top.thickness_mm * MM / (2 * top.conductivity_w_mk * cell * cell)
+             + 1.0 / (stack.h_top_w_m2k * cell * cell))
     half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2
     for iy in range(ny):
         for ix in range(nx):
@@ -90,7 +90,7 @@ def dense_solve(stack, pm):
                 continue
             i = idx(nl - 1, iy, ix)
             A[i, i] += 1.0 / r_amb
-            b[i] += stack.ambient / r_amb
+            b[i] += stack.ambient_c / r_amb
 
     cl = stack.layer_names.index("chiplet")
     for iy in range(ny):
@@ -106,8 +106,8 @@ CHIP_ON_TOP = ThermalStack(
         LayerSpec("interposer", 0.1, 130.0),
         LayerSpec("chiplet", 0.3, 130.0),
     ),
-    h_top=2000.0,
-    ambient=45.0,
+    h_top_w_m2k=2000.0,
+    ambient_c=45.0,
 )
 
 
@@ -206,19 +206,19 @@ def random_floorplan(rng, cell_mm):
                 w, h = h, w
             placements.append(PlacedChiplet(f"c{i}{j}", x, y, rotation, w, h,
                                             rng.uniform(0.5, 20.0)))
-    return Floorplan(30.0, 24.0, tuple(placements), min_spacing=2.0)
+    return Floorplan(30.0, 24.0, tuple(placements), min_spacing_mm=2.0)
 
 
 def reference_power(fp, cell_mm):
     """Per-cell sum of density * x overlap * y overlap, one cell at a time."""
-    nx, ny = grid_shape(fp.width, fp.height, cell_mm)
+    nx, ny = grid_shape(fp.width_mm, fp.height_mm, cell_mm)
     cells = np.zeros((ny, nx))
     for p in fp.placements:
-        density = p.power / (p.eff_width * p.eff_height)
+        density = p.power_w / (p.eff_width * p.eff_height)
         for iy in range(ny):
-            oy = min(p.y + p.eff_height, (iy + 1) * cell_mm) - max(p.y, iy * cell_mm)
+            oy = min(p.y_mm + p.eff_height, (iy + 1) * cell_mm) - max(p.y_mm, iy * cell_mm)
             for ix in range(nx):
-                ox = min(p.x + p.eff_width, (ix + 1) * cell_mm) - max(p.x, ix * cell_mm)
+                ox = min(p.x_mm + p.eff_width, (ix + 1) * cell_mm) - max(p.x_mm, ix * cell_mm)
                 cells[iy, ix] += density * max(ox, 0.0) * max(oy, 0.0)
     return cells
 
@@ -237,7 +237,7 @@ class TestPowerMap:
 class TestSolver:
     def test_zero_power_is_ambient_everywhere(self):
         tf = solve_steady_state(power_map(np.zeros((4, 4))), SMALL)
-        assert np.allclose(tf.data, SMALL.ambient, atol=1e-9)
+        assert np.allclose(tf.data, SMALL.ambient_c, atol=1e-9)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -249,8 +249,8 @@ class TestSolver:
             ((6, 6), 6.0),   # sink as large as the die
             ((5, 7), 50.0),  # sink larger than the die
         ]):
-            stack = ThermalStack(base.layers, h_top=base.h_top,
-                                 ambient=base.ambient, sink_side_mm=sink_side_mm)
+            stack = ThermalStack(base.layers, h_top_w_m2k=base.h_top_w_m2k,
+                                 ambient_c=base.ambient_c, sink_side_mm=sink_side_mm)
             for _ in range(5):
                 pm = power_map(rng.uniform(0.0, 2.0, size=shape))
                 got = solve_steady_state(pm, stack).data
@@ -272,9 +272,9 @@ class TestSolver:
         p1 = power_map(rng.uniform(0.0, 3.0, size=(4, 4)))
         p2 = power_map(rng.uniform(0.0, 3.0, size=(4, 4)))
         both = power_map(p1.cells + p2.cells)
-        t1 = solve_steady_state(p1, SMALL).data - SMALL.ambient
-        t2 = solve_steady_state(p2, SMALL).data - SMALL.ambient
-        t12 = solve_steady_state(both, SMALL).data - SMALL.ambient
+        t1 = solve_steady_state(p1, SMALL).data - SMALL.ambient_c
+        t2 = solve_steady_state(p2, SMALL).data - SMALL.ambient_c
+        t12 = solve_steady_state(both, SMALL).data - SMALL.ambient_c
         assert np.allclose(t12, t1 + t2, rtol=1e-9, atol=1e-9)
 
     def test_monotone_in_power(self):
@@ -301,15 +301,15 @@ class TestSolver:
 
     def test_default_stack_runs_hotter_with_less_cooling(self):
         pm = power_map(np.full((10, 10), 0.5))
-        cool = solve_steady_state(pm, ThermalStack(h_top=2000.0))
-        warm = solve_steady_state(pm, ThermalStack(h_top=500.0))
+        cool = solve_steady_state(pm, ThermalStack(h_top_w_m2k=2000.0))
+        warm = solve_steady_state(pm, ThermalStack(h_top_w_m2k=500.0))
         assert peak_temperature(warm) > peak_temperature(cool)
 
 
 class TestSinkFootprint:
     def stack(self, side):
-        return ThermalStack(SMALL.layers, h_top=SMALL.h_top,
-                            ambient=SMALL.ambient, sink_side_mm=side)
+        return ThermalStack(SMALL.layers, h_top_w_m2k=SMALL.h_top_w_m2k,
+                            ambient_c=SMALL.ambient_c, sink_side_mm=side)
 
     def test_conservation_holds_under_partial_sink(self):
         pm = power_map(np.full((6, 6), 1.0))
@@ -341,7 +341,7 @@ class TestSinkFootprint:
     def test_stiff_partial_sink_balances_energy(self, side):
         # h_top = 1e7 W/m^2K puts the uncooled cells' missing conductance far
         # above the conduction terms; the solve must stay exact
-        stack = ThermalStack(DEFAULT_STACK_LAYERS, h_top=1e7, sink_side_mm=side)
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, h_top_w_m2k=1e7, sink_side_mm=side)
         pm = power_map(np.random.default_rng(4).uniform(0.0, 0.1, size=(40, 40)))
         tf = solve_steady_state(pm, stack)
         assert boundary_heat_flow(tf) == pytest.approx(pm.total_power, rel=1e-9)
@@ -349,7 +349,7 @@ class TestSinkFootprint:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_right_hand_side_is_ambient(self):
         # 0 C ambient and no power: the residual is measured absolutely, not as 0/0
-        stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient=0.0, sink_side_mm=5.0)
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient_c=0.0, sink_side_mm=5.0)
         tf = solve_steady_state(power_map(np.zeros((8, 8))), stack)
         assert not tf.data.any()
 
@@ -375,7 +375,8 @@ class TestChipletPeak:
     def test_equals_full_solve_peak(self, seed, cell_mm, layers, h_top, ambient, sink_side_mm):
         # sinks below 30 x 24 mm leave top cells uncooled: the CG path
         pm = rasterize(random_floorplan(np.random.default_rng(seed), cell_mm), cell_mm)
-        stack = ThermalStack(layers, h_top=h_top, ambient=ambient, sink_side_mm=sink_side_mm)
+        stack = ThermalStack(layers, h_top_w_m2k=h_top, ambient_c=ambient,
+                             sink_side_mm=sink_side_mm)
         want = peak_temperature(solve_steady_state(pm, stack))
         assert abs(chiplet_peak(pm, stack) - want) <= 1e-9
 
@@ -383,8 +384,8 @@ class TestChipletPeak:
     def test_nan_cell_raises(self, side, reason):
         cells = np.full((6, 6), 1.0)
         cells[2, 3] = np.nan
-        stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top, ambient=SMALL.ambient,
-                             sink_side_mm=side)
+        stack = ThermalStack(SMALL.layers, h_top_w_m2k=SMALL.h_top_w_m2k,
+                             ambient_c=SMALL.ambient_c, sink_side_mm=side)
         with pytest.raises(ThermalError, match=reason):
             chiplet_peak(power_map(cells), stack)
 
@@ -400,8 +401,8 @@ class TestChipletPeak:
             return response(model, p, src, dst) + (1e-3 if src == 1 and dst == -1 else 0.0)
 
         monkeypatch.setattr(thermal, "_response", offset)
-        stack = ThermalStack(SMALL.layers, h_top=SMALL.h_top, ambient=SMALL.ambient,
-                             sink_side_mm=4.0)
+        stack = ThermalStack(SMALL.layers, h_top_w_m2k=SMALL.h_top_w_m2k,
+                             ambient_c=SMALL.ambient_c, sink_side_mm=4.0)
         pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
         with pytest.raises(ThermalError, match="converge"):
             chiplet_peak(pm, stack)
