@@ -59,6 +59,7 @@ CASES = {
                    "--sigma", "5e7"], None, PHY),
     "thermal": (["thermal", "--resolution", "1"], "bundled", FIELD),
     "thermal_50mm": (["thermal", "--resolution", "1"], _side50, FIELD),
+    "thermal_fine": (["thermal", "--resolution", "0.5"], "bundled", FIELD),
 }
 
 
