@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, bundled_spec_path
-from . import costyield, perf, phy, place, power, svgout, thermal
+from . import costyield, perf, phy, power, svgout
 from .model import (
     AnnealConfig,
     ChipletdseError,
@@ -148,6 +148,7 @@ def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
 
 
 def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
+    from . import place, thermal
     if args.floorplan:
         fp = floorplan_from_document(Path(args.floorplan))
     else:
@@ -155,14 +156,19 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
     cell = 1.0 if args.resolution is None else args.resolution
     pm = thermal.rasterize(fp, cell)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
-    rows = [[lname, ix, iy, t] for lname, layer in zip(tf.stack.layer_names, tf.data)
-            for iy, row in enumerate(layer) for ix, t in enumerate(row)]
-    _write_csv(out / "temperature_field.csv", ["layer", "x", "y", "t_c"], rows)
+    with (out / "temperature_field.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "x", "y", "t_c"])
+        # format(t, ".6g") is fmt's text for a float, without its per-value dispatch
+        writer.writerows((lname, ix, iy, format(t, ".6g"))
+                         for lname, layer in zip(tf.stack.layer_names, tf.data.tolist())
+                         for iy, row in enumerate(layer) for ix, t in enumerate(row))
     for lname in tf.stack.layer_names:
         print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
 
 
 def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
+    from . import place
     cfg = _anneal_config(bundle, args)
     result = place.optimize(bundle.package, cfg)
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
@@ -179,6 +185,7 @@ def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
 
 
 def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
+    from . import place
     cfg = _anneal_config(bundle, args)
     runs = list(zip(args.k, place.calibrate_k(bundle.package, args.k, cfg)))
     _write_csv(out / "k_calibration.csv",
@@ -190,6 +197,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 
 
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
+    from . import place
     cfg = _anneal_config(bundle, args)
     rows = place.interposer_sweep(bundle.package, args.sides, cfg)
     _write_csv(out / "interposer_sweep.csv",

@@ -333,7 +333,8 @@ class PlacedChiplet:
 
     def __post_init__(self) -> None:
         # O(1): the annealer builds one of these per proposed move
-        if self.rotation_deg not in (0, 90, 180, 270):
+        # type() is int: 90.0 would reach reports as "90.0", and False == 0
+        if type(self.rotation_deg) is not int or self.rotation_deg not in (0, 90, 180, 270):
             raise ValidationError("rotation_deg: must be 0, 90, 180 or 270")
         _positive(self, "width_mm", "height_mm")
         _non_negative(self, "power_w")

@@ -1,6 +1,10 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -446,3 +450,32 @@ class TestRunManifest:
         assert [r[0] for r in read_csv(out / "perf.csv")[1:]] == ["X", "Y"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["inputs"]) == [inputs["SPEC"], inputs["CSV"]]
+
+
+class TestImportBoundary:
+    """Only the subcommands that solve load numpy, place and thermal: the
+    report subcommands pay no numpy import."""
+
+    CODE = """
+import sys
+import chipletdse
+from chipletdse.cli import main
+out, commands = sys.argv[1], sys.argv[2:]
+for command in commands:
+    assert main([command, "--spec", chipletdse.bundled_spec_path(), "--out", f"{out}/{command}"]) == 0
+print(sorted(m for m in sys.modules if m in ("chipletdse.place", "chipletdse.thermal", "numpy")))
+"""
+
+    def loaded_after(self, tmp_path, *commands):
+        src = str(Path(chipletdse.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.CODE, str(tmp_path), *commands],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        return proc.stdout.splitlines()[-1]
+
+    def test_report_subcommands_load_no_numpy(self, tmp_path):
+        assert self.loaded_after(tmp_path, "cost", "power", "perf", "phy") == "[]"
+
+    def test_thermal_loads_the_solver_modules(self, tmp_path):
+        assert self.loaded_after(tmp_path, "thermal") == \
+            "['chipletdse.place', 'chipletdse.thermal', 'numpy']"

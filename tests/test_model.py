@@ -189,6 +189,12 @@ class TestFloorplan:
         p = PlacedChiplet("a", 0, 0, 90, 4, 2, 1.0)
         assert (p.eff_width, p.eff_height) == (2, 4)
 
+    @pytest.mark.parametrize("rotation", [90.0, 0.0, False, True, 45, "90"])
+    def test_rotation_must_be_an_integer_quarter_turn(self, rotation):
+        with pytest.raises(ValidationError) as exc:
+            PlacedChiplet("a", 1, 1, rotation, 5, 3)
+        assert str(exc.value) == "rotation_deg: must be 0, 90, 180 or 270"
+
     def test_spacing_enforced(self):
         fp = Floorplan(20, 20, (
             PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0),
