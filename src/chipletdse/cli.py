@@ -77,14 +77,11 @@ def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
 
 
 def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
-    dies = [(c.area, 1) for c in bundle.package.chiplets]
+    chiplets = bundle.package.chiplets
     process = replace(bundle.process, **_given(n_connections=args.connections))
-    breakdown = costyield.package_cost(dies, process.n_connections, process)
-    rows = [
-        [bundle.package.chiplets[i].name, d.area, d.gross_dies_per_wafer,
-         d.die_yield, d.cost_per_die]
-        for i, d in enumerate(breakdown.dies)
-    ]
+    breakdown = costyield.package_cost([c.area for c in chiplets], process.n_connections, process)
+    rows = [[c.name, d.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
+            for c, d in zip(chiplets, breakdown.dies)]
     rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
                  breakdown.n_connections, breakdown.assembly_yield,
                  breakdown.package_cost])
@@ -129,16 +126,15 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
 
 
 def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
-    geometry = replace(bundle.geometry if bundle else phy.TraceGeometry(), **_given(
+    p = replace(bundle.phy if bundle else phy.PhySpec(), **_given(
         trace_width_um=args.trace_width_um, trace_thickness_um=args.trace_thickness_um,
         ground_thickness_um=args.ground_thickness_um, interposer_height_um=args.interposer_height_um,
-        relative_permittivity=args.er, conductivity_s_m=args.sigma))
-    targets = replace(bundle.targets if bundle else phy.PhyTargets(), **_given(
+        relative_permittivity=args.er, conductivity_s_m=args.sigma,
         clock_frequency_hz=args.clock, safety_factor=args.sf))
-    lp = phy.line_params(geometry, targets.clock_frequency_hz)
-    max_len = phy.max_trace_length(targets, geometry)
+    lp = phy.line_params(p)
+    max_len = phy.max_trace_length(p)
     lengths = [i * 1e-3 for i in range(1, 101)]
-    curve = phy.bandwidth_curve(lengths, targets, geometry)
+    curve = phy.bandwidth_curve(lengths, p)
     _write_csv(out / "bandwidth_curve.csv",
                ["length_mm", "log10_bw_hz", "log10_target_hz"],
                [[L * 1e3, bw, tgt] for L, bw, tgt in curve])

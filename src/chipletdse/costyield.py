@@ -79,23 +79,21 @@ def die_cost(area: float, params: ProcessCostParams) -> DieCost:
 
 
 def package_cost(
-    dies: list[tuple[float, int]],
+    areas: list[float],
     n_connections: int,
     params: ProcessCostParams,
 ) -> CostBreakdown:
-    """Total package cost for a list of (die area, count) entries."""
-    if any(count < 0 for _, count in dies):
-        raise CostModelError("die count must be >= 0")
-    counted = [(die_cost(area, params), count) for area, count in dies if count > 0]
-    if not counted:
+    """Total package cost of one die per area; ``dies`` follows ``areas``."""
+    if not areas:
         return CostBreakdown((), n_connections, 0.0, 1.0, 0.0)
+    dies = tuple(die_cost(area, params) for area in areas)
     raw = 0.0
-    for d, count in counted:  # in entry order: the report's sum is byte-stable
-        raw += d.cost_per_die * count
-    ay = assembly_yield(sum(count for _, count in counted), n_connections, params)
+    for d in dies:  # in area order: the report's sum is byte-stable
+        raw += d.cost_per_die
+    ay = assembly_yield(len(dies), n_connections, params)
     if ay == 0:
         raise CostModelError("assembly yield underflows to 0")
-    return CostBreakdown(tuple(d for d, _ in counted), n_connections, raw, ay, raw / ay)
+    return CostBreakdown(dies, n_connections, raw, ay, raw / ay)
 
 
 def cost_ratio(
@@ -108,8 +106,8 @@ def cost_ratio(
 
     wafer_cost cancels: the ratio is independent of it.
     """
-    soc = package_cost([(soc_area, 1)], 0, params)
-    chip = package_cost([(a, 1) for a in chiplet_areas], n_connections, params)
+    soc = package_cost([soc_area], 0, params)
+    chip = package_cost(chiplet_areas, n_connections, params)
     if chip.package_cost == 0:
         raise CostModelError("chiplet system has no dies")
     return soc.package_cost / chip.package_cost

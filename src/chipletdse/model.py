@@ -52,6 +52,12 @@ def _positive(obj: Any, *names: str) -> None:
             raise ValidationError(f"{name}: must be > 0")
 
 
+def _positive_finite(obj: Any, *names: str) -> None:
+    for name in names:
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValidationError(f"{name}: must be > 0 and finite")
+
+
 def _non_negative(obj: Any, *names: str) -> None:
     for name in names:
         if not getattr(obj, name) >= 0:
@@ -64,10 +70,12 @@ def _require(cond: bool, path: str, msg: str) -> None:
 
 
 def require_unique(names: list[str], path: str) -> None:
-    """Raise ``ValidationError("<path>: duplicate name '<name>'")`` on the
-    first name that repeats an earlier one."""
-    dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
-    _require(dup is None, path, f"duplicate name {dup!r}")
+    """Raise ``ValidationError("<path>[<i>].name: duplicate name '<name>'")``
+    at the first index i whose name repeats an earlier one."""
+    seen: set[str] = set()
+    for i, name in enumerate(names):
+        _require(name not in seen, f"{path}[{i}].name", f"duplicate name {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -214,8 +222,9 @@ class PowerParams:
 
 
 @dataclass(frozen=True)
-class TraceGeometry:
-    """Copper stripline on a Si/SiO2 interposer; lengths in micrometres."""
+class PhySpec:
+    """The ``phy`` section: a copper stripline on a Si/SiO2 interposer
+    (lengths in micrometres) and the clock whose bandwidth it must carry."""
 
     trace_width_um: float = 50.0
     trace_thickness_um: float = 20.0
@@ -223,25 +232,15 @@ class TraceGeometry:
     interposer_height_um: float = 100.0
     relative_permittivity: float = 11.68
     conductivity_s_m: float = 5.98e7
-
-    def __post_init__(self) -> None:
-        for name in ("trace_width_um", "trace_thickness_um", "ground_thickness_um",
-                     "interposer_height_um", "conductivity_s_m"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name}: must be > 0 and finite")
-        if not 1 <= self.relative_permittivity < math.inf:
-            raise ValidationError("relative_permittivity: must be >= 1 and finite")
-
-
-@dataclass(frozen=True)
-class PhyTargets:
     clock_frequency_hz: float = 2e9
     safety_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        for name in ("clock_frequency_hz", "safety_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name}: must be > 0 and finite")
+        _positive_finite(self, "trace_width_um", "trace_thickness_um", "ground_thickness_um",
+                         "interposer_height_um", "conductivity_s_m")
+        if not 1 <= self.relative_permittivity < math.inf:
+            raise ValidationError("relative_permittivity: must be >= 1 and finite")
+        _positive_finite(self, "clock_frequency_hz", "safety_factor")
 
     @property
     def target_bandwidth(self) -> float:
@@ -412,11 +411,7 @@ class Floorplan:
                 if not self._apart(a, boxes[j]):
                     raise ValidationError(
                         f"placements[{j}]: overlaps placements[{i}] or violates spacing")
-        seen: set[str] = set()
-        for j, p in enumerate(self.placements):
-            if p.name in seen:
-                raise ValidationError(f"placements[{j}].name: duplicate chiplet {p.name!r}")
-            seen.add(p.name)
+        require_unique([p.name for p in self.placements], "placements")
 
     def admits(self, moved: dict[int, PlacedChiplet]) -> bool:
         """Whether this plan stays legal with ``moved[i]`` in place of placements[i].
@@ -451,7 +446,7 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
     doc = read_document(document)
     placements = tuple(
         _section(PlacedChiplet, pd, f"placements[{i}]",
-                 name=_name(pd, f"placements[{i}]", f"chiplet{i}"),
+                 name=_text(pd, "name", f"placements[{i}]", f"chiplet{i}"),
                  rotation_deg=_int(pd, "rotation_deg", f"placements[{i}]", 0))
         for i, pd in enumerate(_list(doc, "placements")))
     names = [p.name for p in placements]
@@ -522,13 +517,13 @@ def _int(doc: dict, key: str, path: str, default: int | None = None) -> int:
     return int(doc[key])
 
 
-def _name(doc: Any, path: str, default: str | None = None) -> str:
-    """The non-empty ``name`` of the object ``doc``."""
+def _text(doc: Any, key: str, path: str, default: str | None = None) -> str:
+    """The non-empty string ``key`` of the object ``doc``."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
-    name = doc.get("name", default)
-    _require(isinstance(name, str) and bool(name), f"{path}.name", "missing or empty")
-    return name
+    value = doc.get(key, default)
+    _require(isinstance(value, str) and bool(value), f"{path}.{key}", "missing or empty")
+    return value
 
 
 def _list(doc: dict, key: str, path: str = "") -> list:
@@ -561,15 +556,11 @@ def _section(cls, doc: Any, path: str, **given):
 
 
 def _port(doc: Any, path: str) -> tuple[str, float]:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected an object")
-    peer = doc.get("peer")
-    _require(isinstance(peer, str) and bool(peer), f"{path}.peer", "missing or empty")
-    return peer, _num(doc, "weight", path, 1.0)
+    return _text(doc, "peer", path), _num(doc, "weight", path, 1.0)
 
 
 def _chiplet(doc: Any, path: str) -> ChipletSpec:
-    return _section(ChipletSpec, doc, path, name=_name(doc, path),
+    return _section(ChipletSpec, doc, path, name=_text(doc, "name", path),
                     kind=doc.get("kind", "compute"),
                     ports=tuple(_port(pd, f"{path}.ports[{k}]")
                                 for k, pd in enumerate(_list(doc, "ports", path))))
@@ -580,7 +571,7 @@ def _stack(doc: Any, ambient_c: float) -> ThermalStack:
     if not isinstance(doc, dict):
         raise ValidationError("stack: expected an object")
     layers = ThermalStack.layers if "layers" not in doc else tuple(
-        _section(LayerSpec, ld, f"stack.layers[{i}]", name=_name(ld, f"stack.layers[{i}]"))
+        _section(LayerSpec, ld, f"stack.layers[{i}]", name=_text(ld, "name", f"stack.layers[{i}]"))
         for i, ld in enumerate(_list(doc, "layers", "stack")))
     return _section(ThermalStack, doc, "stack", layers=layers, ambient_c=ambient_c)
 
@@ -589,7 +580,7 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
     """Parse and validate a package spec document: a parsed dict or a path."""
     doc = read_document(document)
     pkg = doc.get("package")
-    name = _name(pkg, "package", "package")
+    name = _text(pkg, "name", "package", "package")
     chiplets_doc = doc.get("chiplets")
     if not isinstance(chiplets_doc, list) or not chiplets_doc:
         raise ValidationError("chiplets: must be a non-empty list")
@@ -632,25 +623,26 @@ ConfigRow = tuple[str, float, float, float]
 
 @dataclass(frozen=True)
 class SpecBundle:
-    """A whole spec file, every section parsed, defaulted and validated."""
+    """A whole spec file, every section parsed, defaulted and validated:
+    the package (from ``package``, ``chiplets`` and ``stack``) and one field
+    per other top-level section, named after it."""
 
     package: PackageSpec
     process: ProcessCostParams
     anneal: AnnealConfig
-    geometry: TraceGeometry
-    targets: PhyTargets
+    phy: PhySpec
     tiles: tuple[TileOperatingPoint, ...]
     configs: tuple[ConfigRow, ...]
 
 
 def _tile(doc: Any, path: str) -> TileOperatingPoint:
-    return TileOperatingPoint(_name(doc, path), _section(  # a tile states its own F and V
+    return TileOperatingPoint(_text(doc, "name", path), _section(  # a tile states its own F and V
         PowerParams, doc, path, frequency_hz=_num(doc, "frequency_hz", path),
         voltage_v=_num(doc, "voltage_v", path)))
 
 
 def _config_row(doc: Any, path: str) -> ConfigRow:
-    name = _name(doc, path)
+    name = _text(doc, "name", path)
     values = tuple(_num(doc, key, path) for key in _CONFIG_COLUMNS)
     for key, value in zip(_CONFIG_COLUMNS, values):
         _require(value > 0, f"{path}.{key}", "must be > 0")
@@ -686,15 +678,13 @@ def load_bundle(document: dict | str | Path) -> SpecBundle:
     """
     doc = read_document(document)
     package = load_spec(doc)
-    phy = doc.get("phy", {})
     tiles = tuple(_tile(td, f"tiles[{i}]") for i, td in enumerate(_list(doc, "tiles")))
     require_unique([t.name for t in tiles], "tiles")
     return SpecBundle(
         package=package,
         process=_section(ProcessCostParams, doc.get("process", {}), "process"),
         anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal"),
-        geometry=_section(TraceGeometry, phy, "phy"),
-        targets=_section(PhyTargets, phy, "phy"),
+        phy=_section(PhySpec, doc.get("phy", {}), "phy"),
         tiles=tiles,
         configs=_config_rows(_list(doc, "configs"), "configs"),
     )

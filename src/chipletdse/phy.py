@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ChipletdseError, PhyTargets, TraceGeometry
+from .model import ChipletdseError, PhySpec
 
 MU0 = 1.2566e-6
 EPS0 = 8.8542e-12
@@ -35,26 +35,24 @@ class LineParams:
         return self.r_dc_per_length + self.r_ac_per_length
 
 
-def line_params(g: TraceGeometry, f: float) -> LineParams:
-    """Per-length capacitance and DC/AC resistance at frequency f."""
-    if f <= 0:
-        raise PhyError("frequency must be > 0")
+def line_params(p: PhySpec) -> LineParams:
+    """Per-length capacitance and DC/AC resistance at the clock frequency."""
     width, thickness, ground, height = (v * 1e-6 for v in (  # um -> m
-        g.trace_width_um, g.trace_thickness_um, g.ground_thickness_um, g.interposer_height_um))
+        p.trace_width_um, p.trace_thickness_um, p.ground_thickness_um, p.interposer_height_um))
     v0 = 1.0 / math.sqrt(MU0 * EPS0)
     try:
-        c_len = (g.relative_permittivity
+        c_len = (p.relative_permittivity
                  * (width / height + 0.441)
                  / (30.0 * math.pi * v0))
-        r_dc = (1.0 / g.conductivity_s_m) * (
+        r_dc = (1.0 / p.conductivity_s_m) * (
             1.0 / (width * thickness)
             + 1.0 / (2.0 * ground))
-        delta = (math.pi * f * MU0 * g.conductivity_s_m) ** -0.5
+        delta = (math.pi * p.clock_frequency_hz * MU0 * p.conductivity_s_m) ** -0.5
         perimeter = 2.0 * thickness - 4.0 * delta + 2.0 * width
         if perimeter <= 0:
             raise PhyError("skin depth exceeds geometry")
-        r_ac = (1.0 / g.conductivity_s_m) * (
-            1.0 / (delta * perimeter) + 1.0 / (2.0 * g.conductivity_s_m))
+        r_ac = (1.0 / p.conductivity_s_m) * (
+            1.0 / (delta * perimeter) + 1.0 / (2.0 * p.conductivity_s_m))
     except ZeroDivisionError:  # a tiny length, or a product of two, underflowed to 0 m
         raise PhyError("line parameters out of floating-point range") from None
     return LineParams(c_len, r_dc, r_ac, delta)
@@ -81,23 +79,21 @@ def bandwidth_3db(length: float, lp: LineParams) -> float:
     return 0.35 / _in_range(rise_time(length, lp), "rise time")
 
 
-def max_trace_length(targets: PhyTargets, g: TraceGeometry) -> float:
+def max_trace_length(p: PhySpec) -> float:
     """Longest trace whose 3 dB bandwidth still meets SF * f_clk.
 
     Closed-form inversion of bandwidth_3db(L) = SF * f_clk.
     """
-    lp = line_params(g, targets.clock_frequency_hz)
-    denom = (targets.target_bandwidth
+    lp = line_params(p)
+    denom = (p.target_bandwidth
              * lp.r_total_per_length * lp.c_per_length * LN9)
     return math.sqrt(0.35 / _in_range(denom, "bandwidth target"))
 
 
-def bandwidth_curve(
-    lengths: list[float], targets: PhyTargets, g: TraceGeometry
-) -> list[tuple[float, float, float]]:
+def bandwidth_curve(lengths: list[float], p: PhySpec) -> list[tuple[float, float, float]]:
     """(length, log10 bandwidth, log10 target) rows for plotting/CSV."""
     if not lengths:
         raise PhyError("length range must be non-empty")
-    lp = line_params(g, targets.clock_frequency_hz)
-    log_target = math.log10(_in_range(targets.target_bandwidth, "target bandwidth"))
+    lp = line_params(p)
+    log_target = math.log10(_in_range(p.target_bandwidth, "target bandwidth"))
     return [(L, math.log10(bandwidth_3db(L, lp)), log_target) for L in lengths]

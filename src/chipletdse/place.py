@@ -223,7 +223,8 @@ class AnnealResult:
 
 def _peak(fp: Floorplan, stack, cell_mm: float) -> float:
     """Peak chiplet temperature on a cell_mm grid, from a full field that
-    passed ``solve_steady_state``'s residual guard."""
+    passed ``solve_steady_state``'s residual guard. ``thermal.rasterize``
+    validates ``fp`` first, so an illegal plan raises ValidationError."""
     tf = thermal.solve_steady_state(thermal.rasterize(fp, cell_mm), stack)
     return thermal.peak_temperature(tf)
 
@@ -304,7 +305,6 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         prev_peak = cur_t
 
     best, _, _ = min(visited, key=lambda entry: anneal_cost(entry[1], entry[2], bounds))
-    best.validate()
     return AnnealResult(best, tuple(history), initial_peak,
                         _peak(best, stack, cfg.fine_cell_mm), converged)
 

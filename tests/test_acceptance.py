@@ -44,14 +44,13 @@ def anneal_result(bundle):
 class TestCriterion1Phy:
     def test_per_length_constants_and_reach(self):
         with report(1, "PHY per-length constants and max trace length"):
-            g = phy.TraceGeometry()
-            t = phy.PhyTargets()
-            lp = phy.line_params(g, t.clock_frequency_hz)
+            p = phy.PhySpec()
+            lp = phy.line_params(p)
             assert lp.c_per_length == pytest.approx(389e-12, rel=5e-3)
             assert lp.r_dc_per_length == pytest.approx(16.72, rel=5e-3)
             assert lp.r_ac_per_length == pytest.approx(85.64, rel=5e-3)
             assert lp.r_total_per_length == pytest.approx(102.36, rel=5e-3)
-            reach = phy.max_trace_length(t, g)
+            reach = phy.max_trace_length(p)
             assert 35.5e-3 <= reach <= 37.5e-3
 
 
@@ -172,9 +171,9 @@ class TestCriterion8FormulaSuite:
             assert costyield.gross_dies_per_wafer(858.0, 300.0) == 59
             assert costyield.gross_dies_per_wafer(170.0, 300.0) == 364
             assert costyield.assembly_yield(4, 20000, p) == pytest.approx(0.9763, abs=5e-4)
-            assert costyield.package_cost([(858.0, 1)], 0, p).package_cost == \
+            assert costyield.package_cost([858.0], 0, p).package_cost == \
                 pytest.approx(658.9, abs=0.5)
-            assert costyield.package_cost([(170.0, 4)], 20000, p).package_cost == \
+            assert costyield.package_cost([170.0] * 4, 20000, p).package_cost == \
                 pytest.approx(155.3, abs=0.5)
 
             b = power.power_breakdown(PowerParams(
@@ -188,8 +187,7 @@ class TestCriterion8FormulaSuite:
             assert perf.golden_ratio(1.95e9, 30.311, 129.6854) == \
                 pytest.approx(4.9607e5, rel=1e-3)
 
-            g = phy.TraceGeometry()
-            lp = phy.line_params(g, 2e9)
+            lp = phy.line_params(phy.PhySpec())
             assert lp.skin_depth == pytest.approx(1.455e-6, rel=5e-3)
             assert phy.rise_time(0.01, lp) == pytest.approx(8.7485e-12, rel=5e-3)
             assert phy.bandwidth_3db(0.01, lp) == pytest.approx(40e9, rel=1e-2)

@@ -211,7 +211,7 @@ class TestSpecErrors:
         ("thermal", lambda d: d.update(stack={"layers": [
             {"name": "chiplet", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
-         "stack.layers"),
+         "stack.layers[1].name"),
         ("cost", lambda d: d["chiplets"][1]["ports"].append({"peer": "a", "weight": 3.0}),
          "chiplets[1].ports[1].weight"),
         ("cost", lambda d: d["package"].update(interposer_width_mm=10.0, interposer_height_mm=10.0),

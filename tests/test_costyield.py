@@ -72,12 +72,12 @@ class TestAssemblyYield:
 
 class TestPackageCost:
     def test_single_soc_die(self):
-        got = cy.package_cost([(858.0, 1)], 0, P).package_cost
+        got = cy.package_cost([858.0], 0, P).package_cost
         assert got == pytest.approx(brute_package_cost([858.0], 0, P), rel=1e-12)
         assert got == pytest.approx(658.9, abs=0.5)
 
     def test_four_chiplets(self):
-        got = cy.package_cost([(170.0, 4)], 20000, P).package_cost
+        got = cy.package_cost([170.0] * 4, 20000, P).package_cost
         assert got == pytest.approx(brute_package_cost([170.0] * 4, 20000, P), rel=1e-12)
         assert got == pytest.approx(155.3, abs=0.5)
 
@@ -86,17 +86,19 @@ class TestPackageCost:
         assert bd.package_cost == 0.0
         assert bd.assembly_yield == 1.0
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(cy.CostModelError, match="count must be >= 0"):
-            cy.package_cost([(100.0, 1), (50.0, -1)], 0, P)
-
     def test_die_exceeding_wafer(self):
         with pytest.raises(cy.CostModelError, match="exceeds wafer"):
-            cy.package_cost([(80000.0, 1)], 0, P)
+            cy.package_cost([80000.0], 0, P)
 
     def test_cost_at_least_raw_die_cost(self):
-        bd = cy.package_cost([(170.0, 4), (50.0, 2)], 5000, P)
+        bd = cy.package_cost([170.0] * 4 + [50.0] * 2, 5000, P)
         assert bd.package_cost >= bd.raw_die_cost
+
+    def test_one_die_per_area_in_order(self):
+        areas = [170.0, 50.0, 170.0, 170.0, 858.0]
+        bd = cy.package_cost(areas, 20000, P)
+        assert bd.dies == tuple(cy.die_cost(a, P) for a in areas)
+        assert bd.package_cost == pytest.approx(brute_package_cost(areas, 20000, P), rel=1e-12)
 
 
 class TestCostRatio:

@@ -20,19 +20,20 @@ from chipletdse.model import (
     LayerSpec,
     PackageSpec,
     ParseError,
-    PhyTargets,
+    PhySpec,
     PlacedChiplet,
     PowerParams,
     ProcessCostParams,
+    SpecBundle,
     SpecError,
     ThermalStack,
-    TraceGeometry,
     ValidationError,
     floorplan_from_document,
     floorplan_to_document,
     links_from_spec,
     load_bundle,
     load_spec,
+    require_unique,
 )
 from chipletdse.place import bst_placement
 
@@ -160,6 +161,19 @@ class TestConnectivity:
                               for (i, j), weights in sorted(declared.items()))
 
 
+class TestRequireUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.sampled_from("abcdef"), max_size=8))
+    def test_raises_iff_a_name_repeats_naming_the_first_repeat(self, names):
+        first = next((i for i, n in enumerate(names) if n in names[:i]), None)
+        if first is None:
+            require_unique(names, "rows")
+        else:
+            with pytest.raises(ValidationError) as exc:
+                require_unique(names, "rows")
+            assert str(exc.value) == f"rows[{first}].name: duplicate name {names[first]!r}"
+
+
 class TestFloorplan:
     def test_overlap_rejected(self):
         fp = Floorplan(20, 20, (
@@ -177,7 +191,7 @@ class TestFloorplan:
     @pytest.mark.parametrize("second, message", [
         (PlacedChiplet("b", 4, 4, 0, 5, 5), "placements[1]: overlaps placements[0] or violates spacing"),
         (PlacedChiplet("b", 18, 1, 0, 5, 5), "placements[1]: outside interposer bounds"),
-        (PlacedChiplet("a", 10, 10, 0, 5, 5), "placements[1].name: duplicate chiplet 'a'"),
+        (PlacedChiplet("a", 10, 10, 0, 5, 5), "placements[1].name: duplicate name 'a'"),
     ])
     def test_errors_name_placement_index(self, second, message):
         fp = Floorplan(20, 20, (PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0), second))
@@ -280,8 +294,7 @@ SECTIONS = [
     (LayerSpec, "stack.layers[0]", lambda d: d["stack"]["layers"][0]),
     (ProcessCostParams, "process", lambda d: d["process"]),
     (AnnealConfig, "anneal", lambda d: d["anneal"]),
-    (TraceGeometry, "phy", lambda d: d["phy"]),
-    (PhyTargets, "phy", lambda d: d["phy"]),
+    (PhySpec, "phy", lambda d: d["phy"]),
     (PowerParams, "tiles[0]", lambda d: d["tiles"][0]),
     (PlacedChiplet, "placements[0]", lambda d: d["placements"][0]),
     (Floorplan, "interposer", lambda d: d["interposer"]),
@@ -315,10 +328,18 @@ class TestSpecKeysAreFieldNames:
         assert str(exc.value).startswith(prefix)
 
     def test_every_bundled_key_is_a_field_of_its_reader(self):
-        readers = {path: set() for _, path, _ in SECTIONS}
-        for cls, path, _ in SECTIONS:
-            readers[path] |= {f.name for f in dataclasses.fields(cls)}
-        readers["package"] |= set(HELD_ELSEWHERE)
         for cls, path, section in SECTIONS:
             doc = FLOORPLAN_DOC if cls in (PlacedChiplet, Floorplan) else BUNDLED_DOC
-            assert set(section(doc)) - readers[path] <= GIVEN_KEYS, path
+            held = {key for key, (where, _) in HELD_ELSEWHERE.items() if where == path}
+            fields = {f.name for f in dataclasses.fields(cls)} | held
+            assert set(section(doc)) - fields <= GIVEN_KEYS, path
+
+    def test_bundle_fields_are_the_optional_sections(self):
+        """Besides ``package`` (read from package, chiplets and stack), each
+        SpecBundle field holds the top-level section of its own name."""
+        optional = [f.name for f in dataclasses.fields(SpecBundle) if f.name != "package"]
+        notes = {"power_model_note"}  # free text, read by no code
+        assert set(optional) == set(BUNDLED_DOC) - {"package", "chiplets", "stack"} - notes
+        for name in optional:
+            with pytest.raises(ValidationError, match=rf"^{name}: expected an? (object|list)$"):
+                load_bundle({**BUNDLED_DOC, name: "x"})

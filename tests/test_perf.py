@@ -88,7 +88,7 @@ class TestRankConfigs:
 
     def test_duplicate_names_rejected(self):
         # a ratio keyed by name would give the first "a" row the second's ratio
-        with pytest.raises(ValueError, match="configs: duplicate name 'a'"):
+        with pytest.raises(ValueError, match=r"^configs\[1\]\.name: duplicate name 'a'$"):
             rank_configs([("a", 1.0, 1.0, 1.0), ("a", 2.0, 1.0, 1.0), ("b", 1.0, 1.0, 1.0)])
 
     def test_bundled_configs_match_fixture(self, bundle):

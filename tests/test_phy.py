@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,7 @@ from chipletdse.model import ValidationError
 from chipletdse.phy import (
     LN9,
     PhyError,
-    PhyTargets,
-    TraceGeometry,
+    PhySpec,
     bandwidth_3db,
     bandwidth_curve,
     line_params,
@@ -17,9 +17,8 @@ from chipletdse.phy import (
     rise_time,
 )
 
-GEOM = TraceGeometry()
-TARGETS = PhyTargets()
-LP = line_params(GEOM, TARGETS.clock_frequency_hz)
+PHY = PhySpec()
+LP = line_params(PHY)
 
 
 class TestLineParams:
@@ -40,35 +39,35 @@ class TestLineParams:
         assert LP.r_total_per_length == pytest.approx(102.36, rel=5e-3)
 
     def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(PhyError):
-            line_params(GEOM, 0.0)
+        with pytest.raises(ValidationError):
+            replace(PHY, clock_frequency_hz=0.0)
 
     def test_skin_depth_exceeding_geometry_rejected(self):
         # at low frequency the skin depth outgrows the conductor cross
         # section and the AC perimeter model breaks down
-        thin = TraceGeometry(trace_width_um=1.0, trace_thickness_um=1.0)
+        thin = PhySpec(trace_width_um=1.0, trace_thickness_um=1.0, clock_frequency_hz=1e3)
         with pytest.raises(PhyError, match="skin depth"):
-            line_params(thin, 1e3)
+            line_params(thin)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValidationError):
-            TraceGeometry(trace_width_um=0.0)
+            PhySpec(trace_width_um=0.0)
         with pytest.raises(ValidationError):
-            TraceGeometry(relative_permittivity=0.5)
+            PhySpec(relative_permittivity=0.5)
 
     @pytest.mark.parametrize("field", ["trace_width_um", "trace_thickness_um",
                                        "ground_thickness_um", "interposer_height_um"])
     def test_length_underflowing_in_metres_rejected(self, field):
         # 1e-320 um passes the > 0 check but is 0.0 m once converted
         with pytest.raises(PhyError, match="out of floating-point range"):
-            line_params(TraceGeometry(**{field: 1e-320}), 2e9)
+            line_params(PhySpec(**{field: 1e-320}))
 
     @settings(max_examples=50, deadline=None)
     @given(f1=st.floats(1e8, 1e11), f2=st.floats(1e8, 1e11))
     def test_ac_resistance_grows_with_frequency(self, f1, f2):
         lo, hi = sorted((f1, f2))
-        assert (line_params(GEOM, hi).r_ac_per_length
-                >= line_params(GEOM, lo).r_ac_per_length)
+        assert (line_params(replace(PHY, clock_frequency_hz=hi)).r_ac_per_length
+                >= line_params(replace(PHY, clock_frequency_hz=lo)).r_ac_per_length)
 
 
 class TestRiseTimeBandwidth:
@@ -98,36 +97,36 @@ class TestRiseTimeBandwidth:
 
 class TestMaxTraceLength:
     def test_reference_geometry(self):
-        L = max_trace_length(TARGETS, GEOM)
+        L = max_trace_length(PHY)
         assert 35.5e-3 <= L <= 37.5e-3
         assert L == pytest.approx(36.518e-3, rel=5e-3)
 
     def test_closed_form_inverts_bandwidth(self):
-        L = max_trace_length(TARGETS, GEOM)
-        assert bandwidth_3db(L, LP) == pytest.approx(TARGETS.target_bandwidth, rel=1e-9)
+        L = max_trace_length(PHY)
+        assert bandwidth_3db(L, LP) == pytest.approx(PHY.target_bandwidth, rel=1e-9)
 
     def test_shrinks_with_clock(self):
-        slow = max_trace_length(PhyTargets(clock_frequency_hz=1e9), GEOM)
-        fast = max_trace_length(PhyTargets(clock_frequency_hz=4e9), GEOM)
-        assert fast < max_trace_length(TARGETS, GEOM) < slow
+        slow = max_trace_length(replace(PHY, clock_frequency_hz=1e9))
+        fast = max_trace_length(replace(PHY, clock_frequency_hz=4e9))
+        assert fast < max_trace_length(PHY) < slow
 
     @settings(max_examples=50, deadline=None)
     @given(f=st.floats(5e8, 2e10), sf=st.floats(1.0, 3.0))
     def test_round_trip_property(self, f, sf):
-        t = PhyTargets(clock_frequency_hz=f, safety_factor=sf)
-        L = max_trace_length(t, GEOM)
-        lp = line_params(GEOM, f)
+        t = replace(PHY, clock_frequency_hz=f, safety_factor=sf)
+        L = max_trace_length(t)
+        lp = line_params(t)
         assert bandwidth_3db(L, lp) == pytest.approx(t.target_bandwidth, rel=1e-9)
 
     def test_bad_targets_rejected(self):
         with pytest.raises(ValidationError):
-            PhyTargets(clock_frequency_hz=-1.0)
+            PhySpec(clock_frequency_hz=-1.0)
 
 
 class TestBandwidthCurve:
     def test_rows_match_point_model(self):
         lengths = [0.001 * k for k in range(1, 101)]
-        rows = bandwidth_curve(lengths, TARGETS, GEOM)
+        rows = bandwidth_curve(lengths, PHY)
         assert len(rows) == 100
         for L, log_bw, log_target in rows:
             assert log_bw == pytest.approx(math.log10(bandwidth_3db(L, LP)), rel=1e-12)
@@ -135,11 +134,11 @@ class TestBandwidthCurve:
 
     def test_crossing_near_max_length(self):
         # the curve crosses the target line at max_trace_length
-        Lmax = max_trace_length(TARGETS, GEOM)
-        rows = bandwidth_curve([Lmax * 0.99, Lmax * 1.01], TARGETS, GEOM)
+        Lmax = max_trace_length(PHY)
+        rows = bandwidth_curve([Lmax * 0.99, Lmax * 1.01], PHY)
         assert rows[0][1] > rows[0][2]
         assert rows[1][1] < rows[1][2]
 
     def test_empty_rejected(self):
         with pytest.raises(PhyError):
-            bandwidth_curve([], TARGETS, GEOM)
+            bandwidth_curve([], PHY)
