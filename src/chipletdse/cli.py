@@ -9,8 +9,10 @@ is formatted to 6 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import replace
@@ -69,7 +71,8 @@ def _given(**flags) -> dict:
 
 
 def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
-    return replace(bundle.anneal, **_given(seed=args.seed, fine_cell_mm=args.resolution))
+    return replace(bundle.anneal, **_given(seed=vars(args).get("seed"),
+                                           fine_cell_mm=args.resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +152,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = floorplan_from_document(Path(args.floorplan))
     else:
         fp = place.bst_placement(bundle.package)
-    cell = 1.0 if args.resolution is None else args.resolution
-    pm = thermal.rasterize(fp, cell)
+    pm = thermal.rasterize(fp, _anneal_config(bundle, args).fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     with (out / "temperature_field.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -165,8 +167,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    cfg = _anneal_config(bundle, args)
-    result = place.optimize(bundle.package, cfg)
+    result = place.optimize(bundle.package, _anneal_config(bundle, args))
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
     (out / "floorplan.json").write_text(
         json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
@@ -194,8 +195,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    cfg = _anneal_config(bundle, args)
-    rows = place.interposer_sweep(bundle.package, args.sides, cfg)
+    rows = place.interposer_sweep(bundle.package, args.sides, _anneal_config(bundle, args))
     _write_csv(out / "interposer_sweep.csv",
                ["side_mm", "area_mm2", "peak_t_c", "feasible"],
                [[r.side_mm, r.area_mm2,
@@ -206,18 +206,25 @@ def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
         print(f"side={fmt(r.side_mm)}mm peak_t_c={status}")
 
 
-def _rerun(args) -> int:
-    """Re-execute a recorded run, unless an input it hashed has changed since."""
-    recorded = read_document(Path(args.manifest))
-    recorded_argv, inputs = recorded.get("argv"), recorded.get("inputs")
-    if not (isinstance(recorded_argv, list) and isinstance(inputs, dict)):
-        raise SpecError(f"{args.manifest}: not a chipletdse manifest")
-    if recorded_argv[:1] == ["rerun"]:
-        raise SpecError(f"{args.manifest}: records a rerun, not a run to repeat")
+def _recorded_run(manifest: str) -> tuple[argparse.Namespace, list[str]]:
+    """The parsed arguments and argv of the run a manifest records, unless
+    the manifest holds no run or an input it hashed has changed since."""
+    recorded = read_document(Path(manifest))
+    argv, inputs = recorded.get("argv"), recorded.get("inputs")
+    if not (isinstance(argv, list) and isinstance(inputs, dict)):
+        raise SpecError(f"{manifest}: not a chipletdse manifest")
+    argv = [str(a) for a in argv]
+    if argv[:1] == ["rerun"]:
+        raise SpecError(f"{manifest}: records a rerun, not a run to repeat")
     for name, digest in inputs.items():
         if not Path(name).is_file() or _sha256(Path(name)) != digest:
             raise SpecError(f"{name}: input changed since the recorded run")
-    return _dispatch([str(a) for a in recorded_argv])
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as usage:
+            return build_parser().parse_args(argv), argv
+    except SystemExit:  # argparse's last stderr line reads "<prog>: error: <reason>"
+        reason = usage.getvalue().strip().rpartition("error: ")[2]
+        raise SpecError(f"{manifest}: argv: {reason or 'not a run'}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(argv: list[str]) -> int:
-    """Run one command line. Every subcommand but rerun gets the loaded spec
-    (None without --spec) and its created --out directory; once it returns,
-    the run is recorded in --out/manifest.json."""
+    """Run one command line, or for rerun the one its manifest records. The
+    subcommand gets the loaded spec (None without --spec) and its created --out
+    directory; once it returns, the run is recorded in --out/manifest.json."""
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "rerun":
-            return _rerun(args)
+            args, argv = _recorded_run(args.manifest)
         bundle = load_bundle(Path(args.spec)) if args.spec else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -46,13 +46,8 @@ class ValidationError(SpecError):
 
 
 def _positive(obj: Any, *names: str) -> None:
-    """Range check of dataclass fields: ``"<field>: must be > 0"``; NaN fails."""
-    for name in names:
-        if not getattr(obj, name) > 0:
-            raise ValidationError(f"{name}: must be > 0")
-
-
-def _positive_finite(obj: Any, *names: str) -> None:
+    """Range check of dataclass fields: ``"<field>: must be > 0 and finite"``;
+    NaN and infinity fail, whether a spec, a flag or a constructor gave them."""
     for name in names:
         if not 0 < getattr(obj, name) < math.inf:
             raise ValidationError(f"{name}: must be > 0 and finite")
@@ -236,11 +231,11 @@ class PhySpec:
     safety_factor: float = 1.5
 
     def __post_init__(self) -> None:
-        _positive_finite(self, "trace_width_um", "trace_thickness_um", "ground_thickness_um",
-                         "interposer_height_um", "conductivity_s_m")
+        _positive(self, "trace_width_um", "trace_thickness_um", "ground_thickness_um",
+                  "interposer_height_um", "conductivity_s_m")
         if not 1 <= self.relative_permittivity < math.inf:
             raise ValidationError("relative_permittivity: must be >= 1 and finite")
-        _positive_finite(self, "clock_frequency_hz", "safety_factor")
+        _positive(self, "clock_frequency_hz", "safety_factor")
 
     @property
     def target_bandwidth(self) -> float:

@@ -336,11 +336,11 @@ def interposer_sweep(
     """Optimized peak temperature per square interposer side length.
 
     A side too small for the chiplets' footprint budget, or for the packer,
-    is infeasible; a side that is not > 0 is an error.
+    is infeasible; a side that is not > 0 and finite is an error.
     """
-    bad = next((side for side in side_lengths_mm if not side > 0), None)
+    bad = next((side for side in side_lengths_mm if not 0 < side < math.inf), None)
     if bad is not None:
-        raise PlacementError(f"sides: must be > 0, got {bad}")
+        raise PlacementError(f"sides: must be > 0 and finite, got {bad}")
     rows = []
     for side in side_lengths_mm:
         try:

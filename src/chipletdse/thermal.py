@@ -274,12 +274,8 @@ def peak_temperature(tf: TemperatureField, layer: str = CHIPLET_LAYER) -> float:
     return float(tf.layer(layer).max())
 
 
-def compare_soc_vs_chiplet(
-    soc_plan: Floorplan,
-    split_plan: Floorplan,
-    stack: ThermalStack,
-    cell_mm: float = 1.0,
-) -> tuple[float, float, float]:
+def compare_soc_vs_chiplet(soc_plan: Floorplan, split_plan: Floorplan, stack: ThermalStack,
+                           cell_mm: float) -> tuple[float, float, float]:
     """Peak chiplet-layer temperatures of two power-controlled floorplans.
 
     Returns (peak_soc, peak_split, delta). The plans must carry equal total

@@ -10,8 +10,9 @@ import pytest
 
 import chipletdse
 from chipletdse.cli import main
-from chipletdse.model import floorplan_to_document, load_spec
+from chipletdse.model import CHIPLET_KINDS, floorplan_to_document, load_spec
 from chipletdse.place import bst_placement
+from chipletdse.svgout import _KIND_FILL
 
 SMALL_DOC = {
     "package": {
@@ -153,6 +154,17 @@ class TestThermalCommand:
         printed = capsys.readouterr().out
         assert "peak_chiplet_c" in printed
 
+    def test_default_grid_is_the_placer_fine_grid(self, spec_path, tmp_path, capsys):
+        """thermal solves place's plan on anneal.fine_cell_mm (2 mm here), so its
+        chiplet peak is place's final peak."""
+        assert main(["place", "--spec", spec_path, "--out", str(tmp_path / "p")]) == 0
+        placed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[:2])
+        assert main(["thermal", "--spec", spec_path, "--out", str(tmp_path / "t"),
+                     "--floorplan", str(tmp_path / "p" / "floorplan.json")]) == 0
+        solved = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert solved["peak_chiplet_c"] == placed["final_peak_t_c"]
+        assert len(read_csv(tmp_path / "t" / "temperature_field.csv")) == 1 + 8 * 10 * 10
+
     def test_stiff_partial_sink(self, tmp_path, capsys):
         with open(chipletdse.bundled_spec_path()) as fh:
             doc = json.load(fh)
@@ -216,6 +228,13 @@ class TestSpecErrors:
          "chiplets[1].ports[1].weight"),
         ("cost", lambda d: d["package"].update(interposer_width_mm=10.0, interposer_height_mm=10.0),
          "package.interposer_width_mm"),
+        ("cost", lambda d: d["chiplets"][0].update(kind="fpga"), "chiplets[0].kind"),
+        ("cost", lambda d: d["chiplets"][0]["ports"][0].update(weight=0.5),
+         "chiplets[0].ports[0].weight"),
+        ("cost", lambda d: d.update(stack={"layers": [
+            {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
+         "stack.layers"),
+        ("power", lambda d: d["tiles"][0].update(activity=1.5), "tiles[0].activity"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
         path = tmp_path / "bad.json"
@@ -236,7 +255,7 @@ class TestSpecErrors:
         path.write_text(json.dumps(edited(lambda d: d["tiles"][0].update(frequency_hz=-1))))
         status = main(["power", "--spec", str(path), "--out", str(tmp_path / "o")])
         assert status == 1
-        assert capsys.readouterr().err == "error: tiles[0].frequency_hz: must be > 0\n"
+        assert capsys.readouterr().err == "error: tiles[0].frequency_hz: must be > 0 and finite\n"
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d["placements"][0].update(rotation_deg=0.5), "placements[0].rotation_deg"),
@@ -304,14 +323,16 @@ class TestFlagScope:
 class TestResolutionValidation:
     @pytest.mark.parametrize("command, resolution", [
         ("place", "0"), ("place", "-2"), ("thermal", "0"), ("thermal", "-1"),
+        ("thermal", "inf"), ("calibrate-k", "nan"), ("sweep", "inf"),
     ])
     def test_non_positive_resolution_rejected(self, spec_path, tmp_path, capsys,
                                               command, resolution):
+        """--resolution sets anneal.fine_cell_mm in every subcommand that takes it."""
+        k = ["--k", "0.1"] if command == "calibrate-k" else []
         status = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
-                       "--resolution", resolution])
-        err = capsys.readouterr().err
+                       "--resolution", resolution, *k])
         assert status == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert capsys.readouterr().err == "error: fine_cell_mm: must be > 0 and finite\n"
 
 
 class TestPlaceCommand:
@@ -333,6 +354,11 @@ class TestPlaceCommand:
         assert (out1 / "history.csv").read_bytes() != (out2 / "history.csv").read_bytes()
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["seed"] == 7
+
+    def test_every_kind_has_its_own_fill(self):
+        # a kind without an entry would render in the fallback grey
+        assert set(_KIND_FILL) == set(CHIPLET_KINDS)
+        assert len(set(_KIND_FILL.values())) == len(CHIPLET_KINDS)
 
     def test_fast_decay_runs(self, tmp_path):
         # once K has decayed, an improving move's acceptance exponent is huge
@@ -357,13 +383,19 @@ class TestCalibrateAndSweepCommands:
         assert rows[1][3] == "false" and rows[2][3] == "true"
         assert "infeasible" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("sides", ["20,0", "-5", "nan"])
+    @pytest.mark.parametrize("sides", ["20,0", "-5", "nan", "inf"])
     def test_non_positive_side_rejected(self, spec_path, tmp_path, capsys, sides):
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", spec_path, "--out", str(out), "--sides", sides]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: sides: must be > 0") and err.count("\n") == 1
+        assert err.startswith("error: sides: must be > 0 and finite, got ") and err.count("\n") == 1
         assert not (out / "interposer_sweep.csv").exists()
+
+    def test_infinite_k_rejected(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert main(["calibrate-k", "--spec", spec_path, "--out", str(out), "--k", "0.1,inf"]) == 1
+        assert capsys.readouterr().err == "error: k0: must be > 0 and finite\n"
+        assert not (out / "k_calibration.csv").exists()
 
 
 class TestRerunCommand:
@@ -396,6 +428,23 @@ class TestRerunCommand:
         manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)], "inputs": {}}))
         status = main(["rerun", str(manifest)])
         assert_field_error(status, capsys.readouterr().err, str(manifest))
+
+    @pytest.mark.parametrize("recorded, reason", [
+        ({"argv": ["bogus"], "inputs": {}}, "argv: argument subcommand: invalid choice: 'bogus'"),
+        ({"argv": [], "inputs": {}}, "argv: the following arguments are required: subcommand"),
+        ({"argv": ["cost", "--spec"], "inputs": {}}, "argv: argument --spec: expected one argument"),
+        ({"argv": "cost --spec s.json", "inputs": {}}, "not a chipletdse manifest"),
+    ], ids=["unknown-subcommand", "empty", "flag-without-value", "argv-not-a-list"])
+    def test_rerun_refuses_manifest_without_a_run(self, tmp_path, capsys, monkeypatch,
+                                                  recorded, reason):
+        monkeypatch.chdir(tmp_path)  # a recorded run without --out would write ./out
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(recorded))
+        status = main(["rerun", str(manifest)])
+        err = capsys.readouterr().err
+        assert_field_error(status, err, str(manifest))
+        assert err.startswith(f"error: {manifest}: {reason}")
+        assert list(tmp_path.iterdir()) == [manifest]
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "gone.json")]) == 1

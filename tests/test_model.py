@@ -32,6 +32,7 @@ from chipletdse.model import (
     floorplan_to_document,
     links_from_spec,
     load_bundle,
+    load_configs_csv,
     load_spec,
     require_unique,
 )
@@ -95,6 +96,28 @@ class TestLoadSpec:
         path.write_text("{not json\n}")
         with pytest.raises(ParseError):
             load_spec(path)
+
+    @pytest.mark.parametrize("reader, content, reason", [
+        (load_spec, b"\xff\xfe{}", "unreadable"),
+        (load_spec, b"[1, 2]", "top-level JSON value must be an object"),
+        (load_configs_csv, b"name,cost\n\xff\xfe,1\n", "unreadable"),
+    ], ids=["undecodable", "top-level-array", "undecodable-csv"])
+    def test_undecodable_or_non_object_file_is_parse_error(self, tmp_path, reader, content,
+                                                           reason):
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}: {reason}")
+
+    def test_documented_defaults(self):
+        """An absent port weight reads 1 and an absent package.ambient_c 45 C."""
+        doc = make_doc([chip("a"), chip("b")])
+        doc["chiplets"][0]["ports"] = [{"peer": "b"}]
+        del doc["package"]["ambient_c"]
+        spec = load_spec(doc)
+        assert links_from_spec(spec) == (("a", "b", 1.0),)
+        assert spec.stack.ambient_c == 45.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
@@ -232,6 +255,17 @@ class TestFloorplan:
         assert list(doc["placements"][0].items()) == [
             ("name", "a"), ("x_mm", 1), ("y_mm", 2), ("rotation_deg", 90), ("width_mm", 5),
             ("height_mm", 3), ("power_w", 1.5)]
+
+    def test_document_defaults(self):
+        """An absent rotation_deg reads 0 and an absent link weight 1."""
+        doc = floorplan_to_document(Floorplan(20, 20, (
+            PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0),
+            PlacedChiplet("b", 8, 8, 0, 5, 5, 1.0),
+        ), links=(("a", "b", 1.0),)))
+        del doc["placements"][1]["rotation_deg"], doc["links"][0]["weight"]
+        fp = floorplan_from_document(doc)
+        assert fp.placements[1].rotation_deg == 0 and type(fp.placements[1].rotation_deg) is int
+        assert fp.links == (("a", "b", 1.0),)
 
     def test_json_roundtrip_keeps_rotation_an_integer(self):
         fp = Floorplan(20, 20, (PlacedChiplet("a", 1, 1, 90, 5, 3, 1.0),))

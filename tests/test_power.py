@@ -32,7 +32,7 @@ class TestPowerBreakdown:
 
     @pytest.mark.parametrize("frequency", [0.0, -1.0])
     def test_frequency_must_be_positive(self, frequency):
-        with pytest.raises(ValidationError, match=r"^frequency_hz: must be > 0$"):
+        with pytest.raises(ValidationError, match=r"^frequency_hz: must be > 0 and finite$"):
             PowerParams(frequency_hz=frequency)
 
     def test_total_is_exact_sum(self):

@@ -435,7 +435,7 @@ class TestSocVsChiplet:
     def test_unequal_power_rejected(self):
         with pytest.raises(ValidationError, match="power"):
             compare_soc_vs_chiplet(soc_plan(power=100.0),
-                                   split_plan(4.0, power=90.0), SMALL)
+                                   split_plan(4.0, power=90.0), SMALL, cell_mm=1.0)
 
     def test_split_runs_cooler_and_gap_helps(self):
         stack = ThermalStack()
