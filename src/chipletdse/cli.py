@@ -82,12 +82,11 @@ def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
 def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
     chiplets = bundle.package.chiplets
     process = replace(bundle.process, **_given(n_connections=args.connections))
-    breakdown = costyield.package_cost([c.area for c in chiplets], process.n_connections, process)
+    breakdown = costyield.package_cost([c.area for c in chiplets], process)
     rows = [[c.name, d.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
             for c, d in zip(chiplets, breakdown.dies)]
     rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
-                 breakdown.n_connections, breakdown.assembly_yield,
-                 breakdown.package_cost])
+                 process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
     _write_csv(out / "cost.csv",
                ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                rows)

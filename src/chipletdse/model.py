@@ -54,9 +54,10 @@ def _positive(obj: Any, *names: str) -> None:
 
 
 def _non_negative(obj: Any, *names: str) -> None:
+    """``_positive``'s rule with 0 allowed: ``"<field>: must be >= 0 and finite"``."""
     for name in names:
-        if not getattr(obj, name) >= 0:
-            raise ValidationError(f"{name}: must be >= 0")
+        if not 0 <= getattr(obj, name) < math.inf:
+            raise ValidationError(f"{name}: must be >= 0 and finite")
 
 
 def _require(cond: bool, path: str, msg: str) -> None:
@@ -192,6 +193,19 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         _positive(self, "service_bandwidth", "clock")
         _non_negative(self, "word_bits", "base_latency", "channels")
+
+
+@dataclass(frozen=True)
+class ConfigSpec:
+    """One configuration for the golden-ratio ranking."""
+
+    name: str
+    cost: float
+    throughput: float
+    latency: float
+
+    def __post_init__(self) -> None:
+        _positive(self, "cost", "throughput", "latency")
 
 
 @dataclass(frozen=True)
@@ -453,7 +467,7 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
         for end in ("a", "b"):
             _require(ld.get(end) in names, f"{path}.{end}", f"unknown placement {ld.get(end)!r}")
         weight = _num(ld, "weight", path, 1.0)
-        _require(weight > 0, f"{path}.weight", "must be > 0")
+        _require(weight > 0, f"{path}.weight", "must be > 0 and finite")  # _num checked finite
         links.append((ld["a"], ld["b"], weight))
     fp = _section(Floorplan, doc.get("interposer"), "interposer",
                   placements=placements, links=tuple(links))
@@ -610,12 +624,6 @@ def read_document(document: dict | str | Path) -> dict:
 # Full spec-file bundle (CLI entry): package plus the optional sections
 # driving the other subcommands.
 
-_CONFIG_COLUMNS = ("cost", "throughput", "latency")
-
-#: One configuration to rank: (name, cost, throughput, latency).
-ConfigRow = tuple[str, float, float, float]
-
-
 @dataclass(frozen=True)
 class SpecBundle:
     """A whole spec file, every section parsed, defaulted and validated:
@@ -627,7 +635,7 @@ class SpecBundle:
     anneal: AnnealConfig
     phy: PhySpec
     tiles: tuple[TileOperatingPoint, ...]
-    configs: tuple[ConfigRow, ...]
+    configs: tuple[ConfigSpec, ...]
 
 
 def _tile(doc: Any, path: str) -> TileOperatingPoint:
@@ -636,21 +644,14 @@ def _tile(doc: Any, path: str) -> TileOperatingPoint:
         voltage_v=_num(doc, "voltage_v", path)))
 
 
-def _config_row(doc: Any, path: str) -> ConfigRow:
-    name = _text(doc, "name", path)
-    values = tuple(_num(doc, key, path) for key in _CONFIG_COLUMNS)
-    for key, value in zip(_CONFIG_COLUMNS, values):
-        _require(value > 0, f"{path}.{key}", "must be > 0")
-    return (name, *values)
-
-
-def _config_rows(docs: list, path: str) -> tuple[ConfigRow, ...]:
-    rows = tuple(_config_row(doc, f"{path}[{i}]") for i, doc in enumerate(docs))
-    require_unique([r[0] for r in rows], path)
+def _config_rows(docs: list, path: str) -> tuple[ConfigSpec, ...]:
+    rows = tuple(_section(ConfigSpec, doc, f"{path}[{i}]", name=_text(doc, "name", f"{path}[{i}]"))
+                 for i, doc in enumerate(docs))
+    require_unique([r.name for r in rows], path)
     return rows
 
 
-def load_configs_csv(path: Path) -> tuple[ConfigRow, ...]:
+def load_configs_csv(path: Path) -> tuple[ConfigSpec, ...]:
     """Rows of a CSV with name,cost,throughput,latency columns, checked like
     the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
     try:
@@ -659,9 +660,9 @@ def load_configs_csv(path: Path) -> tuple[ConfigRow, ...]:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: unreadable ({exc})") from None
     for row in rows:
-        for key in _CONFIG_COLUMNS:
+        for f in fields(ConfigSpec)[1:]:  # the numeric columns, after name
             with contextlib.suppress(TypeError, ValueError):  # else rejected with its path
-                row[key] = float(row.get(key))
+                row[f.name] = float(row.get(f.name))
     return _config_rows(rows, str(path))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ChipletdseError, ServiceSpec, require_unique
+from .model import ChipletdseError, ConfigSpec, ServiceSpec, require_unique
 
 
 class PerfError(ChipletdseError, ValueError):
@@ -27,44 +27,37 @@ def throughput(s: ServiceSpec) -> float:
     return s.bits_per_channel_per_cycle * s.clock * s.channels
 
 
-def golden_ratio(throughput: float, latency: float, cost: float) -> float:
-    if latency <= 0:
-        raise PerfError("latency must be > 0")
-    if cost <= 0:
-        raise PerfError("cost must be > 0")
-    spend = latency * cost
-    ratio = throughput / spend if spend else math.inf
+def golden_ratio(config: ConfigSpec) -> float:
+    """throughput / (latency * cost) of a configuration."""
+    spend = config.latency * config.cost
+    ratio = config.throughput / spend if spend else math.inf
     # ranking divides by the smallest ratio, so it must stay a positive finite number
     if not 0 < ratio < math.inf:
-        raise PerfError(f"golden ratio of throughput {throughput}, latency {latency} and "
-                        f"cost {cost} is out of floating-point range")
+        raise PerfError(f"golden ratio of throughput {config.throughput}, latency "
+                        f"{config.latency} and cost {config.cost} is out of floating-point range")
     return ratio
 
 
 @dataclass(frozen=True)
-class ConfigResult:
-    name: str
-    cost: float
-    throughput: float
-    latency: float
+class ConfigResult(ConfigSpec):
+    """A ranked configuration: its golden ratio and that ratio over the set's smallest."""
+
     golden_ratio: float
     relative: float
 
 
-def rank_configs(results: list[tuple[str, float, float, float]]) -> list[ConfigResult]:
-    """Rank (name, cost, throughput, latency) rows by golden ratio, descending.
+def rank_configs(configs: list[ConfigSpec]) -> list[ConfigResult]:
+    """Rank configurations by golden ratio, descending.
 
     ``relative`` normalizes each golden ratio to the minimum over the set.
     Ties are broken by name, so names must be unique.
     """
-    if not results:
+    if not configs:
         raise PerfError("need at least one configuration")
-    require_unique([name for name, *_ in results], "configs")
-    ratios = {name: golden_ratio(tp, lat, cost) for name, cost, tp, lat in results}
-    gr_min = min(ratios.values())
-    rows = [
-        ConfigResult(name, cost, tp, lat, ratios[name], ratios[name] / gr_min)
-        for name, cost, tp, lat in results
-    ]
+    require_unique([c.name for c in configs], "configs")
+    ratios = [golden_ratio(c) for c in configs]
+    gr_min = min(ratios)
+    rows = [ConfigResult(**vars(c), golden_ratio=gr, relative=gr / gr_min)
+            for c, gr in zip(configs, ratios)]
     rows.sort(key=lambda r: (-r.golden_ratio, r.name))
     return rows

@@ -336,7 +336,8 @@ def interposer_sweep(
     """Optimized peak temperature per square interposer side length.
 
     A side too small for the chiplets' footprint budget, or for the packer,
-    is infeasible; a side that is not > 0 and finite is an error.
+    is infeasible; a side that is not > 0 and finite is an error, and so is
+    any error raised while annealing a side that packs.
     """
     bad = next((side for side in side_lengths_mm if not 0 < side < math.inf), None)
     if bad is not None:
@@ -345,9 +346,9 @@ def interposer_sweep(
     for side in side_lengths_mm:
         try:
             sized = replace(spec, interposer_width_mm=side, interposer_height_mm=side)
-            result = optimize(sized, cfg)
+            bst_placement(sized)
         except (PlacementError, ValidationError):
             rows.append(SweepRow(side, side * side, None, False))
             continue
-        rows.append(SweepRow(side, side * side, result.final_peak_t, True))
+        rows.append(SweepRow(side, side * side, optimize(sized, cfg).final_peak_t, True))
     return rows

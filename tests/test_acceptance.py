@@ -5,6 +5,7 @@ run with ``pytest tests/test_acceptance.py -s`` to see the report.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from chipletdse import costyield, perf, phy, place, power, thermal
 from chipletdse.model import (
+    ConfigSpec,
     Floorplan,
     PlacedChiplet,
     PowerParams,
@@ -72,17 +74,16 @@ class TestCriterion3CostRatio:
     def test_ratio_in_published_bracket(self):
         with report(3, "SoC vs 4-chiplet cost ratio"):
             p = ProcessCostParams()
-            ratio = costyield.cost_ratio(858.0, [170.0] * 4, 20000, p)
+            ratio = costyield.cost_ratio(858.0, [170.0] * 4, p)
             assert 3.5 <= ratio <= 4.5
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.floats(0.001, 1000.0))
     def test_ratio_independent_of_wafer_cost(self, scale):
         p = ProcessCostParams()
-        base = costyield.cost_ratio(858.0, [170.0] * 4, 20000, p)
+        base = costyield.cost_ratio(858.0, [170.0] * 4, p)
         scaled = costyield.cost_ratio(
-            858.0, [170.0] * 4, 20000,
-            ProcessCostParams(wafer_cost=p.wafer_cost * scale))
+            858.0, [170.0] * 4, ProcessCostParams(wafer_cost=p.wafer_cost * scale))
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_wafer_cost_property_reported(self):
@@ -168,12 +169,12 @@ class TestCriterion8FormulaSuite:
             p = ProcessCostParams()
             assert costyield.die_yield(858.0, p) == pytest.approx(0.2575, abs=5e-4)
             assert costyield.die_yield(170.0, p) == pytest.approx(0.7246, abs=5e-4)
-            assert costyield.gross_dies_per_wafer(858.0, 300.0) == 59
-            assert costyield.gross_dies_per_wafer(170.0, 300.0) == 364
-            assert costyield.assembly_yield(4, 20000, p) == pytest.approx(0.9763, abs=5e-4)
-            assert costyield.package_cost([858.0], 0, p).package_cost == \
+            assert costyield.gross_dies_per_wafer(858.0, p) == 59
+            assert costyield.gross_dies_per_wafer(170.0, p) == 364
+            assert costyield.assembly_yield(4, p) == pytest.approx(0.9763, abs=5e-4)
+            assert costyield.package_cost([858.0], replace(p, n_connections=0)).package_cost == \
                 pytest.approx(658.9, abs=0.5)
-            assert costyield.package_cost([170.0] * 4, 20000, p).package_cost == \
+            assert costyield.package_cost([170.0] * 4, p).package_cost == \
                 pytest.approx(155.3, abs=0.5)
 
             b = power.power_breakdown(PowerParams(
@@ -184,7 +185,7 @@ class TestCriterion8FormulaSuite:
 
             s = ServiceSpec(word_bits=512, service_bandwidth=64e9, base_latency=20e-9)
             assert perf.service_latency(s) == pytest.approx(2.8e-8, rel=1e-9)
-            assert perf.golden_ratio(1.95e9, 30.311, 129.6854) == \
+            assert perf.golden_ratio(ConfigSpec("C1", 129.6854, 1.95e9, 30.311)) == \
                 pytest.approx(4.9607e5, rel=1e-3)
 
             lp = phy.line_params(phy.PhySpec())

@@ -83,7 +83,14 @@ class TestCostCommand:
     def test_negative_connections_names_field(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cost"
         assert main(["cost", "--spec", spec_path, "--out", str(out), "--connections", "-5"]) == 1
-        assert capsys.readouterr().err == "error: n_connections: must be >= 0\n"
+        assert capsys.readouterr().err == "error: n_connections: must be >= 0 and finite\n"
+        assert not (out / "cost.csv").exists()
+
+    def test_assembly_yield_underflow_fails(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "cost"
+        argv = ["cost", "--spec", spec_path, "--out", str(out), "--connections", "1000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: assembly yield underflows to 0\n"
         assert not (out / "cost.csv").exists()
 
     def test_connections_flag_overrides_spec(self, spec_path, tmp_path):
@@ -290,6 +297,12 @@ class TestSpecErrors:
         assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}[0].cost: ") and err.count("\n") == 1
+
+    def test_configs_csv_nonpositive_value(self, tmp_path, capsys):
+        cfg = tmp_path / "configs.csv"
+        cfg.write_text("name,cost,throughput,latency\nX,100,1e9,10\nY,100,1e9,0\n")
+        assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}[1].latency: must be > 0 and finite\n"
 
     def test_explicit_zero_phy_flag_rejected(self, tmp_path, capsys):
         assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 from chipletdse import costyield as cy
 from chipletdse.model import ProcessCostParams
 
-P = ProcessCostParams()  # d0=0.002/mm^2, alpha=3, 300 mm wafer
+P = ProcessCostParams()  # d0=0.002/mm^2, alpha=3, 300 mm wafer, 20000 connections
+P0 = replace(P, n_connections=0)
 
 
-def brute_package_cost(areas, n_conn, params):
+def brute_package_cost(areas, params):
     # independent arithmetic oracle, no shared code path beyond primitives
     total = 0.0
     for a in areas:
@@ -18,7 +20,8 @@ def brute_package_cost(areas, n_conn, params):
                            - math.pi * params.wafer_diameter_mm / math.sqrt(2 * a))
         y = (1 + params.d0_per_mm2 * a / params.alpha_yield) ** -params.alpha_yield
         total += params.wafer_cost / (gross * y)
-    ay = params.assembly_die_survival ** len(areas) * params.assembly_conn_survival ** n_conn
+    ay = (params.assembly_die_survival ** len(areas)
+          * params.assembly_conn_survival ** params.n_connections)
     return total / ay
 
 
@@ -46,81 +49,81 @@ class TestDieYield:
 
 class TestGrossDies:
     def test_soc(self):
-        assert cy.gross_dies_per_wafer(858.0, 300.0) == 59
+        assert cy.gross_dies_per_wafer(858.0, P) == 59
 
     def test_chiplet(self):
-        assert cy.gross_dies_per_wafer(170.0, 300.0) == 364
+        assert cy.gross_dies_per_wafer(170.0, P) == 364
 
     def test_die_bigger_than_wafer(self):
-        assert cy.gross_dies_per_wafer(80000.0, 300.0) == 0
+        assert cy.gross_dies_per_wafer(80000.0, P) == 0
 
     def test_nonpositive_area_rejected(self):
         with pytest.raises(cy.CostModelError):
-            cy.gross_dies_per_wafer(0.0, 300.0)
+            cy.gross_dies_per_wafer(0.0, P)
 
 
 class TestAssemblyYield:
     def test_empty_package(self):
-        assert cy.assembly_yield(0, 0, P) == 1.0
+        assert cy.assembly_yield(0, P0) == 1.0
 
     def test_single_die(self):
-        assert cy.assembly_yield(1, 0, P) == pytest.approx(0.999)
+        assert cy.assembly_yield(1, P0) == pytest.approx(0.999)
 
     def test_four_dies_20k_connections(self):
-        assert cy.assembly_yield(4, 20000, P) == pytest.approx(0.9763, abs=5e-4)
+        assert cy.assembly_yield(4, P) == pytest.approx(0.9763, abs=5e-4)
 
 
 class TestPackageCost:
     def test_single_soc_die(self):
-        got = cy.package_cost([858.0], 0, P).package_cost
-        assert got == pytest.approx(brute_package_cost([858.0], 0, P), rel=1e-12)
+        got = cy.package_cost([858.0], P0).package_cost
+        assert got == pytest.approx(brute_package_cost([858.0], P0), rel=1e-12)
         assert got == pytest.approx(658.9, abs=0.5)
 
     def test_four_chiplets(self):
-        got = cy.package_cost([170.0] * 4, 20000, P).package_cost
-        assert got == pytest.approx(brute_package_cost([170.0] * 4, 20000, P), rel=1e-12)
+        got = cy.package_cost([170.0] * 4, P).package_cost
+        assert got == pytest.approx(brute_package_cost([170.0] * 4, P), rel=1e-12)
         assert got == pytest.approx(155.3, abs=0.5)
 
     def test_zero_dies(self):
-        bd = cy.package_cost([], 0, P)
+        bd = cy.package_cost([], P0)
         assert bd.package_cost == 0.0
         assert bd.assembly_yield == 1.0
 
     def test_die_exceeding_wafer(self):
         with pytest.raises(cy.CostModelError, match="exceeds wafer"):
-            cy.package_cost([80000.0], 0, P)
+            cy.package_cost([80000.0], P0)
 
     def test_cost_at_least_raw_die_cost(self):
-        bd = cy.package_cost([170.0] * 4 + [50.0] * 2, 5000, P)
+        bd = cy.package_cost([170.0] * 4 + [50.0] * 2, replace(P, n_connections=5000))
         assert bd.package_cost >= bd.raw_die_cost
 
     def test_one_die_per_area_in_order(self):
         areas = [170.0, 50.0, 170.0, 170.0, 858.0]
-        bd = cy.package_cost(areas, 20000, P)
+        bd = cy.package_cost(areas, P)
         assert bd.dies == tuple(cy.die_cost(a, P) for a in areas)
-        assert bd.package_cost == pytest.approx(brute_package_cost(areas, 20000, P), rel=1e-12)
+        assert bd.package_cost == pytest.approx(brute_package_cost(areas, P), rel=1e-12)
 
 
 class TestCostRatio:
     def test_soc_vs_four_chiplets(self):
-        ratio = cy.cost_ratio(858.0, [170.0] * 4, 20000, P)
-        expected = brute_package_cost([858.0], 0, P) / brute_package_cost([170.0] * 4, 20000, P)
+        ratio = cy.cost_ratio(858.0, [170.0] * 4, P)
+        expected = brute_package_cost([858.0], P0) / brute_package_cost([170.0] * 4, P)
         assert ratio == pytest.approx(expected, rel=1e-12)
         assert ratio == pytest.approx(4.24, abs=0.02)
 
     def test_identity(self):
-        assert cy.cost_ratio(858.0, [858.0], 0, P) == pytest.approx(1.0, rel=1e-12)
+        assert cy.cost_ratio(858.0, [858.0], P0) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_defect_density_equal_silicon(self):
         # with d0=0 and an area-preserving split only assembly yield and
         # edge loss differ; the advantage collapses
         p0 = ProcessCostParams(d0_per_mm2=0.0)
-        assert cy.cost_ratio(858.0, [858.0 / 4] * 4, 20000, p0) < 1.2
+        assert cy.cost_ratio(858.0, [858.0 / 4] * 4, p0) < 1.2
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(0.01, 100.0))
     def test_invariant_under_wafer_cost(self, scale):
-        base = cy.cost_ratio(858.0, [170.0] * 4, 20000, P)
-        scaled = cy.cost_ratio(858.0, [170.0] * 4, 20000,
+        base = cy.cost_ratio(858.0, [170.0] * 4, P)
+        scaled = cy.cost_ratio(858.0, [170.0] * 4,
                                ProcessCostParams(wafer_cost=P.wafer_cost * scale))
         assert scaled == pytest.approx(base, rel=1e-12)

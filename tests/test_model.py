@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from chipletdse.model import (
     AnnealConfig,
     ChipletdseError,
     ChipletSpec,
+    ConfigSpec,
     Floorplan,
     LayerSpec,
     PackageSpec,
@@ -126,6 +128,14 @@ class TestLoadSpec:
     def test_ambient_outside_automotive_range(self):
         with pytest.raises(ValidationError, match="ambient"):
             load_spec(make_doc([chip("a")], ambient=150.0))
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ChipletSpec("a", 1, 1, power_w=math.inf), "power_w"),
+        (lambda: ProcessCostParams(d0_per_mm2=math.inf), "d0_per_mm2"),
+    ])
+    def test_non_negative_field_must_be_finite(self, build, field):
+        with pytest.raises(ValidationError, match=rf"^{field}: must be >= 0 and finite$"):
+            build()
 
     def test_negative_width_names_field(self):
         doc = make_doc([chip("a", w=-1.0)])
@@ -288,6 +298,15 @@ class TestFloorplan:
         with pytest.raises(ValidationError, match=field):
             floorplan_from_document(doc)
 
+    def test_link_weight_states_the_positivity_rule(self):
+        doc = floorplan_to_document(Floorplan(20, 20, (
+            PlacedChiplet("a", 1, 1, 0, 5, 5, 1.0),
+            PlacedChiplet("b", 8, 8, 0, 5, 5, 1.0),
+        )))
+        doc["links"] = [{"a": "a", "b": "b", "weight": -2.0}]
+        with pytest.raises(ValidationError, match=r"^links\[0\]\.weight: must be > 0 and finite$"):
+            floorplan_from_document(doc)
+
 
 class TestLayering:
     """model.py is the package's base module: it holds the domain types and
@@ -330,6 +349,7 @@ SECTIONS = [
     (AnnealConfig, "anneal", lambda d: d["anneal"]),
     (PhySpec, "phy", lambda d: d["phy"]),
     (PowerParams, "tiles[0]", lambda d: d["tiles"][0]),
+    (ConfigSpec, "configs[0]", lambda d: d["configs"][0]),
     (PlacedChiplet, "placements[0]", lambda d: d["placements"][0]),
     (Floorplan, "interposer", lambda d: d["interposer"]),
 ]

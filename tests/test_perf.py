@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipletdse.model import ServiceSpec
+from chipletdse.model import ConfigSpec, ServiceSpec, ValidationError
 from chipletdse.perf import (
     PerfError,
     golden_ratio,
@@ -14,10 +14,14 @@ from chipletdse.perf import (
 # reference configuration fixture (cost, throughput, latency) with known
 # golden ratios and relatives
 FIXTURE = [
-    ("C1", 129.6854, 1.95e9, 30.311),
-    ("C2", 177.3822, 1.97e9, 43.234),
-    ("C3", 136.7064, 1.92e9, 30.763),
+    ConfigSpec("C1", 129.6854, 1.95e9, 30.311),
+    ConfigSpec("C2", 177.3822, 1.97e9, 43.234),
+    ConfigSpec("C3", 136.7064, 1.92e9, 30.763),
 ]
+
+
+def gr(tp, lat, cost):
+    return golden_ratio(ConfigSpec("c", cost, tp, lat))
 
 
 class TestLatencyThroughput:
@@ -42,27 +46,32 @@ class TestLatencyThroughput:
 class TestGoldenRatio:
     def test_fixture_values(self):
         expected = {"C1": 4.9607e5, "C2": 2.5688e5, "C3": 4.5655e5}
-        for name, cost, tp, lat in FIXTURE:
-            assert golden_ratio(tp, lat, cost) == pytest.approx(
-                expected[name], rel=1e-2)
+        for c in FIXTURE:
+            assert golden_ratio(c) == pytest.approx(expected[c.name], rel=1e-2)
 
+    # the positivity of a ranked row is ConfigSpec's rule, checked when it is built
     def test_nonpositive_latency_rejected(self):
-        with pytest.raises(PerfError):
-            golden_ratio(1e9, 0.0, 100.0)
+        with pytest.raises(ValidationError, match=r"^latency: must be > 0 and finite$"):
+            ConfigSpec("c", 100.0, 1e9, 0.0)
 
     def test_nonpositive_cost_rejected(self):
-        with pytest.raises(PerfError):
-            golden_ratio(1e9, 1.0, 0.0)
+        with pytest.raises(ValidationError, match=r"^cost: must be > 0 and finite$"):
+            ConfigSpec("c", 0.0, 1e9, 1.0)
+
+    def test_ratio_out_of_float_range_rejected(self):
+        # latency * cost underflows to 0, so the ratio would be infinite
+        with pytest.raises(PerfError, match="out of floating-point range"):
+            gr(1e9, 1e-200, 1e-200)
 
     @settings(max_examples=50, deadline=None)
     @given(tp=st.floats(1e3, 1e12), lat=st.floats(1e-9, 1e3),
            cost=st.floats(1e-3, 1e6), k=st.floats(0.01, 100.0))
     def test_scale_covariance(self, tp, lat, cost, k):
         # linear in throughput, inverse in latency and cost
-        base = golden_ratio(tp, lat, cost)
-        assert golden_ratio(k * tp, lat, cost) == pytest.approx(k * base, rel=1e-9)
-        assert golden_ratio(tp, k * lat, cost) == pytest.approx(base / k, rel=1e-9)
-        assert golden_ratio(tp, lat, k * cost) == pytest.approx(base / k, rel=1e-9)
+        base = gr(tp, lat, cost)
+        assert gr(k * tp, lat, cost) == pytest.approx(k * base, rel=1e-9)
+        assert gr(tp, k * lat, cost) == pytest.approx(base / k, rel=1e-9)
+        assert gr(tp, lat, k * cost) == pytest.approx(base / k, rel=1e-9)
 
 
 class TestRankConfigs:
@@ -79,7 +88,7 @@ class TestRankConfigs:
         assert rows[-1].relative == 1.0
 
     def test_tie_breaks_by_name(self):
-        rows = rank_configs([("b", 1.0, 1.0, 1.0), ("a", 1.0, 1.0, 1.0)])
+        rows = rank_configs([ConfigSpec("b", 1.0, 1.0, 1.0), ConfigSpec("a", 1.0, 1.0, 1.0)])
         assert [r.name for r in rows] == ["a", "b"]
 
     def test_empty_rejected(self):
@@ -89,7 +98,8 @@ class TestRankConfigs:
     def test_duplicate_names_rejected(self):
         # a ratio keyed by name would give the first "a" row the second's ratio
         with pytest.raises(ValueError, match=r"^configs\[1\]\.name: duplicate name 'a'$"):
-            rank_configs([("a", 1.0, 1.0, 1.0), ("a", 2.0, 1.0, 1.0), ("b", 1.0, 1.0, 1.0)])
+            rank_configs([ConfigSpec("a", 1.0, 1.0, 1.0), ConfigSpec("a", 2.0, 1.0, 1.0),
+                          ConfigSpec("b", 1.0, 1.0, 1.0)])
 
     def test_bundled_configs_match_fixture(self, bundle):
         rows = rank_configs(bundle.configs)

@@ -12,6 +12,7 @@ from chipletdse.place import (
     AnnealConfig,
     NormalizationBounds,
     PlacementError,
+    SweepRow,
     acceptance_probability,
     alpha_for,
     anneal_cost,
@@ -302,6 +303,16 @@ class TestOptimize:
         monkeypatch.setattr(thermal, "chiplet_peak", lambda pm, stack: exact(pm, stack) + 1e-6)
         with pytest.raises(PlacementError, match="disagrees with the full solve"):
             optimize(small_spec(), FAST)
+
+    def test_sweep_reports_an_annealing_error(self, monkeypatch):
+        exact = thermal.chiplet_peak
+        monkeypatch.setattr(thermal, "chiplet_peak", lambda pm, stack: exact(pm, stack) + 1e-6)
+        # 8 mm breaks the footprint budget and 12 mm the packer: neither is annealed
+        assert interposer_sweep(small_spec(), [8.0, 12.0], FAST) == [
+            SweepRow(8.0, 64.0, None, False), SweepRow(12.0, 144.0, None, False)]
+        # 20 mm packs, so the guard's error while annealing it is not read as infeasible
+        with pytest.raises(PlacementError, match="disagrees with the full solve"):
+            interposer_sweep(small_spec(), [20.0], FAST)
 
     def test_single_chiplet_centered(self):
         spec = PackageSpec("one", (ChipletSpec("a", 5, 5, 3.0),), 20.0, 20.0)
