@@ -111,14 +111,15 @@ def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
     if args.configs:
-        entries = load_configs_csv(Path(args.configs))
+        source = Path(args.configs)
+        entries = load_configs_csv(source)
     elif bundle:
-        entries = bundle.configs
+        source, entries = "configs", bundle.configs
     else:
         raise SpecError("perf needs --spec or --configs")
     if not entries:
         raise SpecError("no configuration rows found (spec 'configs' or --configs CSV)")
-    ranked = perf.rank_configs(entries)
+    ranked = perf.rank_configs(entries, str(source))  # rows named as the loader names them
     _write_csv(out / "perf.csv",
                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
                [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
@@ -153,13 +154,19 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = place.bst_placement(bundle.package)
     pm = thermal.rasterize(fp, _anneal_config(bundle, args).fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
+    ny, nx = tf.data.shape[1:]
+    cells = [f",{ix},{iy}," for iy in range(ny) for ix in range(nx)]
     with (out / "temperature_field.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "x", "y", "t_c"])
-        # format(t, ".6g") is fmt's text for a float, without its per-value dispatch
-        writer.writerows((lname, ix, iy, format(t, ".6g"))
-                         for lname, layer in zip(tf.stack.layer_names, tf.data.tolist())
-                         for iy, row in enumerate(layer) for ix, t in enumerate(row))
+        # the rows csv.writer would write, one layer at a time: the layer name as csv
+        # quotes it, the cell's x and y, and fmt's text for a float without its dispatch
+        for lname, layer in zip(tf.stack.layer_names, tf.data):
+            buf = io.StringIO()
+            csv.writer(buf).writerow([lname])
+            quoted = buf.getvalue()[:-2]  # without csv's "\r\n"
+            fh.writelines(f"{quoted}{cell}{t:.6g}\r\n"
+                          for cell, t in zip(cells, layer.ravel().tolist()))
     for lname in tf.stack.layer_names:
         print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
 

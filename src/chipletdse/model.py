@@ -323,12 +323,29 @@ Box = tuple[float, float, float, float]  # (x0, y0, x1, y1), mm
 _PLACEMENT_EPS_MM = 1e-9  # slack of every bounds and spacing test
 
 
+def footprint(x_mm: float, y_mm: float, width_mm: float, height_mm: float,
+              rotation_deg: int) -> tuple[float, float, Box]:
+    """Effective width, height and box of a width_mm x height_mm chiplet turned
+    by rotation_deg, a quarter turn swapping the sides, with the lower-left
+    corner of its turned footprint at (x_mm, y_mm).
+
+    The far edges are the anchor plus the effective sides, so the box a move is
+    checked on equals, bit for bit, the box of the row built from that move.
+    """
+    if rotation_deg in (90, 270):
+        width_mm, height_mm = height_mm, width_mm
+    return width_mm, height_mm, (x_mm, y_mm, x_mm + width_mm, y_mm + height_mm)
+
+
 @dataclass(frozen=True)
 class PlacedChiplet:
     """A chiplet instance placed on the interposer.
 
     (x_mm, y_mm) is the lower-left corner of the *effective* (rotated)
-    footprint; width_mm/height_mm are the unrotated footprint.
+    footprint; width_mm/height_mm are the unrotated footprint. ``eff_width``,
+    ``eff_height``, ``box`` (the effective footprint) and ``center`` are derived
+    once, at construction, and are not fields: ``asdict`` and equality see the
+    seven fields alone.
     """
 
     name: str
@@ -340,29 +357,19 @@ class PlacedChiplet:
     power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        # O(1): the annealer builds one of these per proposed move
+        # O(1): the annealer builds one of these per accepted proposal
         # type() is int: 90.0 would reach reports as "90.0", and False == 0
         if type(self.rotation_deg) is not int or self.rotation_deg not in (0, 90, 180, 270):
             raise ValidationError("rotation_deg: must be 0, 90, 180 or 270")
         _positive(self, "width_mm", "height_mm")
         _non_negative(self, "power_w")
-
-    @property
-    def eff_width(self) -> float:
-        return self.height_mm if self.rotation_deg in (90, 270) else self.width_mm
-
-    @property
-    def eff_height(self) -> float:
-        return self.width_mm if self.rotation_deg in (90, 270) else self.height_mm
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x_mm + self.eff_width / 2.0, self.y_mm + self.eff_height / 2.0)
-
-    @property
-    def box(self) -> Box:
-        """The effective footprint."""
-        return (self.x_mm, self.y_mm, self.x_mm + self.eff_width, self.y_mm + self.eff_height)
+        w, h, box = footprint(self.x_mm, self.y_mm, self.width_mm, self.height_mm,
+                              self.rotation_deg)
+        # plain attributes, read on every move: a property or cached_property costs more
+        object.__setattr__(self, "eff_width", w)
+        object.__setattr__(self, "eff_height", h)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "center", (self.x_mm + w / 2.0, self.y_mm + h / 2.0))
 
 
 @dataclass(frozen=True)
@@ -422,20 +429,20 @@ class Floorplan:
                         f"placements[{j}]: overlaps placements[{i}] or violates spacing")
         require_unique([p.name for p in self.placements], "placements")
 
-    def admits(self, moved: dict[int, PlacedChiplet]) -> bool:
-        """Whether this plan stays legal with ``moved[i]`` in place of placements[i].
+    def admits(self, moved: dict[int, Box]) -> bool:
+        """Whether this plan stays legal with placements[i]'s footprint moved to
+        the box ``moved[i]``.
 
-        Only the moved rows are tested, each against every other row: O(n) per
-        row, not validate's O(n^2). So this plan must itself be legal and each
-        moved row must keep its name; then the answer equals ``is_valid`` on the
-        new plan.
+        Legality is decided on boxes, before any row is built, and only the
+        moved boxes are tested, each against every other row: O(n) per box,
+        not validate's O(n^2). So this plan must itself be legal; then the
+        answer equals ``is_valid`` on the plan whose moved rows have those boxes.
         """
-        new = {i: p.box for i, p in moved.items()}
-        for i, a in new.items():
+        for i, a in moved.items():
             if not self._in_bounds(a):
                 return False
             for j, q in enumerate(self.placements):
-                if j != i and not self._apart(a, new[j] if j in new else q.box):
+                if j != i and not self._apart(a, moved[j] if j in moved else q.box):
                     return False
         return True
 
@@ -655,7 +662,7 @@ def load_configs_csv(path: Path) -> tuple[ConfigSpec, ...]:
     """Rows of a CSV with name,cost,throughput,latency columns, checked like
     the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # as spreadsheets save it
             rows = list(csv.DictReader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: unreadable ({exc})") from None

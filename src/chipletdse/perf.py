@@ -46,16 +46,22 @@ class ConfigResult(ConfigSpec):
     relative: float
 
 
-def rank_configs(configs: list[ConfigSpec]) -> list[ConfigResult]:
+def rank_configs(configs: list[ConfigSpec], path: str = "configs") -> list[ConfigResult]:
     """Rank configurations by golden ratio, descending.
 
     ``relative`` normalizes each golden ratio to the minimum over the set.
-    Ties are broken by name, so names must be unique.
+    Ties are broken by name, so names must be unique. An error names its row
+    as ``<path>[<i>]``, path being where the rows were read from.
     """
     if not configs:
         raise PerfError("need at least one configuration")
-    require_unique([c.name for c in configs], "configs")
-    ratios = [golden_ratio(c) for c in configs]
+    require_unique([c.name for c in configs], path)
+    ratios = []
+    for i, c in enumerate(configs):
+        try:
+            ratios.append(golden_ratio(c))
+        except PerfError as exc:
+            raise PerfError(f"{path}[{i}]: {exc}") from None
     gr_min = min(ratios)
     rows = [ConfigResult(**vars(c), golden_ratio=gr, relative=gr / gr_min)
             for c, gr in zip(configs, ratios)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (AnnealConfig, ChipletdseError, Floorplan, PackageSpec, PlacedChiplet,
-                    ValidationError, links_from_spec)
+                    ValidationError, footprint, links_from_spec)
 from . import thermal
 
 
@@ -148,12 +148,6 @@ PERSISTENCE = 5  # consecutive epochs the |dT| < tol_c test must hold
 SCORE_GUARD_C = 1e-9  # how far a move score may lie from its plan's guarded full solve
 
 
-def _at(p: PlacedChiplet, x: float, y: float, rotation: int | None = None) -> PlacedChiplet:
-    """p anchored at (x, y), built directly: ``replace`` is slow on the per-move path."""
-    return PlacedChiplet(p.name, x, y, p.rotation_deg if rotation is None else rotation,
-                         p.width_mm, p.height_mm, p.power_w)
-
-
 def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
     """One random legal move: translate, rotate 90 degrees, or swap two chiplets.
 
@@ -161,7 +155,8 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
     the longer interposer side, so tightly packed boards still find legal
     small moves. Invalid proposals are re-drawn up to ``RETRY_CAP`` times; if
     none is legal the floorplan is considered too congested. fp must be legal:
-    a proposal is checked only for the rows it moves (``Floorplan.admits``).
+    legality is decided on the moved rows' boxes (``Floorplan.admits``) before
+    any row is built, and only the proposal returned builds its moved rows.
     """
     step_mm = max(fp.width_mm, fp.height_mm) / 8.0
     n = len(fp.placements)
@@ -172,26 +167,31 @@ def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
         if kind == 0:  # translate
             magnitude = step_mm * 10.0 ** rng.uniform(-2.0, 0.0)
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            moved = {i: _at(p, p.x_mm + magnitude * math.cos(angle),
-                            p.y_mm + magnitude * math.sin(angle))}
+            moves = {i: (p, p.x_mm + magnitude * math.cos(angle),
+                         p.y_mm + magnitude * math.sin(angle), p.rotation_deg)}
         elif kind == 1:  # rotate 90 degrees about the footprint center
             if p.width_mm == p.height_mm:
                 continue  # no-op rotation, not a move
             cx, cy = p.center
             # a quarter turn swaps the effective width and height
-            moved = {i: _at(p, cx - p.eff_height / 2.0, cy - p.eff_width / 2.0,
-                            (p.rotation_deg + 90) % 360)}
+            moves = {i: (p, cx - p.eff_height / 2.0, cy - p.eff_width / 2.0,
+                         (p.rotation_deg + 90) % 360)}
         else:  # swap anchor positions of two chiplets
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
             q = fp.placements[j]
-            moved = {i: _at(p, q.x_mm, q.y_mm), j: _at(q, p.x_mm, p.y_mm)}
-        if fp.admits(moved):
+            moves = {i: (p, q.x_mm, q.y_mm, p.rotation_deg),
+                     j: (q, p.x_mm, p.y_mm, q.rotation_deg)}
+        if fp.admits({k: footprint(x, y, row.width_mm, row.height_mm, rot)[2]
+                      for k, (row, x, y, rot) in moves.items()}):
             placements = list(fp.placements)
-            for k, row in moved.items():
-                placements[k] = row
-            return replace(fp, placements=tuple(placements))
+            for k, (row, x, y, rot) in moves.items():
+                placements[k] = PlacedChiplet(row.name, x, y, rot, row.width_mm, row.height_mm,
+                                              row.power_w)
+            # built directly, as the rows are: ``replace`` is slow on the per-move path
+            return Floorplan(fp.width_mm, fp.height_mm, tuple(placements), fp.links,
+                             fp.min_spacing_mm)
     raise PlacementError(f"floorplan too congested: no legal move in {RETRY_CAP} attempts")
 
 

@@ -77,7 +77,10 @@ def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> tuple[int, 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Length of each interval [lo, hi] inside each cell between edges, (len(lo), cells)."""
-    return np.clip(hi[:, None], edges[:-1], edges[1:]) - np.clip(lo[:, None], edges[:-1], edges[1:])
+    left, right = edges[:-1], edges[1:]
+    # np.clip's arithmetic without its per-call dispatch, which costs more than the clamp
+    return (np.minimum(np.maximum(hi[:, None], left), right)
+            - np.minimum(np.maximum(lo[:, None], left), right))
 
 
 def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
@@ -199,20 +202,22 @@ def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
         return t
     top = t[-1] if dst == slice(None) else _response(model, p, 0, -1)
     p_top, y = np.zeros(p.shape), np.zeros(u.size)
+    top_cells = p_top.reshape(-1)  # a view: writing it writes p_top
     r = d = top.ravel()[u]
-    rr, stop = r @ r, (1e-12 * np.linalg.norm(p) / g) ** 2
+    # rr and alpha as Python floats: the same doubles, without numpy scalar overhead
+    rr, stop = float(r @ r), (1e-12 * np.linalg.norm(p) / g) ** 2
     for _ in range(u.size):
         if not rr > stop:  # also ends on NaN, which the check below rejects
             break
-        p_top.flat[u] = d
+        top_cells[u] = d
         cd = d / g - _response(model, p_top, 1, -1).ravel()[u]  # C @ d
-        alpha = rr / (d @ cd)
+        alpha = float(rr / (d @ cd))  # numpy division: a zero denominator gives inf, not a raise
         y, r = y + alpha * d, r - alpha * cd
-        rr, rr_old = r @ r, rr
+        rr, rr_old = float(r @ r), rr
         d = r + (rr / rr_old) * d
     if not rr <= stop:
         raise ThermalError(f"sink correction did not converge in {u.size} CG steps")
-    p_top.flat[u] = y
+    top_cells[u] = y
     return t + _response(model, p_top, 1, dst)
 
 

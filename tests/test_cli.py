@@ -132,6 +132,15 @@ class TestPerfCommand:
         rows = read_csv(out / "perf.csv")
         assert [r[0] for r in rows[1:]] == ["X", "Y"]
 
+    def test_csv_with_byte_order_mark(self, tmp_path, capsys):
+        # a spreadsheet's UTF-8 export starts with a byte-order mark
+        cfg = tmp_path / "bom.csv"
+        cfg.write_bytes(b"\xef\xbb\xbfname,cost,throughput,latency\nX,100,1e9,10\n")
+        out = tmp_path / "perf"
+        assert main(["perf", "--configs", str(cfg), "--out", str(out)]) == 0
+        assert [r[0] for r in read_csv(out / "perf.csv")[1:]] == ["X"]
+        assert "best_config = X" in capsys.readouterr().out
+
 
 class TestPhyCommand:
     def test_defaults(self, tmp_path, capsys):
@@ -160,6 +169,20 @@ class TestThermalCommand:
         assert len(rows) == 1 + 8 * 10 * 10
         printed = capsys.readouterr().out
         assert "peak_chiplet_c" in printed
+
+    def test_field_csv_quotes_layer_names(self, tmp_path, capsys):
+        with open(chipletdse.bundled_spec_path()) as fh:
+            doc = json.load(fh)
+        doc["stack"]["layers"][5]["name"] = 'tim, "paste"'
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "thermal"
+        assert main(["thermal", "--spec", str(path), "--out", str(out),
+                     "--resolution", "2.0"]) == 0
+        raw = (out / "temperature_field.csv").read_bytes()
+        assert b'\r\n"tim, ""paste""",0,0,' in raw and b"\r\nchiplet,9,9," in raw
+        tim = [r for r in read_csv(out / "temperature_field.csv") if r[0] == 'tim, "paste"']
+        assert len(tim) == 20 * 20 and tim[1][1:3] == ["1", "0"]
 
     def test_default_grid_is_the_placer_fine_grid(self, spec_path, tmp_path, capsys):
         """thermal solves place's plan on anneal.fine_cell_mm (2 mm here), so its
@@ -303,6 +326,25 @@ class TestSpecErrors:
         cfg.write_text("name,cost,throughput,latency\nX,100,1e9,10\nY,100,1e9,0\n")
         assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}[1].latency: must be > 0 and finite\n"
+
+    def test_configs_csv_ratio_out_of_range(self, tmp_path, capsys):
+        cfg = tmp_path / "big.csv"
+        cfg.write_text("name,cost,throughput,latency\nY,100,1e9,10\nX,100,1e300,1e-300\n")
+        assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}[1]: golden ratio of throughput 1e+300, latency 1e-300 and cost "
+            "100.0 is out of floating-point range\n")
+
+    def test_spec_configs_ratio_out_of_range(self, tmp_path, capsys):
+        with open(chipletdse.bundled_spec_path()) as fh:
+            doc = json.load(fh)
+        doc["configs"][1].update(throughput=1e300, latency=1e-300)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["perf", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: configs[1]: golden ratio of throughput 1e+300, ")
+        assert err.count("\n") == 1
 
     def test_explicit_zero_phy_flag_rejected(self, tmp_path, capsys):
         assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1

@@ -236,6 +236,26 @@ class TestFloorplan:
         p = PlacedChiplet("a", 0, 0, 90, 4, 2, 1.0)
         assert (p.eff_width, p.eff_height) == (2, 4)
 
+    @pytest.mark.parametrize("rotation", [0, 90, 180, 270])
+    def test_derived_footprint_follows_the_fields(self, rotation):
+        def expected(p):
+            turned = p.rotation_deg in (90, 270)
+            w, h = (p.height_mm, p.width_mm) if turned else (p.width_mm, p.height_mm)
+            return (w, h, (p.x_mm, p.y_mm, p.x_mm + w, p.y_mm + h),
+                    (p.x_mm + w / 2.0, p.y_mm + h / 2.0))
+
+        p = PlacedChiplet("a", 1.1, 2.3, rotation, 4.7, 2.9, 1.0)
+        moved = dataclasses.replace(p, x_mm=3.7, y_mm=0.9, rotation_deg=(rotation + 90) % 360)
+        for q in (p, moved):
+            assert (q.eff_width, q.eff_height, q.box, q.center) == expected(q)
+
+    def test_derived_footprint_is_not_a_field(self):
+        p = PlacedChiplet("a", 1, 2, 90, 5, 3, 1.5)
+        assert p.box and p.center  # derived at construction
+        doc = floorplan_to_document(Floorplan(20, 20, (p,)))
+        for keys in (dataclasses.asdict(p), doc["placements"][0]):
+            assert not {"box", "center", "eff_width", "eff_height"} & set(keys)
+
     @pytest.mark.parametrize("rotation", [90.0, 0.0, False, True, 45, "90"])
     def test_rotation_must_be_an_integer_quarter_turn(self, rotation):
         with pytest.raises(ValidationError) as exc:

@@ -231,7 +231,32 @@ class TestRowLegality:
     def test_admits_agrees_with_full_validate(self, proposal):
         fp, moved = proposal
         cand = replace(fp, placements=tuple(moved.get(k, p) for k, p in enumerate(fp.placements)))
-        assert fp.admits(moved) == cand.is_valid()
+        assert fp.admits({k: row.box for k, row in moved.items()}) == cand.is_valid()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), oblong=st.booleans())
+    def test_proposal_rows_have_the_boxes_admitted(self, seed, oblong):
+        """Every returned plan is legal, and the rows it moved carry exactly the
+        boxes that the last, accepting, admits call was given."""
+        rng = np.random.default_rng(seed)
+        cur = bst_placement(oblong_spec() if oblong else small_spec())
+        calls = []
+        admits = Floorplan.admits
+
+        def recorded(self, moved):
+            calls.append(moved)
+            return admits(self, moved)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Floorplan, "admits", recorded)
+            for _ in range(20):
+                nxt = propose_move(cur, rng)
+                nxt.validate()
+                boxes = calls[-1]
+                assert admits(cur, boxes)
+                for k, (old, new) in enumerate(zip(cur.placements, nxt.placements)):
+                    assert new.box == boxes[k] if k in boxes else new is old
+                cur = nxt
 
     def test_proposals_skip_full_validate(self, monkeypatch):
         fp = bst_placement(oblong_spec())
