@@ -256,6 +256,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 
     bounds = NormalizationBounds()
     t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
+    thermal.rasterize(current, cfg.fine_cell_mm)  # an unusable fine grid fails before annealing
     initial_peak = t0
     bounds.update(t0, w0)
 
@@ -337,18 +338,22 @@ def interposer_sweep(
 
     A side too small for the chiplets' footprint budget, or for the packer,
     is infeasible; a side that is not > 0 and finite is an error, and so is
-    any error raised while annealing a side that packs.
+    any error raised while annealing a side that packs. Every packed side's
+    grids are checked before the first side anneals.
     """
     bad = next((side for side in side_lengths_mm if not 0 < side < math.inf), None)
     if bad is not None:
         raise PlacementError(f"sides: must be > 0 and finite, got {bad}")
-    rows = []
+    packed = {}
     for side in side_lengths_mm:
         try:
             sized = replace(spec, interposer_width_mm=side, interposer_height_mm=side)
-            bst_placement(sized)
+            plan = bst_placement(sized)
         except (PlacementError, ValidationError):
-            rows.append(SweepRow(side, side * side, None, False))
             continue
-        rows.append(SweepRow(side, side * side, optimize(sized, cfg).final_peak_t, True))
-    return rows
+        for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
+            thermal.rasterize(plan, cell_mm)
+        packed[side] = sized
+    return [SweepRow(side, side * side, optimize(packed[side], cfg).final_peak_t, True)
+            if side in packed else SweepRow(side, side * side, None, False)
+            for side in side_lengths_mm]

@@ -8,7 +8,8 @@ injected in the chiplet layer, rasterized from a floorplan.
 
 Each layer's lateral operator is a uniform Neumann grid Laplacian, which the
 orthonormal 2-D cosine (DCT-II) basis diagonalizes, so a fully cooled top face
-splits the stack into one small layer system per cosine mode. A smaller sink
+splits the stack into one tridiagonal layer system per cosine mode, which one
+Thomas sweep over the layers solves for all modes at once. A smaller sink
 footprint takes the ambient conductance off k top cells: a rank-k change, which
 the Woodbury identity corrects exactly through a k x k system on those cells.
 """
@@ -155,16 +156,29 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
         raise ThermalError("sink footprint covers no grid cells")
 
     # The cosine basis diagonalizes each layer's lateral operator, so with the
-    # whole top face cooled mode (ky, kx) is an independent layers x layers
-    # system: vertical couplings plus the lateral eigenvalue times diag(g_lat).
+    # whole top face cooled mode (ky, kx) is an independent tridiagonal layers x
+    # layers system: diagonal d[l] = g_lat[l] * eig + vert[l], off-diagonals -g_vert.
+    # A Thomas sweep over the layers solves every mode at once for two unit
+    # sources, one in the chiplet layer and one in the top layer. It needs no
+    # pivoting: each mode's matrix is symmetric and diagonally dominant, strictly
+    # so in the top row through g_amb, so every pivot w[l] stays > 0.
     q_x, eig_x = _cosine_basis(nx)
     q_y, eig_y = _cosine_basis(ny)
-    vert = np.diag(np.r_[g_vert, g_amb] + np.r_[0.0, g_vert])
-    vert -= np.diag(g_vert, 1) + np.diag(g_vert, -1)
-    system = np.diag(g_lat) * (eig_y[:, None] + eig_x)[..., None, None]
-    system += vert  # in place: at 500 x 500 each (ny, nx, nl, nl) array is 128 MB
-    unit = np.eye(len(t))[:, [stack.layer_index(CHIPLET_LAYER), -1]]
-    cols = np.ascontiguousarray(np.moveaxis(np.linalg.solve(system, unit), (3, 2), (0, 1)))
+    nl = len(t)
+    vert = np.r_[g_vert, g_amb] + np.r_[0.0, g_vert]
+    w = g_lat[:, None, None] * (eig_y[:, None] + eig_x)  # (nl, ny, nx) pivots
+    w += vert[:, None, None]
+    cols = np.zeros((2, nl, ny, nx))  # right-hand sides, solved in place
+    cols[0, stack.layer_index(CHIPLET_LAYER)] = 1.0
+    cols[1, -1] = 1.0
+    for l in range(1, nl):  # forward elimination
+        f = g_vert[l - 1] / w[l - 1]
+        w[l] -= f * g_vert[l - 1]
+        cols[:, l] += f * cols[:, l - 1]
+    cols[:, -1] /= w[-1]
+    for l in range(nl - 2, -1, -1):  # back substitution
+        cols[:, l] += g_vert[l] * cols[:, l + 1]
+        cols[:, l] /= w[l]
     return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, cols)
 
 

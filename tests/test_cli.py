@@ -389,6 +389,29 @@ class TestResolutionValidation:
         assert status == 1
         assert capsys.readouterr().err == "error: fine_cell_mm: must be > 0 and finite\n"
 
+    @pytest.mark.parametrize("command, extra, resolution, message", [
+        ("place", [], "0.01",
+         "a 20.0 x 20.0 mm grid of 0.01 mm cells exceeds 500 cells per side"),
+        ("calibrate-k", ["--k", "0.1,0.2"], "4.5",
+         "cell size 4.5 mm exceeds smallest dimension of chiplet 'c'"),
+        # the 20 mm side would anneal first; the 30 mm side's fine grid is too big
+        ("sweep", ["--sides", "20,30"], "0.05",
+         "a 30.0 x 30.0 mm grid of 0.05 mm cells exceeds 500 cells per side"),
+    ])
+    def test_unusable_fine_grid_fails_before_annealing(self, spec_path, tmp_path, capsys,
+                                                       monkeypatch, command, extra,
+                                                       resolution, message):
+        def no_moves(fp, rng):
+            raise AssertionError("annealing started")
+
+        monkeypatch.setattr("chipletdse.place.propose_move", no_moves)
+        out = tmp_path / "o"
+        status = main([command, "--spec", spec_path, "--out", str(out),
+                       "--resolution", resolution, *extra])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
 
 class TestPlaceCommand:
     def test_outputs_and_determinism(self, spec_path, tmp_path):

@@ -10,6 +10,9 @@ in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,42 @@ def test_reports_match_fixtures(case, tmp_path, capsys):
     assert stdout == (expected / "stdout.txt").read_text()
     for name in files:
         assert _produced(out, name) == (expected / name).read_bytes(), f"{case}/{name}"
+
+
+# Prints the sha256 of the grid model's columns on the grids the CLI meshes (2 mm
+# on 40 and 50 mm, 1 mm and 0.5 mm on 40 mm); given a spec and an --out, then the
+# thermal_fine case's field digest and stdout.
+KERNEL_CODE = """
+import contextlib, hashlib, io, sys
+from chipletdse import thermal
+from chipletdse.cli import main
+from chipletdse.model import load_bundle
+spec = sys.argv[1]
+stack = load_bundle(spec).package.stack
+cols = hashlib.sha256()
+for n, cell_mm in ((20, 2.0), (25, 2.0), (40, 1.0), (80, 0.5)):
+    cols.update(thermal._grid_model(stack, n, n, cell_mm).cols.tobytes())
+print(cols.hexdigest())
+if len(sys.argv) > 2:
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["thermal", "--resolution", "0.5", "--spec", spec, "--out", sys.argv[2]]) == 0
+    field = open(f"{sys.argv[2]}/temperature_field.csv", "rb").read()
+    print(hashlib.sha256(field).hexdigest() + "\\n" + stdout.getvalue(), end="")
+"""
+
+
+def test_grid_model_independent_of_blas_kernel(tmp_path):
+    """The grid model's columns are the same doubles under another OpenBLAS kernel
+    and thread count, and the thermal_fine fixture holds there too. Without
+    OpenBLAS the variables are ignored and the case still passes."""
+    src = str(Path(chipletdse.__file__).parents[1])
+    prescott = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2"}
+    runs = [subprocess.run([sys.executable, "-c", KERNEL_CODE, BUNDLED, *out],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, **extra}).stdout
+            for extra, out in (({}, ()), (prescott, (str(tmp_path / "out"),)))]
+    default_cols, (prescott_cols, field) = runs[0], runs[1].split("\n", 1)
+    assert prescott_cols == default_cols.rstrip("\n")
+    expected = GOLDEN / "thermal_fine"
+    assert field == ((expected / "temperature_field.csv.sha256").read_text()
+                     + (expected / "stdout.txt").read_text())

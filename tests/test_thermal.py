@@ -259,6 +259,26 @@ class TestSolver:
                 if sink_side_mm is not None and sink_side_mm >= max(shape):
                     assert np.array_equal(got, solve_steady_state(pm, base).data)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(layers=st.lists(st.tuples(st.floats(0.02, 2.0), st.floats(0.2, 500.0)),
+                           min_size=2, max_size=6),
+           chip=st.sampled_from(["bottom", "middle", "top"]), h_top=st.floats(500.0, 1e4),
+           sink_side_mm=st.none() | st.floats(1.0, 6.0),
+           nx=st.integers(1, 6), ny=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_random_stacks_match_dense_oracle(self, layers, chip, h_top, sink_side_mm,
+                                              nx, ny, seed):
+        # the per-mode tridiagonal sweep over the layers, wherever the chiplet layer
+        # sits; a sink side below the grid's leaves top cells uncooled
+        at = {"bottom": 0, "middle": len(layers) // 2, "top": len(layers) - 1}[chip]
+        stack = ThermalStack(
+            tuple(LayerSpec("chiplet" if i == at else f"l{i}", t, k)
+                  for i, (t, k) in enumerate(layers)),
+            h_top_w_m2k=h_top, ambient_c=45.0, sink_side_mm=sink_side_mm)
+        pm = power_map(np.random.default_rng(seed).uniform(0.0, 2.0, size=(ny, nx)))
+        got = solve_steady_state(pm, stack).data - stack.ambient_c
+        want = dense_solve(stack, pm) - stack.ambient_c
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
     def test_energy_conservation_random_maps(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
