@@ -155,18 +155,17 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
     pm = thermal.rasterize(fp, _anneal_config(bundle, args).fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     ny, nx = tf.data.shape[1:]
-    cells = [f",{ix},{iy}," for iy in range(ny) for ix in range(nx)]
+    cells = [f",{ix},{iy},%.6g\r\n" for iy in range(ny) for ix in range(nx)]
     with (out / "temperature_field.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "x", "y", "t_c"])
-        # the rows csv.writer would write, one layer at a time: the layer name as csv
-        # quotes it, the cell's x and y, and fmt's text for a float without its dispatch
+        # the rows csv.writer would write, one %-template per layer: the layer name as
+        # csv quotes it (its % escaped), the cell's x and y, and %.6g, fmt's text for a float
         for lname, layer in zip(tf.stack.layer_names, tf.data):
             buf = io.StringIO()
             csv.writer(buf).writerow([lname])
-            quoted = buf.getvalue()[:-2]  # without csv's "\r\n"
-            fh.writelines(f"{quoted}{cell}{t:.6g}\r\n"
-                          for cell, t in zip(cells, layer.ravel().tolist()))
+            quoted = buf.getvalue()[:-2].replace("%", "%%")  # without csv's "\r\n"
+            fh.write((quoted + quoted.join(cells)) % tuple(layer.ravel().tolist()))
     for lname in tf.stack.layer_names:
         print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
 

@@ -28,7 +28,9 @@ from .model import CHIPLET_LAYER, ChipletdseError, Floorplan, ThermalStack, Vali
 MM = 1e-3
 
 # Range check on requested grids; 0.1 mm cells on a 50 mm interposer still pass. At
-# 500 x 500 the default 8-layer stack's cached responses hold 2 * 8 * 500^2 doubles, 32 MB.
+# 500 x 500 the default 8-layer stack's cached responses hold 2 * 8 * 500^2 doubles, 32 MB;
+# at most two grid models are cached, and a full-field solve keeps about four more
+# arrays of the stack's size (8 * 500^2 doubles, 16 MB each) alive at its peak.
 MAX_CELLS_PER_SIDE = 500
 
 
@@ -130,13 +132,17 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-@lru_cache(maxsize=16)
+# Two geometries are enough: optimize solves on exactly two grids (coarse_cell_mm
+# and fine_cell_mm), calibrate_k reuses that pair for every K0, and interposer_sweep
+# moves on to the next side's pair, so only finished sides are evicted.
+@lru_cache(maxsize=2)
 def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridModel:
     """Conductances and per-mode response columns for a grid geometry.
 
     The model depends only on (stack, grid), not on the power map, so it
     is cached and re-used across solves (the annealer solves thousands of
-    power maps on one geometry).
+    power maps on one geometry). Only the two latest geometries stay cached;
+    a caller that alternates three or more rebuilds them.
     """
     cell = cell_mm * MM
     a_face = cell * cell  # horizontal cell face, m^2
@@ -189,7 +195,8 @@ def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
     for axis, g in ((2, model.g_lat), (1, model.g_lat), (0, model.g_vert)):
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
-        flux = (x[hi] - x[lo]) * g[:, None, None]
+        flux = np.subtract(x[hi], x[lo])
+        flux *= g[:, None, None]
         out[lo] -= flux
         out[hi] += flux
     return out
@@ -232,7 +239,8 @@ def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
     if not rr <= stop:
         raise ThermalError(f"sink correction did not converge in {u.size} CG steps")
     top_cells[u] = y
-    return t + _response(model, p_top, 1, dst)
+    t += _response(model, p_top, 1, dst)  # t is _response's fresh array; top is not read again
+    return t
 
 
 RESIDUAL_TOL = 1e-8
@@ -247,13 +255,20 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     <= 1e-8 and no cell may lie below ambient, or a ThermalError is raised.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    data = stack.ambient_c + _solve(model, pm.cells)
+    data = _solve(model, pm.cells)
+    data += stack.ambient_c
 
-    source = np.zeros_like(data)
-    source[stack.layer_index(CHIPLET_LAYER)] = pm.cells
-    source[-1] += model.sink * stack.ambient_c  # right-hand side in absolute temperature
+    # the right-hand side in absolute temperature, by layer: the sink's ambient term in
+    # the top layer and the power in the chiplet layer, which may be the same layer
+    top = model.sink * stack.ambient_c
+    rhs = {len(data) - 1: top}
+    chip = stack.layer_index(CHIPLET_LAYER)
+    rhs[chip] = top + pm.cells if chip in rhs else pm.cells
+    r = _apply(model, data)
+    for layer, b in rhs.items():
+        r[layer] -= b
     # relative, except for a zero right-hand side (0 C ambient, no power): absolute
-    res = np.linalg.norm(_apply(model, data) - source) / (np.linalg.norm(source) or 1.0)
+    res = np.linalg.norm(r) / (math.hypot(*(np.linalg.norm(b) for b in rhs.values())) or 1.0)
     if not res <= RESIDUAL_TOL:  # fails closed on NaN
         raise ThermalError(f"solver residual {res:.3e} exceeds {RESIDUAL_TOL}")
     if data.min() < stack.ambient_c - 1e-6:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
@@ -174,6 +175,7 @@ class TestThermalCommand:
         with open(chipletdse.bundled_spec_path()) as fh:
             doc = json.load(fh)
         doc["stack"]["layers"][5]["name"] = 'tim, "paste"'
+        doc["stack"]["layers"][6]["name"] = '100% "Cu",\nspreader %s'  # % must not format
         path = tmp_path / "quoted.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "thermal"
@@ -181,8 +183,15 @@ class TestThermalCommand:
                      "--resolution", "2.0"]) == 0
         raw = (out / "temperature_field.csv").read_bytes()
         assert b'\r\n"tim, ""paste""",0,0,' in raw and b"\r\nchiplet,9,9," in raw
-        tim = [r for r in read_csv(out / "temperature_field.csv") if r[0] == 'tim, "paste"']
-        assert len(tim) == 20 * 20 and tim[1][1:3] == ["1", "0"]
+        assert b'\r\n"100% ""Cu"",\nspreader %s",19,19,' in raw
+        rows = read_csv(out / "temperature_field.csv")
+        for name in ('tim, "paste"', '100% "Cu",\nspreader %s'):
+            layer = [r for r in rows if r[0] == name]
+            assert len(layer) == 20 * 20 and layer[1][1:3] == ["1", "0"]
+        # every row is the text csv.writer writes for it, byte for byte
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        assert buf.getvalue().encode() == raw
 
     def test_default_grid_is_the_placer_fine_grid(self, spec_path, tmp_path, capsys):
         """thermal solves place's plan on anneal.fine_cell_mm (2 mm here), so its

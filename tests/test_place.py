@@ -375,3 +375,14 @@ class TestCalibrateAndSweep:
         assert rows[0].peak_t is None and rows[1].peak_t is None
         assert rows[2].peak_t > 45.0
         assert rows[2].area_mm2 == 400.0
+
+    def test_grid_model_cache_holds_the_two_live_grids(self, infotainment):
+        # each side anneals on a coarse and a fine grid; finished sides are evicted
+        cfg = AnnealConfig(max_iterations=2, moves_per_iteration=3, seed=1)
+        thermal._grid_model.cache_clear()
+        assert all(r.feasible for r in interposer_sweep(infotainment, [30.0, 40.0, 50.0], cfg))
+        assert thermal._grid_model.cache_info().currsize <= 2
+        # calibrate_k reuses one geometry pair for every K0: no rebuilds
+        thermal._grid_model.cache_clear()
+        calibrate_k(infotainment, [0.05, 0.1, 0.2], cfg)
+        assert thermal._grid_model.cache_info().misses == 2

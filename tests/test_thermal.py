@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,23 @@ class TestSolver:
         model = thermal._grid_model(ThermalStack(), 30, 20, 1.0)
         assert model.cols.shape == (2, len(DEFAULT_STACK_LAYERS), 20, 30)
 
+    @pytest.mark.parametrize("sink_side_mm", [None, 36.0])
+    def test_full_field_solve_keeps_few_stack_sized_arrays(self, sink_side_mm):
+        # the Woodbury correction, ambient and the residual's right-hand side are
+        # added in place: a warm solve's transient peak stays below 4.5 arrays of
+        # the stack's size (about 4.1; 6 with full-stack temporaries)
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, sink_side_mm=sink_side_mm)
+        pm = power_map(np.random.default_rng(5).uniform(0.0, 1e-3, size=(120, 120)), 0.5)
+        solve_steady_state(pm, stack)  # builds and caches the grid model
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve_steady_state(pm, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 4.5 * len(DEFAULT_STACK_LAYERS) * 120 * 120 * 8
+
     def test_default_stack_runs_hotter_with_less_cooling(self):
         pm = power_map(np.full((10, 10), 0.5))
         cool = solve_steady_state(pm, ThermalStack(h_top_w_m2k=2000.0))
@@ -372,6 +390,24 @@ class TestSinkFootprint:
         stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient_c=0.0, sink_side_mm=5.0)
         tf = solve_steady_state(power_map(np.zeros((8, 8))), stack)
         assert not tf.data.any()
+
+    def test_residual_guard_with_power_in_the_top_layer(self, monkeypatch):
+        # the chiplet layer is the top layer: the power and the sink's ambient term
+        # share one layer of the right-hand side
+        stack = ThermalStack(CHIP_ON_TOP.layers, h_top_w_m2k=CHIP_ON_TOP.h_top_w_m2k,
+                             ambient_c=CHIP_ON_TOP.ambient_c, sink_side_mm=4.0)
+        pm = power_map(np.random.default_rng(6).uniform(0.0, 2.0, size=(6, 6)))
+        solve_steady_state(pm, stack)
+        solve = thermal._solve
+
+        def bumped(model, p):
+            t = solve(model, p)
+            t[-1, 2, 3] += 1e-3
+            return t
+
+        monkeypatch.setattr(thermal, "_solve", bumped)
+        with pytest.raises(ThermalError, match="residual"):
+            solve_steady_state(pm, stack)
 
     def test_non_finite_residual_raises(self, monkeypatch):
         monkeypatch.setattr(thermal, "_solve", lambda model, p: np.full((3, *p.shape), np.nan))
