@@ -19,8 +19,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, bundled_spec_path
-from . import costyield, perf, phy, power, svgout
+from . import __version__, bundled_spec_path, svgout
 from .model import (
     AnnealConfig,
     ChipletdseError,
@@ -80,6 +79,7 @@ def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
 
 
 def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
+    from . import costyield
     chiplets = bundle.package.chiplets
     process = replace(bundle.process, **_given(n_connections=args.connections))
     breakdown = costyield.package_cost([c.area for c in chiplets], process)
@@ -95,6 +95,7 @@ def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
 
 
 def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
+    from . import power
     if not bundle.tiles:
         raise SpecError(f"{args.spec}: no 'tiles' section for the power subcommand")
     rows_out, total = power.system_power(bundle.tiles)
@@ -110,6 +111,7 @@ def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
 
 
 def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
+    from . import perf
     if args.configs:
         source = Path(args.configs)
         entries = load_configs_csv(source)
@@ -129,6 +131,7 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
 
 
 def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
+    from . import phy
     p = replace(bundle.phy if bundle else phy.PhySpec(), **_given(
         trace_width_um=args.trace_width_um, trace_thickness_um=args.trace_thickness_um,
         ground_thickness_um=args.ground_thickness_um, interposer_height_um=args.interposer_height_um,

@@ -44,6 +44,8 @@ def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
         y = (fp.height_mm - p.y_mm - p.eff_height) * SCALE
         fill = _KIND_FILL.get(kinds.get(p.name, ""), "#d5d8dc")
         label = p.name if p.rotation_deg == 0 else f"{p.name} (r{p.rotation_deg})"
+        # XML text: & first, so the entities written for < and > stay intact
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         cx = x + p.eff_width * SCALE / 2.0
         cy = y + p.eff_height * SCALE / 2.0
         lines.append(

@@ -70,12 +70,21 @@ class TemperatureField:
         return self.data[self.stack.layer_index(name)]
 
 
+@lru_cache(maxsize=64)
 def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> tuple[int, int]:
     sides = (width_mm / cell_mm - 1e-9, height_mm / cell_mm - 1e-9)
     if not all(side <= MAX_CELLS_PER_SIDE for side in sides):  # inf and NaN too, before ceil
         raise ThermalError(f"a {width_mm} x {height_mm} mm grid of {cell_mm} mm cells "
                            f"exceeds {MAX_CELLS_PER_SIDE} cells per side")
     return tuple(max(1, math.ceil(side)) for side in sides)
+
+
+@lru_cache(maxsize=64)
+def _edges(cells: int, cell_mm: float) -> np.ndarray:
+    """The cells + 1 cell edges along one axis, mm; read-only, as every caller shares it."""
+    edges = np.arange(cells + 1) * cell_mm
+    edges.flags.writeable = False
+    return edges
 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -102,13 +111,13 @@ def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
     """``rasterize`` of a floorplan already known to be legal, with cell_mm > 0."""
     x, y, w, h, power = np.array([(p.x_mm, p.y_mm, p.eff_width, p.eff_height, p.power_w)
                                   for p in floorplan.placements]).reshape(-1, 5).T
-    small = np.flatnonzero(np.minimum(w, h) < cell_mm)
-    if small.size:
+    small = np.minimum(w, h) < cell_mm
+    if small.any():
         raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
-                           f"chiplet {floorplan.placements[small[0]].name!r}")
+                           f"chiplet {floorplan.placements[small.argmax()].name!r}")
     nx, ny = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
-    ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
-    oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
+    ox = _overlap(x, x + w, _edges(nx, cell_mm))
+    oy = _overlap(y, y + h, _edges(ny, cell_mm))
     density = power / (w * h)  # W/mm^2
     return PowerMap(cell_mm, oy.T @ (density[:, None] * ox))
 
@@ -122,6 +131,7 @@ class _GridModel(NamedTuple):
     q_x: np.ndarray  # (nx, nx) orthonormal DCT-II basis
     q_y: np.ndarray  # (ny, ny)
     cols: np.ndarray  # (2, nl, ny, nx) per-mode inverse columns: chiplet-layer, top-layer power
+    chip: int  # index of the chiplet layer
 
 
 def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,12 +180,12 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     # so in the top row through g_amb, so every pivot w[l] stays > 0.
     q_x, eig_x = _cosine_basis(nx)
     q_y, eig_y = _cosine_basis(ny)
-    nl = len(t)
+    nl, chip = len(t), stack.layer_index(CHIPLET_LAYER)
     vert = np.r_[g_vert, g_amb] + np.r_[0.0, g_vert]
     w = g_lat[:, None, None] * (eig_y[:, None] + eig_x)  # (nl, ny, nx) pivots
     w += vert[:, None, None]
     cols = np.zeros((2, nl, ny, nx))  # right-hand sides, solved in place
-    cols[0, stack.layer_index(CHIPLET_LAYER)] = 1.0
+    cols[0, chip] = 1.0
     cols[1, -1] = 1.0
     for l in range(1, nl):  # forward elimination
         f = g_vert[l - 1] / w[l - 1]
@@ -185,7 +195,8 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     for l in range(nl - 2, -1, -1):  # back substitution
         cols[:, l] += g_vert[l] * cols[:, l + 1]
         cols[:, l] /= w[l]
-    return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, cols)
+    return _GridModel(g_lat, g_vert, g_amb * mask, g_amb, np.flatnonzero(~mask), q_x, q_y, cols,
+                      chip)
 
 
 def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
@@ -202,10 +213,15 @@ def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rise(model: _GridModel, modes: np.ndarray, src: int, dst) -> np.ndarray:
+    """Rise in layers dst, whole top face cooled, for the power map whose cosine
+    modes are q_y @ p @ q_x.T, in the chiplet layer (src 0) or the top layer (src 1)."""
+    return model.q_y.T @ (model.cols[src, dst] * modes) @ model.q_x
+
+
 def _response(model: _GridModel, p: np.ndarray, src: int, dst=slice(None)) -> np.ndarray:
-    """Rise in layers dst, whole top face cooled, for the 2-D power map p in the
-    chiplet layer (src 0) or the top layer (src 1)."""
-    return model.q_y.T @ (model.cols[src, dst] * (model.q_y @ p @ model.q_x.T)) @ model.q_x
+    """``_rise`` for the 2-D power map p itself."""
+    return _rise(model, model.q_y @ p @ model.q_x.T, src, dst)
 
 
 def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
@@ -217,25 +233,31 @@ def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
     A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|; a
     CG that ends short of that bound (NaN included) raises ThermalError.
     """
-    t = _response(model, p, 0, dst)
+    modes = model.q_y @ p @ model.q_x.T  # transformed once, for the rise and CG's start
+    t = _rise(model, modes, 0, dst)
     u, g = model.uncooled, model.g_amb
     if not u.size:
         return t
-    top = t[-1] if dst == slice(None) else _response(model, p, 0, -1)
-    p_top, y = np.zeros(p.shape), np.zeros(u.size)
+    top = t[-1] if dst == slice(None) else _rise(model, modes, 0, -1)
+    p_top = np.zeros(p.shape)
     top_cells = p_top.reshape(-1)  # a view: writing it writes p_top
-    r = d = top.ravel()[u]
+    # rows (y, r) and (d, -C @ d), updated in place: negation is exact and addition
+    # commutes, so each step gives the doubles of y + alpha*d, r - alpha*C@d, r + beta*d
+    yr, dn = np.zeros((2, u.size)), np.empty((2, u.size))
+    (y, r), (d, neg_cd) = yr, dn
+    r[:] = d[:] = top.ravel()[u]
     # rr and alpha as Python floats: the same doubles, without numpy scalar overhead
     rr, stop = float(r @ r), (1e-12 * np.linalg.norm(p) / g) ** 2
     for _ in range(u.size):
         if not rr > stop:  # also ends on NaN, which the check below rejects
             break
         top_cells[u] = d
-        cd = d / g - _response(model, p_top, 1, -1).ravel()[u]  # C @ d
-        alpha = float(rr / (d @ cd))  # numpy division: a zero denominator gives inf, not a raise
-        y, r = y + alpha * d, r - alpha * cd
+        np.subtract(_response(model, p_top, 1, -1).ravel()[u], d / g, out=neg_cd)
+        alpha = float(rr / -(d @ neg_cd))  # numpy division: a zero denominator gives inf
+        yr += alpha * dn
         rr, rr_old = float(r @ r), rr
-        d = r + (rr / rr_old) * d
+        d *= rr / rr_old
+        d += r
     if not rr <= stop:
         raise ThermalError(f"sink correction did not converge in {u.size} CG steps")
     top_cells[u] = y
@@ -262,8 +284,7 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     # the top layer and the power in the chiplet layer, which may be the same layer
     top = model.sink * stack.ambient_c
     rhs = {len(data) - 1: top}
-    chip = stack.layer_index(CHIPLET_LAYER)
-    rhs[chip] = top + pm.cells if chip in rhs else pm.cells
+    rhs[model.chip] = top + pm.cells if model.chip in rhs else pm.cells
     r = _apply(model, data)
     for layer, b in rhs.items():
         r[layer] -= b
@@ -279,16 +300,17 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
 def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
     """Peak chiplet-layer temperature, solved for that layer alone.
 
-    The annealer's per-move score: ``_solve`` transforms only the chiplet layer
-    (and, under a partial sink, the top layer that starts CG), so no full field
-    or stencil residual is built. The rise is computed by the same operations as
-    ``solve_steady_state``'s, and adding ambient rounds monotonically, so this
-    equals ``peak_temperature(solve_steady_state(pm, stack))`` bit for bit. It
-    fails closed: a CG that misses its bound, or a peak below ambient (NaN
-    included), raises ThermalError.
+    The annealer's per-move score: ``_solve`` transforms the power map once and
+    transforms back only the chiplet layer (and, under a partial sink, the top
+    layer that starts CG), so no full field or stencil residual is built. The
+    rise is computed by the same operations as ``solve_steady_state``'s, and
+    adding ambient rounds monotonically, so this equals
+    ``peak_temperature(solve_steady_state(pm, stack))`` bit for bit. It fails
+    closed: a CG that misses its bound, or a peak below ambient (NaN included),
+    raises ThermalError.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    peak = stack.ambient_c + _solve(model, pm.cells, stack.layer_index(CHIPLET_LAYER)).max()
+    peak = stack.ambient_c + _solve(model, pm.cells, model.chip).max()
     if not peak >= stack.ambient_c - 1e-6:
         raise ThermalError(f"chiplet-layer peak {peak} C lies below ambient")
     return float(peak)

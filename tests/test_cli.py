@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,17 @@ class TestPlaceCommand:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["seed"] == 7
 
+    def test_svg_escapes_markup_in_names(self, tmp_path):
+        name = "cpu<0>&co"
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(edited(lambda d: d["chiplets"][0].update(name=name))))
+        out = tmp_path / "p"
+        assert main(["place", "--spec", str(path), "--out", str(out)]) == 0
+        svg = ET.parse(out / "floorplan.svg")  # raises on malformed XML
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert len(texts) == 4
+        assert any(t == name or t.startswith(f"{name} (r") for t in texts)
+
     def test_every_kind_has_its_own_fill(self):
         # a kind without an entry would render in the fallback grey
         assert set(_KIND_FILL) == set(CHIPLET_KINDS)
@@ -590,21 +602,25 @@ class TestRunManifest:
 
 class TestImportBoundary:
     """Only the subcommands that solve load numpy, place and thermal: the
-    report subcommands pay no numpy import."""
+    report subcommands pay no numpy import. Each report subcommand loads its
+    own report module alone, and the solving ones load none of them."""
+
+    SOLVER = "chipletdse.place,chipletdse.thermal,numpy"
+    REPORTS = "chipletdse.costyield,chipletdse.perf,chipletdse.phy,chipletdse.power"
 
     CODE = """
 import sys
 import chipletdse
 from chipletdse.cli import main
-out, commands = sys.argv[1], sys.argv[2:]
+out, watched, commands = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
 for command in commands:
     assert main([command, "--spec", chipletdse.bundled_spec_path(), "--out", f"{out}/{command}"]) == 0
-print(sorted(m for m in sys.modules if m in ("chipletdse.place", "chipletdse.thermal", "numpy")))
+print(sorted(m for m in sys.modules if m in watched))
 """
 
-    def loaded_after(self, tmp_path, *commands):
+    def loaded_after(self, tmp_path, *commands, watched=SOLVER):
         src = str(Path(chipletdse.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", self.CODE, str(tmp_path), *commands],
+        proc = subprocess.run([sys.executable, "-c", self.CODE, str(tmp_path), watched, *commands],
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src})
         return proc.stdout.splitlines()[-1]
@@ -615,3 +631,29 @@ print(sorted(m for m in sys.modules if m in ("chipletdse.place", "chipletdse.the
     def test_thermal_loads_the_solver_modules(self, tmp_path):
         assert self.loaded_after(tmp_path, "thermal") == \
             "['chipletdse.place', 'chipletdse.thermal', 'numpy']"
+
+    @pytest.mark.parametrize("command, module", [
+        ("cost", "costyield"), ("power", "power"), ("perf", "perf"), ("phy", "phy")])
+    def test_report_subcommand_loads_only_its_module(self, tmp_path, command, module):
+        assert self.loaded_after(tmp_path, command, watched=self.REPORTS) == \
+            f"['chipletdse.{module}']"
+
+    @pytest.mark.parametrize("commands", [(), ("place",)])
+    def test_import_and_place_load_no_report_module(self, tmp_path, commands):
+        assert self.loaded_after(tmp_path, *commands, watched=self.REPORTS) == "[]"
+
+
+def test_place_output_ignores_the_hash_seed(tmp_path):
+    # str hashes differ between these processes, so any output that followed a
+    # set's iteration order would differ too
+    spec, src = chipletdse.bundled_spec_path(), str(Path(chipletdse.__file__).parents[1])
+    outs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash{hash_seed}"
+        proc = subprocess.run([sys.executable, "-m", "chipletdse.cli", "place", "--spec", str(spec),
+                               "--seed", "3", "--out", str(out)], check=True, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+        files = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        outs.append((proc.stdout, proc.stderr, files))
+    assert sorted(outs[0][2]) == ["floorplan.json", "floorplan.svg", "history.csv"]
+    assert outs[0] == outs[1]

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipletdse import thermal
-from chipletdse.model import ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ValidationError
+from chipletdse.model import (ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ValidationError,
+                              footprint)
 from chipletdse.place import (
+    RETRY_CAP,
     AnnealConfig,
     NormalizationBounds,
     PlacementError,
@@ -185,6 +187,59 @@ class TestProposeMove:
                 assert new.center == pytest.approx(old.center, rel=0.0, abs=1e-12)
             cur = nxt
         assert rotations >= 5
+
+
+def reference_propose_move(fp, rng):
+    """``propose_move`` with numpy's own ``rng.uniform`` draws: the reference that
+    the lo + (hi - lo) * rng.random() draws must reproduce exactly."""
+    step_mm = max(fp.width_mm, fp.height_mm) / 8.0
+    n = len(fp.placements)
+    for _ in range(RETRY_CAP):
+        kind = rng.integers(0, 3 if n >= 2 else 2)
+        i = int(rng.integers(0, n))
+        p = fp.placements[i]
+        if kind == 0:
+            magnitude = step_mm * 10.0 ** rng.uniform(-2.0, 0.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            moves = {i: (p, p.x_mm + magnitude * math.cos(angle),
+                         p.y_mm + magnitude * math.sin(angle), p.rotation_deg)}
+        elif kind == 1:
+            if p.width_mm == p.height_mm:
+                continue
+            cx, cy = p.center
+            moves = {i: (p, cx - p.eff_height / 2.0, cy - p.eff_width / 2.0,
+                         (p.rotation_deg + 90) % 360)}
+        else:
+            j = int(rng.integers(0, n - 1))
+            if j >= i:
+                j += 1
+            q = fp.placements[j]
+            moves = {i: (p, q.x_mm, q.y_mm, p.rotation_deg),
+                     j: (q, p.x_mm, p.y_mm, q.rotation_deg)}
+        if fp.admits({k: footprint(x, y, row.width_mm, row.height_mm, rot)[2]
+                      for k, (row, x, y, rot) in moves.items()}):
+            placements = list(fp.placements)
+            for k, (row, x, y, rot) in moves.items():
+                placements[k] = PlacedChiplet(row.name, x, y, rot, row.width_mm, row.height_mm,
+                                              row.power_w)
+            return Floorplan(fp.width_mm, fp.height_mm, tuple(placements), fp.links,
+                             fp.min_spacing_mm)
+    raise PlacementError(f"floorplan too congested: no legal move in {RETRY_CAP} attempts")
+
+
+class TestProposeMoveReference:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), oblong=st.booleans(), side=st.floats(20.0, 60.0))
+    def test_equals_uniform_draws(self, seed, oblong, side):
+        # every proposal and the generator state after it, raw doubles included
+        spec = replace(oblong_spec() if oblong else small_spec(),
+                       interposer_width_mm=side, interposer_height_mm=side)
+        fp = want = bst_placement(spec)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            fp, want = propose_move(fp, rng), reference_propose_move(want, ref)
+            assert fp == want
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @st.composite

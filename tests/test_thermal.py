@@ -434,7 +434,7 @@ class TestChipletPeak:
         stack = ThermalStack(layers, h_top_w_m2k=h_top, ambient_c=ambient,
                              sink_side_mm=sink_side_mm)
         want = peak_temperature(solve_steady_state(pm, stack))
-        assert abs(chiplet_peak(pm, stack) - want) <= 1e-9
+        assert chiplet_peak(pm, stack) == want
 
     @pytest.mark.parametrize("side, reason", [(None, "below ambient"), (4.0, "converge")])
     def test_nan_cell_raises(self, side, reason):
@@ -462,6 +462,52 @@ class TestChipletPeak:
         pm = power_map(np.random.default_rng(2).uniform(0.0, 2.0, size=(6, 6)))
         with pytest.raises(ThermalError, match="converge"):
             chiplet_peak(pm, stack)
+
+
+def reference_solve(model, p, dst=slice(None)):
+    """``thermal._solve`` written plainly: the power map transformed for every
+    response, and fresh CG vectors each step. Its output is the reference that
+    the transform-once, in-place solve must equal bit for bit."""
+    def response(q, src, dst):
+        return model.q_y.T @ (model.cols[src, dst] * (model.q_y @ q @ model.q_x.T)) @ model.q_x
+
+    t = response(p, 0, dst)
+    u, g = model.uncooled, model.g_amb
+    if not u.size:
+        return t
+    top = t[-1] if dst == slice(None) else response(p, 0, -1)
+    p_top, y = np.zeros(p.shape), np.zeros(u.size)
+    top_cells = p_top.reshape(-1)
+    r = d = top.ravel()[u]
+    rr, stop = float(r @ r), (1e-12 * np.linalg.norm(p) / g) ** 2
+    for _ in range(u.size):
+        if not rr > stop:
+            break
+        top_cells[u] = d
+        cd = d / g - response(p_top, 1, -1).ravel()[u]
+        alpha = float(rr / (d @ cd))
+        y, r = y + alpha * d, r - alpha * cd
+        rr, rr_old = float(r @ r), rr
+        d = r + (rr / rr_old) * d
+    assert rr <= stop
+    top_cells[u] = y
+    return t + response(p_top, 1, dst)
+
+
+class TestSolveReference:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cell_mm=st.sampled_from([0.7, 1.0, 2.0]),
+           layers=st.sampled_from([DEFAULT_STACK_LAYERS, SMALL.layers, CHIP_ON_TOP.layers]),
+           h_top=st.floats(100.0, 1e5), sink_side_mm=st.none() | st.floats(3.0, 25.0))
+    def test_equals_reference_solve(self, seed, cell_mm, layers, h_top, sink_side_mm):
+        # sinks up to 25 mm leave top cells of the 30 x 24 mm board uncooled: the CG path
+        pm = rasterize(random_floorplan(np.random.default_rng(seed), cell_mm), cell_mm)
+        stack = ThermalStack(layers, h_top_w_m2k=h_top, sink_side_mm=sink_side_mm)
+        model = thermal._grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
+        assert bool(model.uncooled.size) == (sink_side_mm is not None)
+        for dst in (slice(None), model.chip):
+            assert np.array_equal(thermal._solve(model, pm.cells, dst),
+                                  reference_solve(model, pm.cells, dst))
 
 
 def soc_plan(board=50.0, power=100.0):
