@@ -15,13 +15,12 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, bundled_spec_path, svgout
 from .model import (
-    AnnealConfig,
     ChipletdseError,
     SpecBundle,
     SpecError,
@@ -58,20 +57,18 @@ def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str])
         "subcommand": args.subcommand,
         "argv": argv,
         "inputs": {str(p): _sha256(p) for p in inputs if p.exists()},
-        "seed": _anneal_config(bundle, args).seed if "seed" in vars(args) else None,
+        "seed": _overrides(args, bundle.anneal).seed if "seed" in vars(args) else None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _given(**flags) -> dict:
-    """The flags given on the command line, as dataclass field overrides."""
-    return {name: value for name, value in flags.items() if value is not None}
-
-
-def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
-    return replace(bundle.anneal, **_given(seed=vars(args).get("seed"),
-                                           fine_cell_mm=args.resolution))
+def _overrides(args, section):
+    """``section`` with each field that a flag given on the command line names:
+    an override flag's dest is the name of the field it sets."""
+    given = vars(args)
+    return replace(section, **{f.name: given[f.name] for f in fields(section)
+                               if given.get(f.name) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ def _anneal_config(bundle: SpecBundle, args) -> AnnealConfig:
 def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
     from . import costyield
     chiplets = bundle.package.chiplets
-    process = replace(bundle.process, **_given(n_connections=args.connections))
+    process = _overrides(args, bundle.process)
     breakdown = costyield.package_cost([c.area for c in chiplets], process)
     rows = [[c.name, d.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
             for c, d in zip(chiplets, breakdown.dies)]
@@ -119,8 +116,6 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
         source, entries = "configs", bundle.configs
     else:
         raise SpecError("perf needs --spec or --configs")
-    if not entries:
-        raise SpecError("no configuration rows found (spec 'configs' or --configs CSV)")
     ranked = perf.rank_configs(entries, str(source))  # rows named as the loader names them
     _write_csv(out / "perf.csv",
                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
@@ -132,11 +127,7 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
 
 def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     from . import phy
-    p = replace(bundle.phy if bundle else phy.PhySpec(), **_given(
-        trace_width_um=args.trace_width_um, trace_thickness_um=args.trace_thickness_um,
-        ground_thickness_um=args.ground_thickness_um, interposer_height_um=args.interposer_height_um,
-        relative_permittivity=args.er, conductivity_s_m=args.sigma,
-        clock_frequency_hz=args.clock, safety_factor=args.sf))
+    p = _overrides(args, bundle.phy if bundle else phy.PhySpec())
     lp = phy.line_params(p)
     max_len = phy.max_trace_length(p)
     lengths = [i * 1e-3 for i in range(1, 101)]
@@ -155,7 +146,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = floorplan_from_document(Path(args.floorplan))
     else:
         fp = place.bst_placement(bundle.package)
-    pm = thermal.rasterize(fp, _anneal_config(bundle, args).fine_cell_mm)
+    pm = thermal.rasterize(fp, _overrides(args, bundle.anneal).fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     ny, nx = tf.data.shape[1:]
     cells = [f",{ix},{iy},%.6g\r\n" for iy in range(ny) for ix in range(nx)]
@@ -175,7 +166,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    result = place.optimize(bundle.package, _anneal_config(bundle, args))
+    result = place.optimize(bundle.package, _overrides(args, bundle.anneal))
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
     (out / "floorplan.json").write_text(
         json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
@@ -191,7 +182,7 @@ def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    cfg = _anneal_config(bundle, args)
+    cfg = _overrides(args, bundle.anneal)
     runs = list(zip(args.k, place.calibrate_k(bundle.package, args.k, cfg)))
     _write_csv(out / "k_calibration.csv",
                ["k0", "iterations_to_converge", "final_peak_t_c"],
@@ -203,7 +194,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    rows = place.interposer_sweep(bundle.package, args.sides, _anneal_config(bundle, args))
+    rows = place.interposer_sweep(bundle.package, args.sides, _overrides(args, bundle.anneal))
     _write_csv(out / "interposer_sweep.csv",
                ["side_mm", "area_mm2", "peak_t_c", "feasible"],
                [[r.side_mm, r.area_mm2,
@@ -248,9 +239,9 @@ def _add_common(p: argparse.ArgumentParser, spec_required: bool = True,
                    help=f"package spec JSON (bundled: {bundled_spec_path()})")
     p.add_argument("--out", default="out", help="output directory")
     if seed:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        p.add_argument("--seed", type=int, help="RNG seed override")
     if resolution:
-        p.add_argument("--resolution", type=float, default=None,
+        p.add_argument("--resolution", dest="fine_cell_mm", type=float,
                        help="thermal grid cell size, mm")
 
 
@@ -263,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="die/package cost and yield report")
     _add_common(p)
-    p.add_argument("--connections", type=int, default=None,
+    p.add_argument("--connections", dest="n_connections", type=int,
                    help="inter-die connection count for assembly yield")
     p.set_defaults(func=_cmd_cost)
 
@@ -279,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phy", help="interconnect physical-layer limits")
     _add_common(p, spec_required=False)
-    p.add_argument("--clock", type=float, default=None, help="clock frequency, Hz")
-    p.add_argument("--sf", type=float, default=None, help="bandwidth safety factor")
-    p.add_argument("--trace-width-um", type=float, default=None)
-    p.add_argument("--trace-thickness-um", type=float, default=None)
-    p.add_argument("--ground-thickness-um", type=float, default=None)
-    p.add_argument("--interposer-height-um", type=float, default=None)
-    p.add_argument("--er", type=float, default=None, help="relative permittivity")
-    p.add_argument("--sigma", type=float, default=None, help="trace conductivity, S/m")
+    p.add_argument("--clock", dest="clock_frequency_hz", type=float, help="clock frequency, Hz")
+    p.add_argument("--sf", dest="safety_factor", type=float, help="bandwidth safety factor")
+    p.add_argument("--trace-width-um", type=float)
+    p.add_argument("--trace-thickness-um", type=float)
+    p.add_argument("--ground-thickness-um", type=float)
+    p.add_argument("--interposer-height-um", type=float)
+    p.add_argument("--er", dest="relative_permittivity", type=float, help="relative permittivity")
+    p.add_argument("--sigma", dest="conductivity_s_m", type=float, help="trace conductivity, S/m")
     p.set_defaults(func=_cmd_phy)
 
     p = sub.add_parser("thermal", help="steady-state temperature field")
@@ -316,10 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(argv: list[str]) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run one command line, or for rerun the one its manifest records. The
     subcommand gets the loaded spec (None without --spec) and its created --out
     directory; once it returns, the run is recorded in --out/manifest.json."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "rerun":
@@ -333,10 +325,6 @@ def _dispatch(argv: list[str]) -> int:
     except ChipletdseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    return _dispatch(list(sys.argv[1:]) if argv is None else list(argv))
 
 
 if __name__ == "__main__":

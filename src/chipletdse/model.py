@@ -577,7 +577,7 @@ def _port(doc: Any, path: str) -> tuple[str, float]:
 
 def _chiplet(doc: Any, path: str) -> ChipletSpec:
     return _section(ChipletSpec, doc, path, name=_text(doc, "name", path),
-                    kind=doc.get("kind", "compute"),
+                    kind=doc.get("kind", ChipletSpec.kind),
                     ports=tuple(_port(pd, f"{path}.ports[{k}]")
                                 for k, pd in enumerate(_list(doc, "ports", path))))
 

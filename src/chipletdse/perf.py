@@ -54,7 +54,7 @@ def rank_configs(configs: list[ConfigSpec], path: str = "configs") -> list[Confi
     as ``<path>[<i>]``, path being where the rows were read from.
     """
     if not configs:
-        raise PerfError("need at least one configuration")
+        raise PerfError(f"{path}: no configuration rows")
     require_unique([c.name for c in configs], path)
     ratios = []
     for i, c in enumerate(configs):

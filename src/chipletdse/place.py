@@ -259,7 +259,6 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     bounds = NormalizationBounds()
     t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
     thermal.rasterize(current, cfg.fine_cell_mm)  # an unusable fine grid fails before annealing
-    initial_peak = t0
     bounds.update(t0, w0)
 
     # warm-up: sample random neighbours to seed the min-max bounds
@@ -308,7 +307,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         prev_peak = cur_t
 
     best, _, _ = min(visited, key=lambda entry: anneal_cost(entry[1], entry[2], bounds))
-    return AnnealResult(best, tuple(history), initial_peak,
+    return AnnealResult(best, tuple(history), t0,
                         _peak(best, stack, cfg.fine_cell_mm), converged)
 
 

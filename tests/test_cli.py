@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import io
@@ -6,13 +7,21 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import chipletdse
-from chipletdse.cli import main
-from chipletdse.model import CHIPLET_KINDS, floorplan_to_document, load_spec
+from chipletdse.cli import build_parser, main
+from chipletdse.model import (
+    CHIPLET_KINDS,
+    AnnealConfig,
+    PhySpec,
+    ProcessCostParams,
+    floorplan_to_document,
+    load_spec,
+)
 from chipletdse.place import bst_placement
 from chipletdse.svgout import _KIND_FILL
 
@@ -133,6 +142,19 @@ class TestPerfCommand:
         assert main(["perf", "--configs", str(cfg), "--out", str(out)]) == 0
         rows = read_csv(out / "perf.csv")
         assert [r[0] for r in rows[1:]] == ["X", "Y"]
+
+    def test_spec_without_configs(self, tmp_path, capsys):
+        doc = {k: v for k, v in SMALL_DOC.items() if k != "configs"}
+        path = tmp_path / "noconfigs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["perf", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: configs: no configuration rows\n"
+
+    def test_header_only_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.csv"
+        cfg.write_text("name,cost,throughput,latency\n")
+        assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: no configuration rows\n"
 
     def test_csv_with_byte_order_mark(self, tmp_path, capsys):
         # a spreadsheet's UTF-8 export starts with a byte-order mark
@@ -356,18 +378,48 @@ class TestSpecErrors:
         assert err.startswith("error: configs[1]: golden ratio of throughput 1e+300, ")
         assert err.count("\n") == 1
 
-    def test_explicit_zero_phy_flag_rejected(self, tmp_path, capsys):
-        assert main(["phy", "--clock", "0", "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: clock_frequency_hz: ") and err.count("\n") == 1
+    FLAG_ERRORS = [
+        ("phy --clock 0", "clock_frequency_hz: must be > 0 and finite"),
+        ("phy --sf -1", "safety_factor: must be > 0 and finite"),
+        ("phy --trace-width-um 0", "trace_width_um: must be > 0 and finite"),
+        ("phy --trace-thickness-um inf", "trace_thickness_um: must be > 0 and finite"),
+        ("phy --ground-thickness-um nan", "ground_thickness_um: must be > 0 and finite"),
+        ("phy --interposer-height-um -5", "interposer_height_um: must be > 0 and finite"),
+        ("phy --er 0.5", "relative_permittivity: must be >= 1 and finite"),
+        ("phy --sigma 0", "conductivity_s_m: must be > 0 and finite"),
+        ("place --spec SPEC --seed -1", "seed: must be >= 0 and finite"),
+    ]
 
-    def test_micrometre_flag_error_names_its_field(self, tmp_path, capsys):
-        status = main(["phy", "--trace-width-um", "0", "--out", str(tmp_path / "o")])
-        assert_field_error(status, capsys.readouterr().err, "trace_width_um")
+    @pytest.mark.parametrize("argv, error", FLAG_ERRORS,
+                             ids=[argv.split()[-2] for argv, _ in FLAG_ERRORS])
+    def test_rejected_flag_value_names_its_field(self, spec_path, tmp_path, capsys, argv, error):
+        """A flag's error names the field it sets, which its --help metavar shows."""
+        argv = [spec_path if a == "SPEC" else a for a in argv.split()]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not any(out.iterdir())
 
 
 class TestFlagScope:
-    """--seed and --resolution exist only on the subcommands that read them."""
+    """--seed and --resolution exist only on the subcommands that read them, and
+    every override flag's dest is a field of its subcommand's spec section."""
+
+    SECTIONS = {"thermal": AnnealConfig, "place": AnnealConfig, "calibrate-k": AnnealConfig,
+                "sweep": AnnealConfig, "cost": ProcessCostParams, "phy": PhySpec}
+    NOT_OVERRIDES = {"help", "spec", "out", "floorplan", "configs", "k", "sides"}
+
+    def test_every_override_flag_names_a_field(self):
+        # the CLI applies a flag through its dest, so one that names no field
+        # of the section would be silently ignored
+        known = {f.name for cls in self.SECTIONS.values() for f in fields(cls)}
+        assert not self.NOT_OVERRIDES & known
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, p in subparsers.choices.items():
+            section = fields(self.SECTIONS[command]) if command in self.SECTIONS else ()
+            dests = {a.dest for a in p._actions if a.option_strings} - self.NOT_OVERRIDES
+            assert dests <= {f.name for f in section}, command
 
     @pytest.mark.parametrize("command, flags", [
         ("cost", ["--seed", "3"]),

@@ -134,3 +134,21 @@ def test_grid_model_independent_of_blas_kernel(tmp_path):
     expected = GOLDEN / "thermal_fine"
     assert field == ((expected / "temperature_field.csv.sha256").read_text()
                      + (expected / "stdout.txt").read_text())
+
+
+@pytest.mark.parametrize("case", ["place_seed7_50mm", "sweep"])
+def test_annealer_fixtures_independent_of_blas_kernel(case, tmp_path):
+    """The annealer's fixtures, rerun in a fresh process under another OpenBLAS
+    kernel and thread count, match byte for byte. Without OpenBLAS the
+    variables are ignored and the case still checks another process."""
+    args, spec, files = CASES[case]
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(chipletdse.__file__).parents[1]),
+           "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-m", "chipletdse.cli", *args,
+                           *_spec_args(spec, tmp_path), "--out", str(out)],
+                          capture_output=True, check=True, env=env)
+    expected = GOLDEN / case
+    assert proc.stdout == (expected / "stdout.txt").read_bytes()
+    for name in files:
+        assert _produced(out, name) == (expected / name).read_bytes(), f"{case}/{name}"

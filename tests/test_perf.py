@@ -92,7 +92,7 @@ class TestRankConfigs:
         assert [r.name for r in rows] == ["a", "b"]
 
     def test_empty_rejected(self):
-        with pytest.raises(PerfError):
+        with pytest.raises(PerfError, match=r"^configs: no configuration rows$"):
             rank_configs([])
 
     def test_duplicate_names_rejected(self):
