@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Protocol
 
 from .model import (AnnealConfig, ChipletdseError, Floorplan, PackageSpec, PlacedChiplet,
                     ValidationError, footprint, links_from_spec)
@@ -139,6 +138,109 @@ def bst_placement(spec: PackageSpec) -> Floorplan:
 
 
 # ---------------------------------------------------------------------------
+# Random draws
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+class Draws(Protocol):
+    """The two draws a move makes: ``integers(low, high)``, uniform on
+    [low, high), and ``random()``, uniform on [0, 1). A numpy Generator has both."""
+
+    def integers(self, low: int, high: int) -> int: ...
+
+    def random(self) -> float: ...
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hashmix, whose constant advances by ``mult`` per call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for an int seed >= 0."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    # the entropy pool: four words, each mixed with every other and then with
+    # every seed word past the fourth
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # eight 32-bit words drawn from the pool, read as four little-endian uint64s
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [draw(pool[i % 4]) for i in range(8)]
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """``np.random.default_rng(seed)``'s stream for the draws the annealer
+    makes, bit for bit, without loading numpy.random (6 MB for two draws) and
+    whatever numpy version is installed (NEP 19 lets its streams change).
+
+    ``_seed_state(seed)`` seeds a PCG64: a 128-bit LCG whose 64-bit outputs
+    are XSL-RR of the stepped state. ``integers`` is numpy's Lemire rejection
+    on 32-bit draws, each 64-bit output serving two (low half first);
+    ``random`` is the top 53 bits of one output.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        s = _seed_state(seed)
+        # pcg64_srandom_r(s[0]:s[1], s[2]:s[3]), each 128-bit value high word first
+        self._inc = (s[2] << 64 | s[3]) << 1 & _M128 | 1
+        self._state = ((self._inc + (s[0] << 64 | s[1])) * _PCG_MULT + self._inc) & _M128
+        self._half: int | None = None
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = ((s >> 64) ^ s) & _M64, s >> 122
+        return ((x >> rot) | (x << (64 - rot))) & _M64
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if not 0 < n <= _M32:  # numpy takes 2**32 and above by other methods
+            raise ValueError(f"integers: high - low must be in [1, 2**32), got {n}")
+        if n == 1:
+            return low
+        m = self._next32() * n
+        if (m & _M32) < n:
+            floor = (1 << 32) % n  # rejecting below it leaves every value equally likely
+            while (m & _M32) < floor:
+                m = self._next32() * n
+        return low + (m >> 32)
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        value = self._next64()
+        self._half = value >> 32
+        return value & _M32
+
+
+# ---------------------------------------------------------------------------
 # Moves
 
 
@@ -148,8 +250,11 @@ PERSISTENCE = 5  # consecutive epochs the |dT| < tol_c test must hold
 SCORE_GUARD_C = 1e-9  # how far a move score may lie from its plan's guarded full solve
 
 
-def propose_move(fp: Floorplan, rng: np.random.Generator) -> Floorplan:
+def propose_move(fp: Floorplan, rng: Draws) -> Floorplan:
     """One random legal move: translate, rotate 90 degrees, or swap two chiplets.
+
+    ``rng`` needs two methods (``Draws``): ``integers(low, high)`` picks the
+    move kind and the chiplets, and ``random()`` the translation.
 
     Translation magnitude is log-uniform between 1% and 100% of an eighth of
     the longer interposer side, so tightly packed boards still find legal
@@ -241,9 +346,10 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     """Anneal the chiplet placement, minimizing blended peak-T / wirelength cost.
 
     Deterministic for a fixed (spec, config): the RNG stream, move order,
-    and accept decisions are fully seeded.
+    and accept decisions are fully seeded. The stream is the one
+    ``np.random.default_rng(cfg.seed)`` would give (``_Pcg64``).
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Pcg64(cfg.seed)
     stack = spec.stack
     current = bst_placement(spec)
 

@@ -654,8 +654,9 @@ class TestRunManifest:
 
 class TestImportBoundary:
     """Only the subcommands that solve load numpy, place and thermal: the
-    report subcommands pay no numpy import. Each report subcommand loads its
-    own report module alone, and the solving ones load none of them."""
+    report subcommands pay no numpy import, and none loads numpy.random. Each
+    report subcommand loads its own report module alone, and the solving ones
+    load none of them."""
 
     SOLVER = "chipletdse.place,chipletdse.thermal,numpy"
     REPORTS = "chipletdse.costyield,chipletdse.perf,chipletdse.phy,chipletdse.power"
@@ -683,6 +684,11 @@ print(sorted(m for m in sys.modules if m in watched))
     def test_thermal_loads_the_solver_modules(self, tmp_path):
         assert self.loaded_after(tmp_path, "thermal") == \
             "['chipletdse.place', 'chipletdse.thermal', 'numpy']"
+
+    @pytest.mark.parametrize("command", ["place", "thermal"])
+    def test_solving_subcommand_loads_no_numpy_random(self, tmp_path, command):
+        # the annealer draws from place._Pcg64, not from a numpy Generator
+        assert self.loaded_after(tmp_path, command, watched="numpy.random") == "[]"
 
     @pytest.mark.parametrize("command, module", [
         ("cost", "costyield"), ("power", "power"), ("perf", "perf"), ("phy", "phy")])

@@ -3,14 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chipletdse import thermal
-from chipletdse.model import (ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ValidationError,
-                              footprint)
+from chipletdse.model import (ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ThermalStack,
+                              ValidationError, footprint)
 from chipletdse.place import (
     RETRY_CAP,
+    _peak,
+    _Pcg64,
     AnnealConfig,
     NormalizationBounds,
     PlacementError,
@@ -319,6 +321,101 @@ class TestRowLegality:
         rng = np.random.default_rng(4)
         for _ in range(20):
             fp = propose_move(fp, rng)
+
+
+# numpy 2.4.6's np.random.default_rng(seed) for CALLS, an int n meaning
+# integers(0, n) and None meaning random(): the stream the annealer draws, pinned
+# whatever numpy version is installed
+CALLS = (13, None, 1, 2, 12, None, None, 3, 1, 13, None, 2, 3, None, 12, 13)
+KNOWN_DRAWS = {
+    0: [11, 0.2697867137638703, 0, 1, 3, 0.016527635528529094, 0.8132702392002724, 0, 0, 8,
+        0.6066357757671799, 1, 2, 0.5436249914654229, 8, 7],
+    1: [6, 0.9504636963259353, 0, 1, 0, 0.9486494471372439, 0.31183145201048545, 0, 0, 11,
+        0.8277025938204418, 0, 0, 0.5495936876730595, 4, 1],
+    7: [12, 0.8972138009695755, 0, 1, 6, 0.22520718999059186, 0.30016628491122543, 2, 0, 3,
+        0.005265304565574724, 1, 1, 0.7970694287520462, 9, 1],
+    2**64 - 1: [7, 0.8453117585624743, 0, 1, 4, 0.8945681264391473, 0.12896523452474162, 0, 0, 3,
+                0.5894743473759847, 0, 0, 0.9106503555676262, 2, 1],
+    2**200 + 1: [4, 0.03408675405596295, 0, 1, 4, 0.006460553346726017, 0.4145282599894661, 2, 0,
+                 3, 0.7485398459785114, 1, 2, 0.2120823945053909, 9, 5],
+}
+
+
+def draw_all(rng, calls):
+    return [rng.random() if n is None else rng.integers(0, n) for n in calls]
+
+
+class TestPcg64:
+    @pytest.mark.parametrize("seed", sorted(KNOWN_DRAWS))
+    def test_known_answers(self, seed):
+        draws = draw_all(_Pcg64(seed), CALLS)
+        assert draws == KNOWN_DRAWS[seed]
+        assert [type(d) for d in draws] == [float if n is None else int for n in CALLS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**256),
+           calls=st.lists(st.one_of(st.none(), st.integers(1, 13), st.integers(1, 2**32 - 1)),
+                          max_size=80))
+    def test_equals_default_rng(self, seed, calls):
+        assert draw_all(_Pcg64(seed), calls) == draw_all(np.random.default_rng(seed), calls)
+
+    def test_one_value_range_draws_nothing(self):
+        rng, ref = _Pcg64(3), _Pcg64(3)
+        rng.integers(0, 2)  # buffers the high half of a 64-bit draw
+        ref.integers(0, 2)
+        assert rng.integers(5, 6) == 5
+        assert draw_all(rng, CALLS) == draw_all(ref, CALLS)
+
+    @pytest.mark.parametrize("low, high", [(0, 2**32), (0, 2**40), (7, 7 + 2**32), (0, 0), (3, 1)])
+    def test_range_outside_one_to_two_pow_32_rejected(self, low, high):
+        with pytest.raises(ValueError, match="high - low"):
+            _Pcg64(0).integers(low, high)
+
+
+@st.composite
+def anneal_cases(draw):
+    """A package of 1-7 chiplets (3-10 mm sides, each linked to an earlier
+    one) that the packer fits on a 24-50 mm interposer, with no sink or a 10,
+    20 or 40 mm one, a weak to strong top coefficient, and a short schedule."""
+    n = draw(st.integers(1, 7))
+    side = st.floats(3.0, 10.0)
+    chiplets = tuple(ChipletSpec(
+        f"c{i}", draw(side), draw(side), draw(st.floats(0.0, 20.0)),
+        ports=((f"c{draw(st.integers(0, i - 1))}", draw(st.floats(1.0, 4.0))),) if i else ())
+        for i in range(n))
+    stack = ThermalStack(h_top_w_m2k=draw(st.sampled_from([500.0, 2500.0, 10000.0])),
+                         sink_side_mm=draw(st.sampled_from([None, 10.0, 20.0, 40.0])))
+    interposer = draw(st.floats(24.0, 50.0))
+    try:
+        spec = PackageSpec("prop", chiplets, interposer, interposer,
+                           min_spacing_mm=draw(st.floats(0.0, 1.0)), stack=stack)
+        bst_placement(spec)
+    except (ValidationError, PlacementError):
+        assume(False)  # over the footprint budget, or the packer cannot fit it
+    cfg = AnnealConfig(k0=draw(st.floats(1e-3, 1.0)), decay=draw(st.floats(0.01, 0.99)),
+                       tol_c=draw(st.floats(1e-3, 1.0)), max_iterations=draw(st.integers(1, 4)),
+                       moves_per_iteration=draw(st.integers(1, 4)),
+                       seed=draw(st.integers(0, 2**64)))
+    return spec, cfg
+
+
+class TestAnnealProperties:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(anneal_cases())
+    def test_invariants(self, case):
+        spec, cfg = case
+        r = optimize(spec, cfg)
+        r.floorplan.validate()
+        # each chiplet once, with its own footprint and power
+        rows = sorted((p.name, p.width_mm, p.height_mm, p.power_w) for p in r.floorplan.placements)
+        assert rows == sorted((c.name, c.width_mm, c.height_mm, c.power_w) for c in spec.chiplets)
+        assert 1 <= r.iterations <= cfg.max_iterations
+        for it, row in enumerate(r.history):
+            assert row.iteration == it
+            assert row.k == max(cfg.k0 * cfg.decay ** it, math.ulp(0.0))
+            assert 0.0 <= row.cost <= 1.0
+        assert r.final_peak_t == _peak(r.floorplan, spec.stack, cfg.fine_cell_mm)
+        assert optimize(spec, cfg) == r
 
 
 class TestAnnealConfig:
