@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +27,9 @@ from .model import (
     floorplan_to_document,
     load_bundle,
     load_configs_csv,
+    load_phy,
     read_document,
+    read_numbers,
 )
 from .svgout import fmt
 
@@ -57,18 +58,10 @@ def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str])
         "subcommand": args.subcommand,
         "argv": argv,
         "inputs": {str(p): _sha256(p) for p in inputs if p.exists()},
-        "seed": _overrides(args, bundle.anneal).seed if "seed" in vars(args) else None,
+        "seed": bundle.anneal.seed if "anneal.seed" in vars(args) else None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _overrides(args, section):
-    """``section`` with each field that a flag given on the command line names:
-    an override flag's dest is the name of the field it sets."""
-    given = vars(args)
-    return replace(section, **{f.name: given[f.name] for f in fields(section)
-                               if given.get(f.name) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +71,11 @@ def _overrides(args, section):
 def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
     from . import costyield
     chiplets = bundle.package.chiplets
-    process = _overrides(args, bundle.process)
-    breakdown = costyield.package_cost([c.area for c in chiplets], process)
+    breakdown = costyield.package_cost([c.area for c in chiplets], bundle.process)
     rows = [[c.name, d.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
             for c, d in zip(chiplets, breakdown.dies)]
     rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
-                 process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
+                 bundle.process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
     _write_csv(out / "cost.csv",
                ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                rows)
@@ -94,7 +86,7 @@ def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
 def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
     from . import power
     if not bundle.tiles:
-        raise SpecError(f"{args.spec}: no 'tiles' section for the power subcommand")
+        raise SpecError("tiles: no tile rows")
     rows_out, total = power.system_power(bundle.tiles)
     rows = [[name, b.switching, b.short_circuit, b.leakage, b.total]
             for name, b in rows_out]
@@ -127,7 +119,7 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
 
 def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     from . import phy
-    p = _overrides(args, bundle.phy if bundle else phy.PhySpec())
+    p = bundle.phy if bundle else load_phy(vars(args))
     lp = phy.line_params(p)
     max_len = phy.max_trace_length(p)
     lengths = [i * 1e-3 for i in range(1, 101)]
@@ -146,7 +138,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = floorplan_from_document(Path(args.floorplan))
     else:
         fp = place.bst_placement(bundle.package)
-    pm = thermal.rasterize(fp, _overrides(args, bundle.anneal).fine_cell_mm)
+    pm = thermal.rasterize(fp, bundle.anneal.fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     ny, nx = tf.data.shape[1:]
     cells = [f",{ix},{iy},%.6g\r\n" for iy in range(ny) for ix in range(nx)]
@@ -166,7 +158,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    result = place.optimize(bundle.package, _overrides(args, bundle.anneal))
+    result = place.optimize(bundle.package, bundle.anneal)
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
     (out / "floorplan.json").write_text(
         json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
@@ -182,8 +174,8 @@ def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    cfg = _overrides(args, bundle.anneal)
-    runs = list(zip(args.k, place.calibrate_k(bundle.package, args.k, cfg)))
+    k = read_numbers(args.k, "k")
+    runs = list(zip(k, place.calibrate_k(bundle.package, k, bundle.anneal)))
     _write_csv(out / "k_calibration.csv",
                ["k0", "iterations_to_converge", "final_peak_t_c"],
                [[k0, r.iterations, r.final_peak_t] for k0, r in runs])
@@ -194,7 +186,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    rows = place.interposer_sweep(bundle.package, args.sides, _overrides(args, bundle.anneal))
+    rows = place.interposer_sweep(bundle.package, read_numbers(args.sides, "sides"), bundle.anneal)
     _write_csv(out / "interposer_sweep.csv",
                ["side_mm", "area_mm2", "peak_t_c", "feasible"],
                [[r.side_mm, r.area_mm2,
@@ -229,20 +221,15 @@ def _recorded_run(manifest: str) -> tuple[argparse.Namespace, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
 def _add_common(p: argparse.ArgumentParser, spec_required: bool = True,
                 seed: bool = False, resolution: bool = False) -> None:
     p.add_argument("--spec", required=spec_required, default=None,
                    help=f"package spec JSON (bundled: {bundled_spec_path()})")
     p.add_argument("--out", default="out", help="output directory")
     if seed:
-        p.add_argument("--seed", type=int, help="RNG seed override")
+        p.add_argument("--seed", dest="anneal.seed", help="RNG seed override")
     if resolution:
-        p.add_argument("--resolution", dest="fine_cell_mm", type=float,
-                       help="thermal grid cell size, mm")
+        p.add_argument("--resolution", dest="anneal.fine_cell_mm", help="thermal grid cell size, mm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="die/package cost and yield report")
     _add_common(p)
-    p.add_argument("--connections", dest="n_connections", type=int,
+    p.add_argument("--connections", dest="process.n_connections",
                    help="inter-die connection count for assembly yield")
     p.set_defaults(func=_cmd_cost)
 
@@ -270,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phy", help="interconnect physical-layer limits")
     _add_common(p, spec_required=False)
-    p.add_argument("--clock", dest="clock_frequency_hz", type=float, help="clock frequency, Hz")
-    p.add_argument("--sf", dest="safety_factor", type=float, help="bandwidth safety factor")
-    p.add_argument("--trace-width-um", type=float)
-    p.add_argument("--trace-thickness-um", type=float)
-    p.add_argument("--ground-thickness-um", type=float)
-    p.add_argument("--interposer-height-um", type=float)
-    p.add_argument("--er", dest="relative_permittivity", type=float, help="relative permittivity")
-    p.add_argument("--sigma", dest="conductivity_s_m", type=float, help="trace conductivity, S/m")
+    p.add_argument("--clock", dest="phy.clock_frequency_hz", help="clock frequency, Hz")
+    p.add_argument("--sf", dest="phy.safety_factor", help="bandwidth safety factor")
+    p.add_argument("--trace-width-um", dest="phy.trace_width_um")
+    p.add_argument("--trace-thickness-um", dest="phy.trace_thickness_um")
+    p.add_argument("--ground-thickness-um", dest="phy.ground_thickness_um")
+    p.add_argument("--interposer-height-um", dest="phy.interposer_height_um")
+    p.add_argument("--er", dest="phy.relative_permittivity", help="relative permittivity")
+    p.add_argument("--sigma", dest="phy.conductivity_s_m", help="trace conductivity, S/m")
     p.set_defaults(func=_cmd_phy)
 
     p = sub.add_parser("thermal", help="steady-state temperature field")
@@ -292,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-k", help="annealing K calibration table")
     _add_common(p, seed=True, resolution=True)
-    p.add_argument("--k", type=_floats, required=True, help="comma-separated K0 candidates")
+    p.add_argument("--k", required=True, help="comma-separated K0 candidates")
     p.set_defaults(func=_cmd_calibrate_k)
 
     p = sub.add_parser("sweep", help="interposer-area sweep")
     _add_common(p, seed=True, resolution=True)
-    p.add_argument("--sides", type=_floats, default="30,35,40,45,50",
+    p.add_argument("--sides", default="30,35,40,45,50",
                    help="comma-separated square side lengths, mm")
     p.set_defaults(func=_cmd_sweep)
 
@@ -316,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "rerun":
             args, argv = _recorded_run(args.manifest)
-        bundle = load_bundle(Path(args.spec)) if args.spec else None
+        bundle = load_bundle(Path(args.spec), vars(args)) if args.spec else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, bundle, out)

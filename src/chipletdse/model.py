@@ -511,16 +511,18 @@ def links_from_spec(spec: PackageSpec) -> tuple[tuple[str, str, float], ...]:
 # Loading / validation
 
 
-def _num(doc: dict, key: str, path: str, default: float | None = None) -> float:
-    if key not in doc:
-        if default is None:
-            raise ValidationError(f"{path}.{key}: missing required field")
-        return default
-    v = doc[key]
+def _finite(v: Any, path: str) -> float:
     # json accepts NaN and +-Infinity; an integer beyond float range is not finite either
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ValidationError(f"{path}.{key}: expected a finite number, got {v!r}")
+        raise ValidationError(f"{path}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _num(doc: dict, key: str, path: str, default: float | None = None) -> float:
+    if key not in doc and default is not None:
+        return default
+    _require(key in doc, f"{path}.{key}", "missing required field")
+    return _finite(doc[key], f"{path}.{key}")
 
 
 def _int(doc: dict, key: str, path: str, default: int | None = None) -> int:
@@ -549,17 +551,32 @@ def _list(doc: dict, key: str, path: str = "") -> list:
     return value
 
 
-def _section(cls, doc: Any, path: str, **given):
+def _flag_value(text: str) -> int | float | str:
+    """A flag's text as the value a spec would hold: an int, else a float, else the text."""
+    for number in (int, float):
+        with contextlib.suppress(ValueError):
+            return number(text)
+    return text
+
+
+def read_numbers(text: str, path: str) -> list[float]:
+    """A comma-separated list flag's values, each read as a spec number at ``<path>[<i>]``."""
+    return [_finite(_flag_value(v), f"{path}[{i}]") for i, v in enumerate(text.split(","))]
+
+
+def _section(cls, doc: Any, path: str, flags: dict | None = None, **given):
     """Build dataclass ``cls`` from the spec object ``doc``.
 
-    Each field not in ``given`` reads the spec key of its own name; a field
-    whose default is an int reads an integer. An absent key takes the field's
-    default, or is a missing-field error if it has none. A range error that
-    ``cls`` raises as ``"<field>: <reason>"`` is re-raised as
-    ``ValidationError("<path>.<field>: <reason>")``.
+    Each field not in ``given`` reads the spec key of its own name, or the flag
+    ``<path>.<field>`` in ``flags`` if given (not None); a field whose default is
+    an int reads an integer. An absent key takes the field's default, or is a
+    missing-field error if it has none. A range error that ``cls`` raises as
+    ``"<field>: <reason>"`` is re-raised as ``ValidationError("<path>.<field>: <reason>")``.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
+    doc = {**doc, **{key.removeprefix(f"{path}."): _flag_value(text) for key, text in
+                     (flags or {}).items() if key.startswith(f"{path}.") and text is not None}}
     kwargs = dict(given)
     for f in fields(cls):
         if f.name in given or (f.name not in doc and f.default is not MISSING):
@@ -673,11 +690,16 @@ def load_configs_csv(path: Path) -> tuple[ConfigSpec, ...]:
     return _config_rows(rows, str(path))
 
 
-def load_bundle(document: dict | str | Path) -> SpecBundle:
+def load_phy(flags: dict) -> PhySpec:
+    """The ``phy`` section without a spec: its defaults under the given flags."""
+    return _section(PhySpec, {}, "phy", flags)
+
+
+def load_bundle(document: dict | str | Path, flags: dict | None = None) -> SpecBundle:
     """Parse a whole spec: the package plus every optional section.
 
-    An absent section or key takes the default of the dataclass it fills;
-    every invalid value raises ValidationError("<field path>: <reason>").
+    An absent section or key takes its dataclass default and a given flag replaces
+    the key it names; every invalid value raises ValidationError("<field path>: <reason>").
     """
     doc = read_document(document)
     package = load_spec(doc)
@@ -685,9 +707,9 @@ def load_bundle(document: dict | str | Path) -> SpecBundle:
     require_unique([t.name for t in tiles], "tiles")
     return SpecBundle(
         package=package,
-        process=_section(ProcessCostParams, doc.get("process", {}), "process"),
-        anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal"),
-        phy=_section(PhySpec, doc.get("phy", {}), "phy"),
+        process=_section(ProcessCostParams, doc.get("process", {}), "process", flags),
+        anneal=_section(AnnealConfig, doc.get("anneal", {}), "anneal", flags),
+        phy=_section(PhySpec, doc.get("phy", {}), "phy", flags),
         tiles=tiles,
         configs=_config_rows(_list(doc, "configs"), "configs"),
     )

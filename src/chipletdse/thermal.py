@@ -70,21 +70,12 @@ class TemperatureField:
         return self.data[self.stack.layer_index(name)]
 
 
-@lru_cache(maxsize=64)
 def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> tuple[int, int]:
     sides = (width_mm / cell_mm - 1e-9, height_mm / cell_mm - 1e-9)
     if not all(side <= MAX_CELLS_PER_SIDE for side in sides):  # inf and NaN too, before ceil
         raise ThermalError(f"a {width_mm} x {height_mm} mm grid of {cell_mm} mm cells "
                            f"exceeds {MAX_CELLS_PER_SIDE} cells per side")
     return tuple(max(1, math.ceil(side)) for side in sides)
-
-
-@lru_cache(maxsize=64)
-def _edges(cells: int, cell_mm: float) -> np.ndarray:
-    """The cells + 1 cell edges along one axis, mm; read-only, as every caller shares it."""
-    edges = np.arange(cells + 1) * cell_mm
-    edges.flags.writeable = False
-    return edges
 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -116,8 +107,8 @@ def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
         raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
                            f"chiplet {floorplan.placements[small.argmax()].name!r}")
     nx, ny = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
-    ox = _overlap(x, x + w, _edges(nx, cell_mm))
-    oy = _overlap(y, y + h, _edges(ny, cell_mm))
+    ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
+    oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
     density = power / (w * h)  # W/mm^2
     return PowerMap(cell_mm, oy.T @ (density[:, None] * ox))
 

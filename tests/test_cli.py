@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,7 +95,7 @@ class TestCostCommand:
     def test_negative_connections_names_field(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cost"
         assert main(["cost", "--spec", spec_path, "--out", str(out), "--connections", "-5"]) == 1
-        assert capsys.readouterr().err == "error: n_connections: must be >= 0 and finite\n"
+        assert capsys.readouterr().err == "error: process.n_connections: must be >= 0 and finite\n"
         assert not (out / "cost.csv").exists()
 
     def test_assembly_yield_underflow_fails(self, spec_path, tmp_path, capsys):
@@ -109,6 +110,15 @@ class TestCostCommand:
         assert main(["cost", "--spec", spec_path, "--out", str(out), "--connections", "7"]) == 0
         assert read_csv(out / "cost.csv")[-1][2] == "7"
 
+    def test_connections_in_exponent_form(self, spec_path, tmp_path):
+        reports = []
+        for connections in ("1e3", "1000"):
+            out = tmp_path / connections
+            assert main(["cost", "--spec", spec_path, "--out", str(out),
+                         "--connections", connections]) == 0
+            reports.append((out / "cost.csv").read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestPowerCommand:
     def test_system_row(self, spec_path, tmp_path, capsys):
@@ -122,8 +132,10 @@ class TestPowerCommand:
         doc = {k: v for k, v in SMALL_DOC.items() if k != "tiles"}
         path = tmp_path / "notiles.json"
         path.write_text(json.dumps(doc))
-        assert main(["power", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "tiles" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["power", "--spec", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tiles: no tile rows\n"
+        assert not (out / "power.csv").exists()
 
 
 class TestPerfCommand:
@@ -379,47 +391,53 @@ class TestSpecErrors:
         assert err.count("\n") == 1
 
     FLAG_ERRORS = [
-        ("phy --clock 0", "clock_frequency_hz: must be > 0 and finite"),
-        ("phy --sf -1", "safety_factor: must be > 0 and finite"),
-        ("phy --trace-width-um 0", "trace_width_um: must be > 0 and finite"),
-        ("phy --trace-thickness-um inf", "trace_thickness_um: must be > 0 and finite"),
-        ("phy --ground-thickness-um nan", "ground_thickness_um: must be > 0 and finite"),
-        ("phy --interposer-height-um -5", "interposer_height_um: must be > 0 and finite"),
-        ("phy --er 0.5", "relative_permittivity: must be >= 1 and finite"),
-        ("phy --sigma 0", "conductivity_s_m: must be > 0 and finite"),
-        ("place --spec SPEC --seed -1", "seed: must be >= 0 and finite"),
+        ("phy --clock 0", "phy.clock_frequency_hz: must be > 0 and finite"),
+        ("phy --sf -1", "phy.safety_factor: must be > 0 and finite"),
+        ("phy --trace-width-um 0", "phy.trace_width_um: must be > 0 and finite"),
+        ("phy --trace-thickness-um inf", "phy.trace_thickness_um: expected a finite number, got inf"),
+        ("phy --ground-thickness-um nan",
+         "phy.ground_thickness_um: expected a finite number, got nan"),
+        ("phy --interposer-height-um -5", "phy.interposer_height_um: must be > 0 and finite"),
+        ("phy --er 0.5", "phy.relative_permittivity: must be >= 1 and finite"),
+        ("phy --sigma 0", "phy.conductivity_s_m: must be > 0 and finite"),
+        ("place --spec SPEC --seed -1", "anneal.seed: must be >= 0 and finite"),
     ]
 
     @pytest.mark.parametrize("argv, error", FLAG_ERRORS,
                              ids=[argv.split()[-2] for argv, _ in FLAG_ERRORS])
     def test_rejected_flag_value_names_its_field(self, spec_path, tmp_path, capsys, argv, error):
-        """A flag's error names the field it sets, which its --help metavar shows."""
+        """A flag's error names the spec path it sets, which its --help metavar shows."""
         argv = [spec_path if a == "SPEC" else a for a in argv.split()]
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-        assert not any(out.iterdir())
+        assert not any(out.glob("*"))  # a spec's flag fails at load, before --out is made
+
+
+def subparsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestFlagScope:
     """--seed and --resolution exist only on the subcommands that read them, and
-    every override flag's dest is a field of its subcommand's spec section."""
+    every override flag's dest is the <section>.<field> path of a field of its
+    subcommand's spec section."""
 
-    SECTIONS = {"thermal": AnnealConfig, "place": AnnealConfig, "calibrate-k": AnnealConfig,
-                "sweep": AnnealConfig, "cost": ProcessCostParams, "phy": PhySpec}
+    SECTIONS = {"thermal": ("anneal", AnnealConfig), "place": ("anneal", AnnealConfig),
+                "calibrate-k": ("anneal", AnnealConfig), "sweep": ("anneal", AnnealConfig),
+                "cost": ("process", ProcessCostParams), "phy": ("phy", PhySpec)}
     NOT_OVERRIDES = {"help", "spec", "out", "floorplan", "configs", "k", "sides"}
 
     def test_every_override_flag_names_a_field(self):
-        # the CLI applies a flag through its dest, so one that names no field
-        # of the section would be silently ignored
-        known = {f.name for cls in self.SECTIONS.values() for f in fields(cls)}
-        assert not self.NOT_OVERRIDES & known
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        for command, p in subparsers.choices.items():
-            section = fields(self.SECTIONS[command]) if command in self.SECTIONS else ()
+        # the spec reader reads a flag in place of the key its dest names, so a
+        # dest that names no field of the section would be silently ignored
+        assert not any("." in dest for dest in self.NOT_OVERRIDES)
+        for command, p in subparsers().items():
+            name, cls = self.SECTIONS.get(command, ("", None))
+            paths = {f"{name}.{f.name}" for f in fields(cls)} if cls else set()
             dests = {a.dest for a in p._actions if a.option_strings} - self.NOT_OVERRIDES
-            assert dests <= {f.name for f in section}, command
+            assert dests <= paths, command
 
     @pytest.mark.parametrize("command, flags", [
         ("cost", ["--seed", "3"]),
@@ -437,19 +455,71 @@ class TestFlagScope:
         assert not (tmp_path / "o").exists()
 
 
+class TestFlagReadAsSpecKey:
+    """An override flag's text is read as the spec value it stands for: a run
+    with the flag matches a run whose spec holds that value at the flag's path,
+    in exit status, stderr, stdout, recorded seed and every report byte."""
+
+    # text -> the value a spec holds for it; a text that is no number is held as is
+    VALUES = {"1e3": 1e3, ".5": 0.5, "+2": 2, "007": 7, "1_000": 1000, "1.5": 1.5, "-1": -1,
+              "0": 0, "inf": math.inf, "nan": math.nan, "x": "x", "": "",
+              "123456789012345678901234567890": 123456789012345678901234567890}
+    EXTRA = {"calibrate-k": ["--k", "0.1"], "sweep": ["--sides", "20"]}
+    FLAGS = [(command, a.option_strings[0], a.dest) for command, p in subparsers().items()
+             for a in p._actions if "." in a.dest]
+
+    def run(self, capsys, out, command, doc, flag=()):
+        """One run, without --spec if doc is None."""
+        out.mkdir()  # a run that fails at load makes none
+        argv = [command, "--out", str(out), *flag, *self.EXTRA.get(command, [])]
+        if doc is not None:
+            spec = out.parent / f"{out.name}.json"
+            spec.write_text(json.dumps(doc))
+            argv += ["--spec", str(spec)]
+        status = main(argv)
+        stdout, stderr = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        seed = json.loads((out / "manifest.json").read_text())["seed"] if status == 0 else None
+        return status, stderr, stdout, seed, files
+
+    @pytest.mark.parametrize("command, option, dest", FLAGS,
+                             ids=[f"{command} {option}" for command, option, _ in FLAGS])
+    def test_flag_matches_spec_key(self, tmp_path, capsys, command, option, dest):
+        section, key = dest.split(".")
+        base = edited(lambda d: d["anneal"].update(max_iterations=1))  # one annealing epoch
+        for i, (text, value) in enumerate(self.VALUES.items()):
+            # phy's flags run without --spec, over an empty phy section
+            flagged = self.run(capsys, tmp_path / f"flag{i}", command,
+                               None if command == "phy" else base, [option, text])
+            keyed = self.run(capsys, tmp_path / f"key{i}", command,
+                             edited(lambda d: d.setdefault(section, {}).update({key: value}), base))
+            assert flagged == keyed, text
+
+    def test_long_seed_stays_exact(self, spec_path, tmp_path):
+        seed = "123456789012345678901234567890"
+        out = tmp_path / "o"
+        assert main(["place", "--spec", spec_path, "--out", str(out), "--seed", seed]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+
+
 class TestResolutionValidation:
-    @pytest.mark.parametrize("command, resolution", [
-        ("place", "0"), ("place", "-2"), ("thermal", "0"), ("thermal", "-1"),
-        ("thermal", "inf"), ("calibrate-k", "nan"), ("sweep", "inf"),
-    ])
+    @pytest.mark.parametrize("command, resolution, reason", [
+        pytest.param(command, resolution, reason, id=f"{command}-{resolution}")
+        for command, resolution, reason in [
+            ("place", "0", "must be > 0 and finite"), ("place", "-2", "must be > 0 and finite"),
+            ("thermal", "0", "must be > 0 and finite"), ("thermal", "-1", "must be > 0 and finite"),
+            ("thermal", "inf", "expected a finite number, got inf"),
+            ("calibrate-k", "nan", "expected a finite number, got nan"),
+            ("sweep", "inf", "expected a finite number, got inf"),
+        ]])
     def test_non_positive_resolution_rejected(self, spec_path, tmp_path, capsys,
-                                              command, resolution):
+                                              command, resolution, reason):
         """--resolution sets anneal.fine_cell_mm in every subcommand that takes it."""
         k = ["--k", "0.1"] if command == "calibrate-k" else []
         status = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
                        "--resolution", resolution, *k])
         assert status == 1
-        assert capsys.readouterr().err == "error: fine_cell_mm: must be > 0 and finite\n"
+        assert capsys.readouterr().err == f"error: anneal.fine_cell_mm: {reason}\n"
 
     @pytest.mark.parametrize("command, extra, resolution, message", [
         ("place", [], "0.01",
@@ -534,19 +604,35 @@ class TestCalibrateAndSweepCommands:
         assert rows[1][3] == "false" and rows[2][3] == "true"
         assert "infeasible" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("sides", ["20,0", "-5", "nan", "inf"])
-    def test_non_positive_side_rejected(self, spec_path, tmp_path, capsys, sides):
+    @pytest.mark.parametrize("sides, error", [
+        pytest.param("20,0", "sides: must be > 0 and finite, got 0.0", id="20,0"),
+        pytest.param("-5", "sides: must be > 0 and finite, got -5.0", id="-5"),
+        pytest.param("nan", "sides[0]: expected a finite number, got nan", id="nan"),
+        pytest.param("inf", "sides[0]: expected a finite number, got inf", id="inf"),
+    ])
+    def test_non_positive_side_rejected(self, spec_path, tmp_path, capsys, sides, error):
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", spec_path, "--out", str(out), "--sides", sides]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: sides: must be > 0 and finite, got ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not (out / "interposer_sweep.csv").exists()
 
     def test_infinite_k_rejected(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cal"
         assert main(["calibrate-k", "--spec", spec_path, "--out", str(out), "--k", "0.1,inf"]) == 1
-        assert capsys.readouterr().err == "error: k0: must be > 0 and finite\n"
+        assert capsys.readouterr().err == "error: k[1]: expected a finite number, got inf\n"
         assert not (out / "k_calibration.csv").exists()
+
+    @pytest.mark.parametrize("argv, report, error", [
+        (["sweep", "--sides", "30,x"], "interposer_sweep.csv",
+         "sides[1]: expected a finite number, got 'x'"),
+        (["calibrate-k", "--k="], "k_calibration.csv", "k[0]: expected a finite number, got ''"),
+    ], ids=["sides", "k"])
+    def test_list_item_read_as_a_spec_number(self, spec_path, tmp_path, capsys, argv, report,
+                                             error):
+        out = tmp_path / "o"
+        assert main([*argv, "--spec", spec_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (out / report).exists()
 
 
 class TestRerunCommand:
