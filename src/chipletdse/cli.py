@@ -42,6 +42,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
+def _report(out: Path, name: str) -> Path:
+    """out/name, creating out first: a run that fails before its first report
+    leaves no --out behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -76,7 +83,7 @@ def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
             for c, d in zip(chiplets, breakdown.dies)]
     rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
                  bundle.process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
-    _write_csv(out / "cost.csv",
+    _write_csv(_report(out, "cost.csv"),
                ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                rows)
     print(f"package_cost = {fmt(breakdown.package_cost)} "
@@ -93,7 +100,7 @@ def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
     rows.append(["SYSTEM", sum(b.switching for _, b in rows_out),
                  sum(b.short_circuit for _, b in rows_out),
                  sum(b.leakage for _, b in rows_out), total])
-    _write_csv(out / "power.csv",
+    _write_csv(_report(out, "power.csv"),
                ["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
                rows)
     print(f"system_power_w = {fmt(total)}")
@@ -109,7 +116,7 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
     else:
         raise SpecError("perf needs --spec or --configs")
     ranked = perf.rank_configs(entries, str(source))  # rows named as the loader names them
-    _write_csv(out / "perf.csv",
+    _write_csv(_report(out, "perf.csv"),
                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
                [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
                 for r in ranked])
@@ -124,7 +131,7 @@ def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
     max_len = phy.max_trace_length(p)
     lengths = [i * 1e-3 for i in range(1, 101)]
     curve = phy.bandwidth_curve(lengths, p)
-    _write_csv(out / "bandwidth_curve.csv",
+    _write_csv(_report(out, "bandwidth_curve.csv"),
                ["length_mm", "log10_bw_hz", "log10_target_hz"],
                [[L * 1e3, bw, tgt] for L, bw, tgt in curve])
     print(f"c_per_length_pf_m = {fmt(lp.c_per_length * 1e12)}")
@@ -142,7 +149,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
     ny, nx = tf.data.shape[1:]
     cells = [f",{ix},{iy},%.6g\r\n" for iy in range(ny) for ix in range(nx)]
-    with (out / "temperature_field.csv").open("w", newline="") as fh:
+    with _report(out, "temperature_field.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "x", "y", "t_c"])
         # the rows csv.writer would write, one %-template per layer: the layer name as
@@ -160,10 +167,10 @@ def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
     result = place.optimize(bundle.package, bundle.anneal)
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
-    (out / "floorplan.json").write_text(
+    _report(out, "floorplan.json").write_text(
         json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
-    (out / "floorplan.svg").write_text(svgout.floorplan_svg(result.floorplan, kinds))
-    _write_csv(out / "history.csv",
+    _report(out, "floorplan.svg").write_text(svgout.floorplan_svg(result.floorplan, kinds))
+    _write_csv(_report(out, "history.csv"),
                ["iteration", "peak_t_c", "wirelength_mm", "cost", "k"],
                [[h.iteration, h.peak_t, h.wirelength, h.cost, h.k]
                 for h in result.history])
@@ -176,7 +183,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
     k = read_numbers(args.k, "k")
     runs = list(zip(k, place.calibrate_k(bundle.package, k, bundle.anneal)))
-    _write_csv(out / "k_calibration.csv",
+    _write_csv(_report(out, "k_calibration.csv"),
                ["k0", "iterations_to_converge", "final_peak_t_c"],
                [[k0, r.iterations, r.final_peak_t] for k0, r in runs])
     for k0, r in runs:
@@ -187,7 +194,7 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
     rows = place.interposer_sweep(bundle.package, read_numbers(args.sides, "sides"), bundle.anneal)
-    _write_csv(out / "interposer_sweep.csv",
+    _write_csv(_report(out, "interposer_sweep.csv"),
                ["side_mm", "area_mm2", "peak_t_c", "feasible"],
                [[r.side_mm, r.area_mm2,
                  r.peak_t if r.peak_t is not None else "infeasible", r.feasible]
@@ -296,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line, or for rerun the one its manifest records. The
-    subcommand gets the loaded spec (None without --spec) and its created --out
-    directory; once it returns, the run is recorded in --out/manifest.json."""
+    subcommand gets the loaded spec (None without --spec) and the --out path,
+    which it creates with its first report; once it returns, the run is
+    recorded in --out/manifest.json."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
@@ -305,7 +313,6 @@ def main(argv: list[str] | None = None) -> int:
             args, argv = _recorded_run(args.manifest)
         bundle = load_bundle(Path(args.spec), vars(args)) if args.spec else None
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         args.func(args, bundle, out)
         _write_manifest(out, args, bundle, argv)
         return 0

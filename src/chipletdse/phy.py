@@ -49,8 +49,10 @@ def line_params(p: PhySpec) -> LineParams:
             + 1.0 / (2.0 * ground))
         delta = (math.pi * p.clock_frequency_hz * MU0 * p.conductivity_s_m) ** -0.5
         perimeter = 2.0 * thickness - 4.0 * delta + 2.0 * width
-        if perimeter <= 0:
-            raise PhyError("skin depth exceeds geometry")
+        if perimeter <= 0:  # the skin depth is at least half the width plus thickness
+            lowest = 1.0 / (math.pi * MU0 * p.conductivity_s_m * ((width + thickness) / 2.0) ** 2)
+            raise PhyError(f"phy.clock_frequency_hz: must be above {lowest:.6g} Hz, where the "
+                           "skin depth falls below half the trace's width plus thickness")
         r_ac = (1.0 / p.conductivity_s_m) * (
             1.0 / (delta * perimeter) + 1.0 / (2.0 * p.conductivity_s_m))
     except ZeroDivisionError:  # a tiny length, or a product of two, underflowed to 0 m

@@ -90,46 +90,29 @@ def acceptance_probability(cost_current: float, cost_neighbor: float, k: float) 
 # Initial placement: deterministic binary-space-partition packing
 
 
-class _BspNode:
-    __slots__ = ("x", "y", "w", "h", "used", "right", "top")
-
-    def __init__(self, x: float, y: float, w: float, h: float):
-        self.x, self.y, self.w, self.h = x, y, w, h
-        self.used = False
-        self.right: _BspNode | None = None
-        self.top: _BspNode | None = None
-
-    def insert(self, w: float, h: float) -> tuple[float, float] | None:
-        if self.used:
-            pos = self.right.insert(w, h) if self.right else None
-            if pos is None and self.top:
-                pos = self.top.insert(w, h)
-            return pos
-        if w > self.w + 1e-9 or h > self.h + 1e-9:
-            return None
-        self.used = True
-        self.right = _BspNode(self.x + w, self.y, self.w - w, h)
-        self.top = _BspNode(self.x, self.y + h, self.w, self.h - h)
-        return (self.x, self.y)
-
-
 def bst_placement(spec: PackageSpec) -> Floorplan:
     """Pack chiplets in declaration order into a binary-partitioned interposer.
 
-    Each chiplet is inserted with its spacing halo; the result is the
-    deterministic baseline the annealer starts from.
+    The free space is a list of rectangles in the order the partition makes
+    them. Each chiplet, with its spacing halo, takes the first one it fits,
+    which is replaced in place by the strip to the chiplet's right and the strip
+    above it. The result is the deterministic baseline the annealer starts from.
     """
     s = spec.min_spacing_mm
-    root = _BspNode(s / 2.0, s / 2.0, spec.interposer_width_mm - s, spec.interposer_height_mm - s)
+    free = [(s / 2.0, s / 2.0, spec.interposer_width_mm - s, spec.interposer_height_mm - s)]
     placements = []
     for c in spec.chiplets:
-        pos = root.insert(c.width_mm + s, c.height_mm + s)
-        if pos is None:
+        w, h = c.width_mm + s, c.height_mm + s
+        i = next((i for i, (_, _, fw, fh) in enumerate(free)
+                  if w <= fw + 1e-9 and h <= fh + 1e-9), None)
+        if i is None:
             raise PlacementError(
                 f"chiplet {c.name!r} does not fit: interposer "
                 f"{spec.interposer_width_mm}x{spec.interposer_height_mm} mm is too small")
+        x, y, fw, fh = free[i]
+        free[i:i + 1] = [(x + w, y, fw - w, h), (x, y + h, fw, fh - h)]
         placements.append(PlacedChiplet(
-            c.name, pos[0] + s / 2.0, pos[1] + s / 2.0, 0, c.width_mm, c.height_mm, c.power_w))
+            c.name, x + s / 2.0, y + s / 2.0, 0, c.width_mm, c.height_mm, c.power_w))
     fp = Floorplan(
         spec.interposer_width_mm, spec.interposer_height_mm, tuple(placements),
         links=links_from_spec(spec), min_spacing_mm=s)
@@ -424,9 +407,13 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 def calibrate_k(
     spec: PackageSpec, k_candidates: list[float], cfg: AnnealConfig = AnnealConfig()
 ) -> list[AnnealResult]:
-    """Run the annealer once per K0 candidate with a shared seed; one result each."""
+    """Run the annealer once per K0 candidate with a shared seed; one result each.
+    Every candidate is checked before the first one anneals."""
     if not k_candidates:
         raise PlacementError("need at least one K candidate")
+    bad = next((i for i, k0 in enumerate(k_candidates) if not 0 < k0 < math.inf), None)
+    if bad is not None:
+        raise PlacementError(f"k[{bad}]: must be > 0 and finite")
     return [optimize(spec, replace(cfg, k0=k0)) for k0 in k_candidates]
 
 

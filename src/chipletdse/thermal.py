@@ -204,15 +204,10 @@ def _apply(model: _GridModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rise(model: _GridModel, modes: np.ndarray, src: int, dst) -> np.ndarray:
-    """Rise in layers dst, whole top face cooled, for the power map whose cosine
-    modes are q_y @ p @ q_x.T, in the chiplet layer (src 0) or the top layer (src 1)."""
-    return model.q_y.T @ (model.cols[src, dst] * modes) @ model.q_x
-
-
 def _response(model: _GridModel, p: np.ndarray, src: int, dst=slice(None)) -> np.ndarray:
-    """``_rise`` for the 2-D power map p itself."""
-    return _rise(model, model.q_y @ p @ model.q_x.T, src, dst)
+    """Rise in layers dst, whole top face cooled, for the 2-D power map p in the
+    chiplet layer (src 0) or the top layer (src 1)."""
+    return model.q_y.T @ (model.cols[src, dst] * (model.q_y @ p @ model.q_x.T)) @ model.q_x
 
 
 def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
@@ -224,35 +219,29 @@ def _solve(model: _GridModel, p: np.ndarray, dst=slice(None)) -> np.ndarray:
     A_p*T - p is g*U*(C*y - U.T*T_f), so CG stops once that is <= 1e-12*|p|; a
     CG that ends short of that bound (NaN included) raises ThermalError.
     """
-    modes = model.q_y @ p @ model.q_x.T  # transformed once, for the rise and CG's start
-    t = _rise(model, modes, 0, dst)
+    t = _response(model, p, 0, dst)
     u, g = model.uncooled, model.g_amb
     if not u.size:
         return t
-    top = t[-1] if dst == slice(None) else _rise(model, modes, 0, -1)
-    p_top = np.zeros(p.shape)
+    top = t[-1] if dst == slice(None) else _response(model, p, 0, -1)
+    p_top, y = np.zeros(p.shape), np.zeros(u.size)
     top_cells = p_top.reshape(-1)  # a view: writing it writes p_top
-    # rows (y, r) and (d, -C @ d), updated in place: negation is exact and addition
-    # commutes, so each step gives the doubles of y + alpha*d, r - alpha*C@d, r + beta*d
-    yr, dn = np.zeros((2, u.size)), np.empty((2, u.size))
-    (y, r), (d, neg_cd) = yr, dn
-    r[:] = d[:] = top.ravel()[u]
+    r = d = top.ravel()[u]
     # rr and alpha as Python floats: the same doubles, without numpy scalar overhead
     rr, stop = float(r @ r), (1e-12 * np.linalg.norm(p) / g) ** 2
     for _ in range(u.size):
         if not rr > stop:  # also ends on NaN, which the check below rejects
             break
         top_cells[u] = d
-        np.subtract(_response(model, p_top, 1, -1).ravel()[u], d / g, out=neg_cd)
-        alpha = float(rr / -(d @ neg_cd))  # numpy division: a zero denominator gives inf
-        yr += alpha * dn
+        cd = d / g - _response(model, p_top, 1, -1).ravel()[u]
+        alpha = float(rr / (d @ cd))  # numpy division: a zero denominator gives inf
+        y, r = y + alpha * d, r - alpha * cd
         rr, rr_old = float(r @ r), rr
-        d *= rr / rr_old
-        d += r
+        d = r + (rr / rr_old) * d
     if not rr <= stop:
         raise ThermalError(f"sink correction did not converge in {u.size} CG steps")
     top_cells[u] = y
-    t += _response(model, p_top, 1, dst)  # t is _response's fresh array; top is not read again
+    t += _response(model, p_top, 1, dst)  # in place: t is _response's fresh array
     return t
 
 
@@ -291,14 +280,13 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
 def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
     """Peak chiplet-layer temperature, solved for that layer alone.
 
-    The annealer's per-move score: ``_solve`` transforms the power map once and
-    transforms back only the chiplet layer (and, under a partial sink, the top
-    layer that starts CG), so no full field or stencil residual is built. The
-    rise is computed by the same operations as ``solve_steady_state``'s, and
-    adding ambient rounds monotonically, so this equals
-    ``peak_temperature(solve_steady_state(pm, stack))`` bit for bit. It fails
-    closed: a CG that misses its bound, or a peak below ambient (NaN included),
-    raises ThermalError.
+    The annealer's per-move score: ``_solve`` transforms back only the chiplet
+    layer (and, under a partial sink, the top layer that starts CG), so no full
+    field or stencil residual is built. The rise is computed by the same
+    operations as ``solve_steady_state``'s, and adding ambient rounds
+    monotonically, so this equals ``peak_temperature(solve_steady_state(pm,
+    stack))`` bit for bit. It fails closed: a CG that misses its bound, or a
+    peak below ambient (NaN included), raises ThermalError.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
     peak = stack.ambient_c + _solve(model, pm.cells, model.chip).max()

@@ -23,6 +23,7 @@ from chipletdse.model import (
     floorplan_to_document,
     load_spec,
 )
+from chipletdse import place
 from chipletdse.place import bst_placement
 from chipletdse.svgout import _KIND_FILL
 
@@ -193,6 +194,20 @@ class TestPhyCommand:
         printed = capsys.readouterr().out
         values = dict(line.split(" = ") for line in printed.strip().splitlines())
         assert float(values["max_trace_length_mm"]) < 36.518 / 1.9
+
+    def test_clock_below_skin_depth_bound_names_its_field(self, tmp_path, capsys):
+        # the default 50 x 20 um trace needs a skin depth under 35 um: above about 3.46 MHz
+        out = tmp_path / "p"
+        assert main(["phy", "--clock", "3.4e6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: phy.clock_frequency_hz: must be above 3.45793e+06 Hz, where the skin depth "
+            "falls below half the trace's width plus thickness\n")
+        assert not out.exists()
+
+    def test_clock_above_skin_depth_bound_runs(self, tmp_path):
+        out = tmp_path / "p"
+        assert main(["phy", "--clock", "3.6e6", "--out", str(out)]) == 0
+        assert len(read_csv(out / "bandwidth_curve.csv")) == 101
 
 
 class TestThermalCommand:
@@ -411,7 +426,7 @@ class TestSpecErrors:
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-        assert not any(out.glob("*"))  # a spec's flag fails at load, before --out is made
+        assert not out.exists()  # the run fails before its first report makes --out
 
 
 def subparsers():
@@ -455,10 +470,32 @@ class TestFlagScope:
         assert not (tmp_path / "o").exists()
 
 
+class TestFailedRunLeavesNoOut:
+    """--out is made with the first report, so a run that exits 1 before it leaves none."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phy", "--sf", "x"],
+        ["perf", "--configs", "{tmp}/bad.csv"],
+        ["perf", "--configs", "{tmp}/missing.csv"],
+        ["thermal", "--spec", "{spec}", "--floorplan", "{tmp}/missing.json"],
+        ["sweep", "--spec", "{spec}", "--sides", "30,x"],
+        ["calibrate-k", "--spec", "{spec}", "--k", "0.1,-1"],
+        ["place", "--spec", "{spec}", "--resolution", "4.5"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]).replace("{tmp}/", ""))
+    def test_exit_1_makes_no_out(self, spec_path, tmp_path, capsys, argv):
+        (tmp_path / "bad.csv").write_text("name,cost,throughput,latency\nX,cheap,1e9,10\n")
+        out = tmp_path / "o"
+        argv = [a.format(tmp=tmp_path, spec=spec_path) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestFlagReadAsSpecKey:
     """An override flag's text is read as the spec value it stands for: a run
     with the flag matches a run whose spec holds that value at the flag's path,
-    in exit status, stderr, stdout, recorded seed and every report byte."""
+    in exit status, stderr, stdout, recorded seed, whether --out was made and
+    every report byte."""
 
     # text -> the value a spec holds for it; a text that is no number is held as is
     VALUES = {"1e3": 1e3, ".5": 0.5, "+2": 2, "007": 7, "1_000": 1000, "1.5": 1.5, "-1": -1,
@@ -470,7 +507,6 @@ class TestFlagReadAsSpecKey:
 
     def run(self, capsys, out, command, doc, flag=()):
         """One run, without --spec if doc is None."""
-        out.mkdir()  # a run that fails at load makes none
         argv = [command, "--out", str(out), *flag, *self.EXTRA.get(command, [])]
         if doc is not None:
             spec = out.parent / f"{out.name}.json"
@@ -478,9 +514,9 @@ class TestFlagReadAsSpecKey:
             argv += ["--spec", str(spec)]
         status = main(argv)
         stdout, stderr = capsys.readouterr()
-        files = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        files = {f.name: f.read_bytes() for f in out.glob("*") if f.name != "manifest.json"}
         seed = json.loads((out / "manifest.json").read_text())["seed"] if status == 0 else None
-        return status, stderr, stdout, seed, files
+        return status, stderr, stdout, seed, out.exists(), files
 
     @pytest.mark.parametrize("command, option, dest", FLAGS,
                              ids=[f"{command} {option}" for command, option, _ in FLAGS])
@@ -542,7 +578,7 @@ class TestResolutionValidation:
                        "--resolution", resolution, *extra])
         assert status == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestPlaceCommand:
@@ -615,6 +651,12 @@ class TestCalibrateAndSweepCommands:
         assert main(["sweep", "--spec", spec_path, "--out", str(out), "--sides", sides]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (out / "interposer_sweep.csv").exists()
+
+    def test_every_k_checked_before_annealing(self, spec_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(place, "optimize", lambda *args: pytest.fail("annealed"))
+        out = tmp_path / "cal"
+        assert main(["calibrate-k", "--spec", spec_path, "--out", str(out), "--k", "0.1,-1"]) == 1
+        assert capsys.readouterr().err == "error: k[1]: must be > 0 and finite\n"
 
     def test_infinite_k_rejected(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cal"

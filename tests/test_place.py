@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from chipletdse import thermal
 from chipletdse.model import (ChipletSpec, Floorplan, PackageSpec, PlacedChiplet, ThermalStack,
                               ValidationError, footprint)
+from chipletdse.thermal import ThermalError
 from chipletdse.place import (
     RETRY_CAP,
     _peak,
@@ -119,6 +121,65 @@ class TestCostFunction:
             acceptance_probability(0.1, 0.2, 0.0)
 
 
+class BspNode:
+    """The packer as a binary-space-partition tree, searched in preorder: a used
+    node holds the strip to the right of its chiplet and the strip above it."""
+
+    __slots__ = ("x", "y", "w", "h", "used", "right", "top")
+
+    def __init__(self, x: float, y: float, w: float, h: float):
+        self.x, self.y, self.w, self.h = x, y, w, h
+        self.used = False
+        self.right: BspNode | None = None
+        self.top: BspNode | None = None
+
+    def insert(self, w: float, h: float) -> tuple[float, float] | None:
+        if self.used:
+            pos = self.right.insert(w, h) if self.right else None
+            if pos is None and self.top:
+                pos = self.top.insert(w, h)
+            return pos
+        if w > self.w + 1e-9 or h > self.h + 1e-9:
+            return None
+        self.used = True
+        self.right = BspNode(self.x + w, self.y, self.w - w, h)
+        self.top = BspNode(self.x, self.y + h, self.w, self.h - h)
+        return (self.x, self.y)
+
+
+def tree_packing(spec):
+    """The packed (x, y) of each chiplet the tree places, and the name of the
+    first chiplet it cannot place (None if all fit)."""
+    s = spec.min_spacing_mm
+    root = BspNode(s / 2.0, s / 2.0, spec.interposer_width_mm - s, spec.interposer_height_mm - s)
+    spots = []
+    for c in spec.chiplets:
+        pos = root.insert(c.width_mm + s, c.height_mm + s)
+        if pos is None:
+            return spots, c.name
+        spots.append((pos[0] + s / 2.0, pos[1] + s / 2.0))
+    return spots, None
+
+
+@st.composite
+def packages(draw):
+    """1-14 chiplets with integer or oblong float sides, 0-2 mm spacing, on an
+    interposer within the footprint budget that may or may not pack them."""
+    side = st.integers(1, 12) | st.floats(0.5, 12.0)
+    chiplets = tuple(ChipletSpec(f"c{i}", draw(side), draw(side))
+                     for i in range(draw(st.integers(1, 14))))
+    s = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 2.0))
+    budget = sum((c.width_mm + s) * (c.height_mm + s) for c in chiplets)
+    width = draw(st.floats(0.7, 1.5)) * math.sqrt(budget)
+    height = budget / width * draw(st.floats(1.0, 3.0))
+    if draw(st.booleans()):
+        width, height = math.ceil(width), math.ceil(height)
+    try:
+        return PackageSpec("pack", chiplets, width, height, min_spacing_mm=s)
+    except ValidationError:  # rounding put the area a hair under the budget
+        assume(False)
+
+
 class TestBstPlacement:
     def test_valid_and_deterministic(self):
         a = bst_placement(small_spec())
@@ -139,6 +200,16 @@ class TestBstPlacement:
         # within the 135 mm^2 footprint budget, but the packer finds no room for b
         with pytest.raises(PlacementError, match="does not fit"):
             bst_placement(small_spec(width=12.0, height=12.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(packages())
+    def test_equals_partition_tree(self, spec):
+        spots, misfit = tree_packing(spec)
+        if misfit is None:
+            assert [(p.x_mm, p.y_mm) for p in bst_placement(spec).placements] == spots
+        else:
+            with pytest.raises(PlacementError, match=re.escape(f"chiplet {misfit!r} does not fit")):
+                bst_placement(spec)
 
 
 class TestProposeMove:
@@ -372,19 +443,35 @@ class TestPcg64:
             _Pcg64(0).integers(low, high)
 
 
+def draw_chiplets(draw, n, side):
+    """n chiplets with sides drawn from ``side``, each linked to an earlier one."""
+    return tuple(ChipletSpec(
+        f"c{i}", draw(side), draw(side), draw(st.floats(0.0, 20.0)),
+        ports=((f"c{draw(st.integers(0, i - 1))}", draw(st.floats(1.0, 4.0))),) if i else ())
+        for i in range(n))
+
+
+def draw_stack(draw, sinks):
+    """The default layers under a weak to strong top coefficient and a sink from sinks."""
+    return ThermalStack(h_top_w_m2k=draw(st.sampled_from([500.0, 2500.0, 10000.0])),
+                        sink_side_mm=draw(st.sampled_from(sinks)))
+
+
+def draw_schedule(draw):
+    """A short annealing schedule: 1-4 epochs of 1-4 moves."""
+    return AnnealConfig(k0=draw(st.floats(1e-3, 1.0)), decay=draw(st.floats(0.01, 0.99)),
+                        tol_c=draw(st.floats(1e-3, 1.0)), max_iterations=draw(st.integers(1, 4)),
+                        moves_per_iteration=draw(st.integers(1, 4)),
+                        seed=draw(st.integers(0, 2**64)))
+
+
 @st.composite
 def anneal_cases(draw):
     """A package of 1-7 chiplets (3-10 mm sides, each linked to an earlier
     one) that the packer fits on a 24-50 mm interposer, with no sink or a 10,
     20 or 40 mm one, a weak to strong top coefficient, and a short schedule."""
-    n = draw(st.integers(1, 7))
-    side = st.floats(3.0, 10.0)
-    chiplets = tuple(ChipletSpec(
-        f"c{i}", draw(side), draw(side), draw(st.floats(0.0, 20.0)),
-        ports=((f"c{draw(st.integers(0, i - 1))}", draw(st.floats(1.0, 4.0))),) if i else ())
-        for i in range(n))
-    stack = ThermalStack(h_top_w_m2k=draw(st.sampled_from([500.0, 2500.0, 10000.0])),
-                         sink_side_mm=draw(st.sampled_from([None, 10.0, 20.0, 40.0])))
+    chiplets = draw_chiplets(draw, draw(st.integers(1, 7)), st.floats(3.0, 10.0))
+    stack = draw_stack(draw, [None, 10.0, 20.0, 40.0])
     interposer = draw(st.floats(24.0, 50.0))
     try:
         spec = PackageSpec("prop", chiplets, interposer, interposer,
@@ -392,11 +479,7 @@ def anneal_cases(draw):
         bst_placement(spec)
     except (ValidationError, PlacementError):
         assume(False)  # over the footprint budget, or the packer cannot fit it
-    cfg = AnnealConfig(k0=draw(st.floats(1e-3, 1.0)), decay=draw(st.floats(0.01, 0.99)),
-                       tol_c=draw(st.floats(1e-3, 1.0)), max_iterations=draw(st.integers(1, 4)),
-                       moves_per_iteration=draw(st.integers(1, 4)),
-                       seed=draw(st.integers(0, 2**64)))
-    return spec, cfg
+    return spec, draw_schedule(draw)
 
 
 class TestAnnealProperties:
@@ -416,6 +499,73 @@ class TestAnnealProperties:
             assert 0.0 <= row.cost <= 1.0
         assert r.final_peak_t == _peak(r.floorplan, spec.stack, cfg.fine_cell_mm)
         assert optimize(spec, cfg) == r
+
+
+@st.composite
+def sweep_cases(draw):
+    """``anneal_cases`` widened to what a sweep meets: 1-3 sides of 5-50 mm, some
+    over the footprint budget and some the packer rejects, chiplets of 1.5-10 mm
+    (under 2 mm a coarse cell outgrows them), any spacing from 0, and a 1 mm sink
+    that can miss every coarse cell centre. One case in four is instead a row of
+    2-4 chiplets of unequal widths and no spacing that tiles the first side, so
+    that no move is legal on it."""
+    stack, spacing = draw_stack(draw, [None, 1.0, 10.0, 40.0]), 0.0
+    sides = draw(st.lists(st.integers(5, 50) | st.floats(5.0, 50.0), min_size=1, max_size=3))
+    if draw(st.sampled_from([False, False, False, True])):
+        widths = draw(st.lists(st.integers(2, 8), min_size=2, max_size=4, unique=True))
+        sides.insert(0, sum(widths))
+        chiplets = tuple(ChipletSpec(f"c{i}", w, sides[0], 5.0) for i, w in enumerate(widths))
+    else:
+        chiplets = draw_chiplets(draw, draw(st.integers(1, 7)),
+                                 st.integers(2, 10) | st.floats(1.5, 10.0))
+        spacing = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    # the spec's own interposer is never annealed: the sweep resizes it
+    spec = PackageSpec("prop", chiplets, 1e3, 1e3, min_spacing_mm=spacing, stack=stack)
+    return spec, sides, draw_schedule(draw)
+
+
+def sweep_rejection(spec, side):
+    """Why a sweep must mark a side infeasible: the footprint budget, the
+    partition tree, or None when the side packs."""
+    s = spec.min_spacing_mm
+    if sum((c.width_mm + s) * (c.height_mm + s) for c in spec.chiplets) > side * side:
+        return "budget"
+    sized = replace(spec, interposer_width_mm=side, interposer_height_mm=side)
+    return "packer" if tree_packing(sized)[1] is not None else None
+
+
+# the only errors a sweep of packable sides may raise, by type and message start
+SWEEP_ERRORS = {"congested": (PlacementError, "floorplan too congested"),
+                "cell": (ThermalError, "cell size"),
+                "sink": (ThermalError, "sink footprint covers no grid cells")}
+
+
+class TestSweepProperties:
+    def test_infeasible_exactly_when_rejected(self):
+        reached = set()
+
+        @settings(max_examples=80, derandomize=True, deadline=None)
+        @given(sweep_cases())
+        def check(case):
+            spec, sides, cfg = case
+            try:
+                rows = interposer_sweep(spec, sides, cfg)
+            except (PlacementError, ThermalError) as exc:
+                cause = next((cause for cause, (kind, start) in SWEEP_ERRORS.items()
+                              if type(exc) is kind and str(exc).startswith(start)), None)
+                assert cause, exc
+                reached.add(cause)
+                return
+            assert [(r.side_mm, r.area_mm2) for r in rows] == [(s, s * s) for s in sides]
+            for row in rows:
+                cause = sweep_rejection(spec, row.side_mm)
+                assert row.feasible == (cause is None) == (row.peak_t is not None)
+                assert cause or row.peak_t >= spec.stack.ambient_c
+                reached.add(cause or "annealed")
+
+        check()
+        # the strategy reaches every verdict and every allowed error
+        assert reached == {"budget", "packer", "annealed", *SWEEP_ERRORS}
 
 
 class TestAnnealConfig:
