@@ -193,15 +193,14 @@ def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
 
 def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
     from . import place
-    rows = place.interposer_sweep(bundle.package, read_numbers(args.sides, "sides"), bundle.anneal)
+    sides = read_numbers(args.sides, "sides")
+    results = place.interposer_sweep(bundle.package, sides, bundle.anneal)
+    rows = [[side, side * side, "infeasible" if r is None else r.final_peak_t, r is not None]
+            for side, r in zip(sides, results)]
     _write_csv(_report(out, "interposer_sweep.csv"),
-               ["side_mm", "area_mm2", "peak_t_c", "feasible"],
-               [[r.side_mm, r.area_mm2,
-                 r.peak_t if r.peak_t is not None else "infeasible", r.feasible]
-                for r in rows])
-    for r in rows:
-        status = fmt(r.peak_t) if r.feasible else "infeasible"
-        print(f"side={fmt(r.side_mm)}mm peak_t_c={status}")
+               ["side_mm", "area_mm2", "peak_t_c", "feasible"], rows)
+    for side, _, peak_t, _ in rows:
+        print(f"side={fmt(side)}mm peak_t_c={fmt(peak_t)}")
 
 
 def _recorded_run(manifest: str) -> tuple[argparse.Namespace, list[str]]:

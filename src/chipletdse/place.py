@@ -371,7 +371,10 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
         # a K that underflows to 0 takes its K -> 0+ limit: only no-worse moves pass
         k = max(cfg.k0 * cfg.decay ** it, math.ulp(0.0))
         for _ in range(cfg.moves_per_iteration):
-            neighbor = propose_move(current, rng)
+            try:
+                neighbor = propose_move(current, rng)
+            except PlacementError:
+                break  # no legal move from here: the epoch ends, as the warm-up does
             nb_t, nb_w = _score(neighbor, stack, cfg.coarse_cell_mm)
             bounds.update(nb_t, nb_w)
             cur_cost = anneal_cost(cur_t, cur_w, bounds)
@@ -417,27 +420,19 @@ def calibrate_k(
     return [optimize(spec, replace(cfg, k0=k0)) for k0 in k_candidates]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    side_mm: float
-    area_mm2: float
-    peak_t: float | None
-    feasible: bool
-
-
 def interposer_sweep(
     spec: PackageSpec, side_lengths_mm: list[float], cfg: AnnealConfig = AnnealConfig()
-) -> list[SweepRow]:
-    """Optimized peak temperature per square interposer side length.
-
-    A side too small for the chiplets' footprint budget, or for the packer,
-    is infeasible; a side that is not > 0 and finite is an error, and so is
-    any error raised while annealing a side that packs. Every packed side's
-    grids are checked before the first side anneals.
+) -> list[AnnealResult | None]:
+    """Anneal once per square interposer side: one result per side, in order,
+    None where the side is infeasible (too small for the chiplets' footprint
+    budget, or for the packer). A side that is not > 0 and finite is an error,
+    and so is any error raised while annealing a side that packs; a packed
+    side where no move is legal anneals from its packed plan. Every side, and
+    every packed side's grids, is checked before the first side anneals.
     """
-    bad = next((side for side in side_lengths_mm if not 0 < side < math.inf), None)
+    bad = next((i for i, side in enumerate(side_lengths_mm) if not 0 < side < math.inf), None)
     if bad is not None:
-        raise PlacementError(f"sides: must be > 0 and finite, got {bad}")
+        raise PlacementError(f"sides[{bad}]: must be > 0 and finite")
     packed = {}
     for side in side_lengths_mm:
         try:
@@ -448,6 +443,4 @@ def interposer_sweep(
         for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
             thermal.rasterize(plan, cell_mm)
         packed[side] = sized
-    return [SweepRow(side, side * side, optimize(packed[side], cfg).final_peak_t, True)
-            if side in packed else SweepRow(side, side * side, None, False)
-            for side in side_lengths_mm]
+    return [optimize(packed[side], cfg) if side in packed else None for side in side_lengths_mm]

@@ -280,56 +280,83 @@ def assert_field_error(status, err, field):
 
 
 class TestSpecErrors:
-    """Each malformed input exits 1 with one `error: <field path>: <reason>` line."""
+    """Each malformed input exits 1 with one `error: <field path>: <reason>` line
+    and makes no --out."""
 
-    @pytest.mark.parametrize("command, edit, field", [
-        ("power", lambda d: d["tiles"][0].update(frequency_hz=0), "tiles[0].frequency_hz"),
-        ("power", lambda d: d["tiles"][0].pop("name"), "tiles[0].name"),
-        ("place", lambda d: d["anneal"].update(decay="fast"), "anneal.decay"),
-        ("place", lambda d: d.update(anneal=[1, 2]), "anneal"),
+    @pytest.mark.parametrize("command, edit, error", [
+        ("power", lambda d: d["tiles"][0].update(frequency_hz=0),
+         "tiles[0].frequency_hz: must be > 0 and finite"),
+        ("power", lambda d: d["tiles"][0].pop("name"), "tiles[0].name: missing or empty"),
+        ("place", lambda d: d["anneal"].update(decay="fast"),
+         "anneal.decay: expected a finite number, got 'fast'"),
+        ("place", lambda d: d.update(anneal=[1, 2]), "anneal: expected an object"),
         ("place", lambda d: d["anneal"].update(moves_per_iteration=0),
-         "anneal.moves_per_iteration"),
-        ("perf", lambda d: d["configs"][0].update(cost="cheap"), "configs[0].cost"),
-        ("cost", lambda d: d["process"].update(n_connections="many"), "process.n_connections"),
+         "anneal.moves_per_iteration: must be > 0 and finite"),
+        ("perf", lambda d: d["configs"][0].update(cost="cheap"),
+         "configs[0].cost: expected a finite number, got 'cheap'"),
+        ("cost", lambda d: d["process"].update(n_connections="many"),
+         "process.n_connections: expected a finite number, got 'many'"),
         ("cost", lambda d: d["process"].update(wafer_diameter_mm=-300),
-         "process.wafer_diameter_mm"),
+         "process.wafer_diameter_mm: must be > 0 and finite"),
         ("cost", lambda d: d["process"].update(wafer_diameter_mm=float("inf")),
-         "process.wafer_diameter_mm"),
-        ("cost", lambda d: d["process"].update(d0_per_mm2=float("nan")), "process.d0_per_mm2"),
-        ("phy", lambda d: d.update(phy={"trace_width_um": "wide"}), "phy.trace_width_um"),
-        ("cost", lambda d: d.update(stack={"h_top_w_m2k": -1}), "stack.h_top_w_m2k"),
+         "process.wafer_diameter_mm: expected a finite number, got inf"),
+        ("cost", lambda d: d["process"].update(d0_per_mm2=float("nan")),
+         "process.d0_per_mm2: expected a finite number, got nan"),
+        ("phy", lambda d: d.update(phy={"trace_width_um": "wide"}),
+         "phy.trace_width_um: expected a finite number, got 'wide'"),
+        ("cost", lambda d: d.update(stack={"h_top_w_m2k": -1}),
+         "stack.h_top_w_m2k: must be > 0 and finite"),
         ("cost", lambda d: d.update(stack={"layers": [
             {"name": "base", "thickness_mm": 1.0, "conductivity_w_mk": 0},
             {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
-         "stack.layers[0].conductivity_w_mk"),
-        ("cost", lambda d: d.update(stack={"sink_side_mm": -5}), "stack.sink_side_mm"),
-        ("cost", lambda d: d.update(stack={"sink_side_mm": 0}), "stack.sink_side_mm"),
-        ("cost", lambda d: d["package"].update(ambient_c=200), "package.ambient_c"),
+         "stack.layers[0].conductivity_w_mk: must be > 0 and finite"),
+        ("cost", lambda d: d.update(stack={"sink_side_mm": -5}),
+         "stack.sink_side_mm: must be > 0 and finite"),
+        ("cost", lambda d: d.update(stack={"sink_side_mm": 0}),
+         "stack.sink_side_mm: must be > 0 and finite"),
+        ("cost", lambda d: d["package"].update(ambient_c=200),
+         "package.ambient_c: must be within [-40.0, 125.0] (automotive range)"),
         ("place", lambda d: d.update(stack={"layers": [
             {"name": "a", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "b", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
-         "stack.layers"),
+         "stack.layers: no layer named 'chiplet'"),
         ("thermal", lambda d: d.update(stack={"layers": [
             {"name": "chiplet", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
-         "stack.layers[1].name"),
+         "stack.layers[1].name: duplicate name 'chiplet'"),
         ("cost", lambda d: d["chiplets"][1]["ports"].append({"peer": "a", "weight": 3.0}),
-         "chiplets[1].ports[1].weight"),
+         "chiplets[1].ports[1].weight: conflicting connection weights between 'a' and 'b': "
+         "2.0 vs 3.0"),
         ("cost", lambda d: d["package"].update(interposer_width_mm=10.0, interposer_height_mm=10.0),
-         "package.interposer_width_mm"),
-        ("cost", lambda d: d["chiplets"][0].update(kind="fpga"), "chiplets[0].kind"),
+         "package.interposer_width_mm: chiplet footprints with spacing halo (135.0 mm^2) exceed "
+         "interposer area (100.0 mm^2)"),
+        ("cost", lambda d: d["chiplets"][0].update(kind="fpga"),
+         "chiplets[0].kind: must be one of ('compute', 'gpu', 'memory', 'io', 'noc', 'analog')"),
         ("cost", lambda d: d["chiplets"][0]["ports"][0].update(weight=0.5),
-         "chiplets[0].ports[0].weight"),
+         "chiplets[0].ports[0].weight: must be >= 1"),
         ("cost", lambda d: d.update(stack={"layers": [
             {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
-         "stack.layers"),
-        ("power", lambda d: d["tiles"][0].update(activity=1.5), "tiles[0].activity"),
-    ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_spec_field_named(self, tmp_path, capsys, command, edit, field):
+         "stack.layers: at least 2 layers required"),
+        ("power", lambda d: d["tiles"][0].update(activity=1.5),
+         "tiles[0].activity: must be in [0, 1]"),
+        # values each field accepts that overflow or underflow a model: these lines
+        # name the quantity out of range, not a field
+        ("cost", lambda d: d["chiplets"][0].update(width_mm=1e-155, height_mm=1e-155),
+         "dies per wafer out of floating-point range (die of 1e-310 mm^2)"),
+        ("cost", lambda d: d["process"].update(d0_per_mm2=1e300),
+         "die of 36.0 mm^2: yield underflows to 0"),
+        ("power", lambda d: d["tiles"][0].update(voltage_v=1e200),
+         "voltage 1e+200 V overflows the power model"),
+        ("phy", lambda d: d.update(phy={"trace_width_um": 1e-300}),
+         "bandwidth target out of floating-point range"),
+    ], ids=lambda v: v.split(": ")[0] if isinstance(v, str) else "")
+    def test_spec_field_named(self, tmp_path, capsys, command, edit, error):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(edited(edit)))  # inf and nan are written as Infinity, NaN
-        status = main([command, "--spec", str(path), "--out", str(tmp_path / "o")])
-        assert_field_error(status, capsys.readouterr().err, field)
+        out = tmp_path / "o"
+        assert main([command, "--spec", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["frequency_hz", "voltage_v"])
     def test_tile_operating_point_required(self, tmp_path, capsys, key):
@@ -641,8 +668,8 @@ class TestCalibrateAndSweepCommands:
         assert "infeasible" in capsys.readouterr().out
 
     @pytest.mark.parametrize("sides, error", [
-        pytest.param("20,0", "sides: must be > 0 and finite, got 0.0", id="20,0"),
-        pytest.param("-5", "sides: must be > 0 and finite, got -5.0", id="-5"),
+        pytest.param("20,0", "sides[1]: must be > 0 and finite", id="20,0"),
+        pytest.param("-5", "sides[0]: must be > 0 and finite", id="-5"),
         pytest.param("nan", "sides[0]: expected a finite number, got nan", id="nan"),
         pytest.param("inf", "sides[0]: expected a finite number, got inf", id="inf"),
     ])

@@ -12,13 +12,13 @@ from chipletdse.model import (ChipletSpec, Floorplan, PackageSpec, PlacedChiplet
                               ValidationError, footprint)
 from chipletdse.thermal import ThermalError
 from chipletdse.place import (
+    PERSISTENCE,
     RETRY_CAP,
     _peak,
     _Pcg64,
     AnnealConfig,
     NormalizationBounds,
     PlacementError,
-    SweepRow,
     acceptance_probability,
     alpha_for,
     anneal_cost,
@@ -535,8 +535,7 @@ def sweep_rejection(spec, side):
 
 
 # the only errors a sweep of packable sides may raise, by type and message start
-SWEEP_ERRORS = {"congested": (PlacementError, "floorplan too congested"),
-                "cell": (ThermalError, "cell size"),
+SWEEP_ERRORS = {"cell": (ThermalError, "cell size"),
                 "sink": (ThermalError, "sink footprint covers no grid cells")}
 
 
@@ -556,16 +555,23 @@ class TestSweepProperties:
                 assert cause, exc
                 reached.add(cause)
                 return
-            assert [(r.side_mm, r.area_mm2) for r in rows] == [(s, s * s) for s in sides]
-            for row in rows:
-                cause = sweep_rejection(spec, row.side_mm)
-                assert row.feasible == (cause is None) == (row.peak_t is not None)
-                assert cause or row.peak_t >= spec.stack.ambient_c
+            assert len(rows) == len(sides)
+            for side, r in zip(sides, rows):
+                cause = sweep_rejection(spec, side)
+                assert (r is None) == (cause is not None)
+                assert cause or r.final_peak_t >= spec.stack.ambient_c
                 reached.add(cause or "annealed")
+            row = spec.chiplets
+            if (spec.min_spacing_mm == 0 and {c.height_mm for c in row} == {sides[0]}
+                    and sum(c.width_mm for c in row) == sides[0]):
+                # a row that tiles the side: no move is legal, so it anneals from its packed plan
+                sized = replace(spec, interposer_width_mm=sides[0], interposer_height_mm=sides[0])
+                assert rows[0].floorplan == bst_placement(sized)
+                reached.add("tiled")
 
         check()
-        # the strategy reaches every verdict and every allowed error
-        assert reached == {"budget", "packer", "annealed", *SWEEP_ERRORS}
+        # the strategy reaches every verdict, a tiled row annealed, and every allowed error
+        assert reached == {"budget", "packer", "annealed", "tiled", *SWEEP_ERRORS}
 
 
 class TestAnnealConfig:
@@ -635,11 +641,22 @@ class TestOptimize:
         exact = thermal.chiplet_peak
         monkeypatch.setattr(thermal, "chiplet_peak", lambda pm, stack: exact(pm, stack) + 1e-6)
         # 8 mm breaks the footprint budget and 12 mm the packer: neither is annealed
-        assert interposer_sweep(small_spec(), [8.0, 12.0], FAST) == [
-            SweepRow(8.0, 64.0, None, False), SweepRow(12.0, 144.0, None, False)]
+        assert interposer_sweep(small_spec(), [8.0, 12.0], FAST) == [None, None]
         # 20 mm packs, so the guard's error while annealing it is not read as infeasible
         with pytest.raises(PlacementError, match="disagrees with the full solve"):
             interposer_sweep(small_spec(), [20.0], FAST)
+
+    def test_board_with_no_legal_move_keeps_its_packed_plan(self):
+        # a row that tiles the board packs legally, but no move is legal on it:
+        # every epoch ends at once, and the run converges on the packed plan
+        spec = PackageSpec("tiled", (ChipletSpec("a", 4, 10, 5.0), ChipletSpec("b", 6, 10, 5.0)),
+                           10.0, 10.0, min_spacing_mm=0.0)
+        r = optimize(spec, FAST)
+        assert r.floorplan == bst_placement(spec)
+        assert r.converged and r.iterations == PERSISTENCE + 1
+        # so a sweep that starts from that board reports every side
+        wide = replace(spec, interposer_width_mm=20.0, interposer_height_mm=20.0)
+        assert interposer_sweep(spec, [10.0, 20.0], FAST) == [r, optimize(wide, FAST)]
 
     def test_single_chiplet_centered(self):
         spec = PackageSpec("one", (ChipletSpec("a", 5, 5, 3.0),), 20.0, 20.0)
@@ -672,17 +689,15 @@ class TestCalibrateAndSweep:
             calibrate_k(small_spec(), [], FAST)
 
     def test_sweep_marks_infeasible_sides(self):
-        rows = interposer_sweep(small_spec(), [8.0, 10.0, 20.0], FAST)
-        assert [r.feasible for r in rows] == [False, False, True]
-        assert rows[0].peak_t is None and rows[1].peak_t is None
-        assert rows[2].peak_t > 45.0
-        assert rows[2].area_mm2 == 400.0
+        results = interposer_sweep(small_spec(), [8.0, 10.0, 20.0], FAST)
+        assert results == [None, None, optimize(small_spec(), FAST)]
+        assert results[2].final_peak_t > 45.0
 
     def test_grid_model_cache_holds_the_two_live_grids(self, infotainment):
         # each side anneals on a coarse and a fine grid; finished sides are evicted
         cfg = AnnealConfig(max_iterations=2, moves_per_iteration=3, seed=1)
         thermal._grid_model.cache_clear()
-        assert all(r.feasible for r in interposer_sweep(infotainment, [30.0, 40.0, 50.0], cfg))
+        assert None not in interposer_sweep(infotainment, [30.0, 40.0, 50.0], cfg)
         assert thermal._grid_model.cache_info().currsize <= 2
         # calibrate_k reuses one geometry pair for every K0: no rebuilds
         thermal._grid_model.cache_clear()
