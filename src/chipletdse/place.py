@@ -347,7 +347,8 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 
     bounds = NormalizationBounds()
     t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
-    thermal.rasterize(current, cfg.fine_cell_mm)  # an unusable fine grid fails before annealing
+    # one fine solve, so an unusable fine grid (sink gap included) fails before annealing
+    thermal.chiplet_peak(thermal.rasterize(current, cfg.fine_cell_mm), stack)
     bounds.update(t0, w0)
 
     # warm-up: sample random neighbours to seed the min-max bounds
@@ -427,8 +428,8 @@ def interposer_sweep(
     None where the side is infeasible (too small for the chiplets' footprint
     budget, or for the packer). A side that is not > 0 and finite is an error,
     and so is any error raised while annealing a side that packs; a packed
-    side where no move is legal anneals from its packed plan. Every side, and
-    every packed side's grids, is checked before the first side anneals.
+    side where no move is legal anneals from its packed plan. Each side is
+    checked, and its packed plan solved once per grid, before any side anneals.
     """
     bad = next((i for i, side in enumerate(side_lengths_mm) if not 0 < side < math.inf), None)
     if bad is not None:
@@ -441,6 +442,6 @@ def interposer_sweep(
         except (PlacementError, ValidationError):
             continue
         for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
-            thermal.rasterize(plan, cell_mm)
+            thermal.chiplet_peak(thermal.rasterize(plan, cell_mm), spec.stack)
         packed[side] = sized
     return [optimize(packed[side], cfg) if side in packed else None for side in side_lengths_mm]

@@ -253,28 +253,23 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
 
     Directly in the cosine basis, plus the exact Woodbury correction for the top
     cells a smaller sink leaves uncooled (``_solve``, whose CG fails closed). The
-    relative residual, measured with a stencil on the full field, must come out
-    <= 1e-8 and no cell may lie below ambient, or a ThermalError is raised.
+    rise is checked against the system it solves, A*rise = p: the stencil residual
+    must come out <= 1e-8 relative to the power (absolute without power), and no
+    cell may lie below ambient, or a ThermalError is raised. The stencil conserves
+    heat and p >= 0, so the residual sums to heat out - P, and the bound enforces
+    the energy balance |heat out - P| <= sqrt(N)*1e-8*P over the N cells of the stack.
     """
     model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
-    data = _solve(model, pm.cells)
-    data += stack.ambient_c
-
-    # the right-hand side in absolute temperature, by layer: the sink's ambient term in
-    # the top layer and the power in the chiplet layer, which may be the same layer
-    top = model.sink * stack.ambient_c
-    rhs = {len(data) - 1: top}
-    rhs[model.chip] = top + pm.cells if model.chip in rhs else pm.cells
-    r = _apply(model, data)
-    for layer, b in rhs.items():
-        r[layer] -= b
-    # relative, except for a zero right-hand side (0 C ambient, no power): absolute
-    res = np.linalg.norm(r) / (math.hypot(*(np.linalg.norm(b) for b in rhs.values())) or 1.0)
+    rise = _solve(model, pm.cells)
+    r = _apply(model, rise)
+    r[model.chip] -= pm.cells
+    res = np.linalg.norm(r) / (np.linalg.norm(pm.cells) or 1.0)
     if not res <= RESIDUAL_TOL:  # fails closed on NaN
         raise ThermalError(f"solver residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    if data.min() < stack.ambient_c - 1e-6:
+    if rise.min() < -1e-6:
         raise ThermalError("temperature field dips below ambient; model is inconsistent")
-    return TemperatureField(stack, pm.cell_mm, data)
+    rise += stack.ambient_c
+    return TemperatureField(stack, pm.cell_mm, rise)
 
 
 def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:

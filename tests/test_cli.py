@@ -565,6 +565,9 @@ class TestFlagReadAsSpecKey:
         assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
 
 
+SINK_GAP = "sink footprint covers no grid cells"
+
+
 class TestResolutionValidation:
     @pytest.mark.parametrize("command, resolution, reason", [
         pytest.param(command, resolution, reason, id=f"{command}-{resolution}")
@@ -592,6 +595,10 @@ class TestResolutionValidation:
         # the 20 mm side would anneal first; the 30 mm side's fine grid is too big
         ("sweep", ["--sides", "20,30"], "0.05",
          "a 30.0 x 30.0 mm grid of 0.05 mm cells exceeds 500 cells per side"),
+        # on a 22 mm board a 0.8 mm sink covers a 2 mm cell centre but no 1 mm one
+        ("place", [], "1", SINK_GAP),
+        ("calibrate-k", ["--k", "0.1,0.2"], "1", SINK_GAP),
+        ("sweep", ["--sides", "22"], "1", SINK_GAP),
     ])
     def test_unusable_fine_grid_fails_before_annealing(self, spec_path, tmp_path, capsys,
                                                        monkeypatch, command, extra,
@@ -599,6 +606,12 @@ class TestResolutionValidation:
         def no_moves(fp, rng):
             raise AssertionError("annealing started")
 
+        if message == SINK_GAP:
+            doc = copy.deepcopy(SMALL_DOC)
+            doc["package"].update(interposer_width_mm=22.0, interposer_height_mm=22.0)
+            doc["stack"] = {"sink_side_mm": 0.8}
+            spec_path = str(tmp_path / "sink-gap.json")
+            Path(spec_path).write_text(json.dumps(doc))
         monkeypatch.setattr("chipletdse.place.propose_move", no_moves)
         out = tmp_path / "o"
         status = main([command, "--spec", spec_path, "--out", str(out),

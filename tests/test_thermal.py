@@ -322,8 +322,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("sink_side_mm", [None, 36.0])
     def test_full_field_solve_keeps_few_stack_sized_arrays(self, sink_side_mm):
-        # the Woodbury correction, ambient and the residual's right-hand side are
-        # added in place: a warm solve's transient peak stays below 4.5 arrays of
+        # the Woodbury correction, the residual's power and ambient are applied
+        # in place: a warm solve's transient peak stays below 4.5 arrays of
         # the stack's size (about 4.1; 6 with full-stack temporaries)
         stack = ThermalStack(DEFAULT_STACK_LAYERS, sink_side_mm=sink_side_mm)
         pm = power_map(np.random.default_rng(5).uniform(0.0, 1e-3, size=(120, 120)), 0.5)
@@ -385,15 +385,17 @@ class TestSinkFootprint:
         assert boundary_heat_flow(tf) == pytest.approx(pm.total_power, rel=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_zero_right_hand_side_is_ambient(self):
-        # 0 C ambient and no power: the residual is measured absolutely, not as 0/0
-        stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient_c=0.0, sink_side_mm=5.0)
+    @pytest.mark.parametrize("ambient_c", [0.0, 45.0])
+    def test_zero_right_hand_side_is_ambient(self, ambient_c):
+        # no power: the rise is zero and its residual is measured absolutely, not as
+        # 0/0, whatever the ambient
+        stack = ThermalStack(DEFAULT_STACK_LAYERS, ambient_c=ambient_c, sink_side_mm=5.0)
         tf = solve_steady_state(power_map(np.zeros((8, 8))), stack)
-        assert not tf.data.any()
+        assert not (tf.data - ambient_c).any()
 
     def test_residual_guard_with_power_in_the_top_layer(self, monkeypatch):
-        # the chiplet layer is the top layer: the power and the sink's ambient term
-        # share one layer of the right-hand side
+        # the chiplet layer is the top layer: the residual takes the power off the
+        # layer where the sink also draws heat
         stack = ThermalStack(CHIP_ON_TOP.layers, h_top_w_m2k=CHIP_ON_TOP.h_top_w_m2k,
                              ambient_c=CHIP_ON_TOP.ambient_c, sink_side_mm=4.0)
         pm = power_map(np.random.default_rng(6).uniform(0.0, 2.0, size=(6, 6)))
