@@ -29,6 +29,11 @@ def _pinned(doc: dict) -> None:
     doc["anneal"].update(tol_c=1e-9, max_iterations=40)
 
 
+def _side45(doc: dict) -> None:
+    """A 45 mm interposer: 1.9 mm cells mesh it as 24 x 1.9 = 45.6 mm, past its edge."""
+    doc["package"].update(interposer_width_mm=45.0, interposer_height_mm=45.0)
+
+
 def _side50(doc: dict) -> None:
     """A 50 mm interposer under the bundled 40 mm sink: a partial sink."""
     doc["package"].update(interposer_width_mm=50.0, interposer_height_mm=50.0)
@@ -62,6 +67,9 @@ CASES = {
                    "--sigma", "5e7"], None, PHY),
     "thermal": (["thermal", "--resolution", "1"], "bundled", FIELD),
     "thermal_50mm": (["thermal", "--resolution", "1"], _side50, FIELD),
+    # a cell that is no power of two, on a mesh that runs past the interposer,
+    # under a sink that leaves 92 of its 576 top cells uncooled (the CG path)
+    "thermal_45mm_odd_cell": (["thermal", "--resolution", "1.9"], _side45, FIELD),
     "thermal_fine": (["thermal", "--resolution", "0.5"], "bundled", FIELD),
 }
 
