@@ -147,8 +147,7 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = place.bst_placement(bundle.package)
     pm = thermal.rasterize(fp, bundle.anneal.fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
-    ny, nx = tf.data.shape[1:]
-    cells = [f",{ix},{iy},%.6g\r\n" for iy in range(ny) for ix in range(nx)]
+    cells = [f",{ix},{iy},%.6g\r\n" for iy in range(tf.grid.ny) for ix in range(tf.grid.nx)]
     with _report(out, "temperature_field.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "x", "y", "t_c"])

@@ -1,17 +1,16 @@
 """Compact steady-state thermal solver for the 2.5D package stack.
 
-The package is discretized as one finite-volume cell layer per stack layer
-on an nx x ny grid. Neighbouring cells exchange heat through thermal
-resistances R = d/(k*A); the top layer couples to ambient through a
-convective coefficient h; all other outer faces are adiabatic. Power is
-injected in the chiplet layer, rasterized from a floorplan.
+Each stack layer is one layer of finite-volume cells on one Grid: square cells from the
+interposer's origin, each side rounded up to whole cells, so a side the cell does not divide
+is meshed past its edge. Neighbouring cells exchange heat through resistances R = d/(k*A), and
+the top layer with ambient through a convective h under a sink centred on the mesh; other
+outer faces are adiabatic. Power enters the chiplet layer, rasterized from a floorplan.
 
-Each layer's lateral operator is a uniform Neumann grid Laplacian, which the
-orthonormal 2-D cosine (DCT-II) basis diagonalizes, so a fully cooled top face
-splits the stack into one tridiagonal layer system per cosine mode, which one
-Thomas sweep over the layers solves for all modes at once. A smaller sink
-footprint takes the ambient conductance off k top cells: a rank-k change, which
-the Woodbury identity corrects exactly through a k x k system on those cells.
+Each layer's lateral operator is a uniform Neumann grid Laplacian, which the orthonormal 2-D
+cosine (DCT-II) basis diagonalizes, so a fully cooled top face splits the stack into one
+tridiagonal layer system per cosine mode, which one Thomas sweep over the layers solves for
+all modes at once. A smaller sink takes the ambient conductance off k top cells: a rank-k
+change, which the Woodbury identity corrects exactly through a k x k system on those cells.
 """
 
 from __future__ import annotations
@@ -38,24 +37,31 @@ class ThermalError(ChipletdseError, RuntimeError):
     pass
 
 
+class Grid(NamedTuple):
+    """The mesh: nx x ny square cells of cell_mm, from the interposer's origin."""
+
+    nx: int
+    ny: int
+    cell_mm: float  # as meshed: width / nx need not round back to it
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:  # along x and y, mm from the origin
+        return np.arange(self.nx + 1) * self.cell_mm, np.arange(self.ny + 1) * self.cell_mm
+
+    def offsets(self) -> tuple[np.ndarray, ...]:  # of cell centres from the mesh centre, mm
+        return tuple((np.arange(n) + 0.5) * self.cell_mm - n * self.cell_mm / 2.0
+                     for n in (self.nx, self.ny))
+
+
 @dataclass(frozen=True)
 class PowerMap:
     """Per-cell dissipated power (W) in the chiplet layer."""
 
-    cell_mm: float
+    grid: Grid
     cells: np.ndarray  # (ny, nx), W
-
-    @property
-    def nx(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def ny(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def total_power(self) -> float:
-        return float(self.cells.sum())
+    # the reads of the mesh that perfbench/traced.py keys thermal setups on
+    nx = property(lambda self: self.grid.nx)
+    ny = property(lambda self: self.grid.ny)
+    cell_mm = property(lambda self: self.grid.cell_mm)
 
 
 @dataclass(frozen=True)
@@ -63,19 +69,19 @@ class TemperatureField:
     """Per-cell temperature (degrees C) for every stack layer."""
 
     stack: ThermalStack
-    cell_mm: float
+    grid: Grid
     data: np.ndarray  # (n_layers, ny, nx)
 
     def layer(self, name: str) -> np.ndarray:
         return self.data[self.stack.layer_index(name)]
 
 
-def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> tuple[int, int]:
+def grid_shape(width_mm: float, height_mm: float, cell_mm: float) -> Grid:
     sides = (width_mm / cell_mm - 1e-9, height_mm / cell_mm - 1e-9)
     if not all(side <= MAX_CELLS_PER_SIDE for side in sides):  # inf and NaN too, before ceil
         raise ThermalError(f"a {width_mm} x {height_mm} mm grid of {cell_mm} mm cells "
                            f"exceeds {MAX_CELLS_PER_SIDE} cells per side")
-    return tuple(max(1, math.ceil(side)) for side in sides)
+    return Grid(*(max(1, math.ceil(side)) for side in sides), cell_mm)
 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -106,11 +112,11 @@ def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
     if small.any():
         raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
                            f"chiplet {floorplan.placements[small.argmax()].name!r}")
-    nx, ny = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
-    ox = _overlap(x, x + w, np.arange(nx + 1) * cell_mm)
-    oy = _overlap(y, y + h, np.arange(ny + 1) * cell_mm)
+    grid = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
+    x_edges, y_edges = grid.edges()
+    ox, oy = _overlap(x, x + w, x_edges), _overlap(y, y + h, y_edges)
     density = power / (w * h)  # W/mm^2
-    return PowerMap(cell_mm, oy.T @ (density[:, None] * ox))
+    return PowerMap(grid, oy.T @ (density[:, None] * ox))
 
 
 class _GridModel(NamedTuple):
@@ -133,11 +139,11 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-# Two geometries are enough: optimize solves on exactly two grids (coarse_cell_mm
-# and fine_cell_mm), calibrate_k reuses that pair for every K0, and interposer_sweep
-# moves on to the next side's pair, so only finished sides are evicted.
+# Two geometries hold an anneal: optimize solves on its coarse and fine grids, calibrate_k
+# reuses that pair for every K0. interposer_sweep's pre-check builds every side's pair before
+# any side anneals, so each pair is built twice (ROADMAP item 9 drops those solves).
 @lru_cache(maxsize=2)
-def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridModel:
+def _grid_model(stack: ThermalStack, grid: Grid) -> _GridModel:
     """Conductances and per-mode response columns for a grid geometry.
 
     The model depends only on (stack, grid), not on the power map, so it
@@ -145,7 +151,7 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     power maps on one geometry). Only the two latest geometries stay cached;
     a caller that alternates three or more rebuilds them.
     """
-    cell = cell_mm * MM
+    cell = grid.cell_mm * MM
     a_face = cell * cell  # horizontal cell face, m^2
     t = np.array([layer.thickness_mm for layer in stack.layers]) * MM
     k = np.array([layer.conductivity_w_mk for layer in stack.layers])
@@ -156,9 +162,8 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     # applied to the top cells whose centres the centred sink footprint covers
     g_amb = 1.0 / (t[-1] / (2.0 * k[-1] * a_face) + 1.0 / (stack.h_top_w_m2k * a_face))
     half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2.0
-    in_x = np.abs((np.arange(nx) + 0.5) * cell_mm - nx * cell_mm / 2.0) <= half
-    in_y = np.abs((np.arange(ny) + 0.5) * cell_mm - ny * cell_mm / 2.0) <= half
-    mask = np.outer(in_y, in_x)
+    off_x, off_y = grid.offsets()
+    mask = np.outer(np.abs(off_y) <= half, np.abs(off_x) <= half)
     if not mask.any():
         raise ThermalError("sink footprint covers no grid cells")
 
@@ -169,13 +174,13 @@ def _grid_model(stack: ThermalStack, nx: int, ny: int, cell_mm: float) -> _GridM
     # sources, one in the chiplet layer and one in the top layer. It needs no
     # pivoting: each mode's matrix is symmetric and diagonally dominant, strictly
     # so in the top row through g_amb, so every pivot w[l] stays > 0.
-    q_x, eig_x = _cosine_basis(nx)
-    q_y, eig_y = _cosine_basis(ny)
+    q_x, eig_x = _cosine_basis(grid.nx)
+    q_y, eig_y = _cosine_basis(grid.ny)
     nl, chip = len(t), stack.layer_index(CHIPLET_LAYER)
     vert = np.r_[g_vert, g_amb] + np.r_[0.0, g_vert]
     w = g_lat[:, None, None] * (eig_y[:, None] + eig_x)  # (nl, ny, nx) pivots
     w += vert[:, None, None]
-    cols = np.zeros((2, nl, ny, nx))  # right-hand sides, solved in place
+    cols = np.zeros((2, nl, grid.ny, grid.nx))  # right-hand sides, solved in place
     cols[0, chip] = 1.0
     cols[1, -1] = 1.0
     for l in range(1, nl):  # forward elimination
@@ -259,7 +264,7 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     heat and p >= 0, so the residual sums to heat out - P, and the bound enforces
     the energy balance |heat out - P| <= sqrt(N)*1e-8*P over the N cells of the stack.
     """
-    model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
+    model = _grid_model(stack, pm.grid)
     rise = _solve(model, pm.cells)
     r = _apply(model, rise)
     r[model.chip] -= pm.cells
@@ -269,7 +274,7 @@ def solve_steady_state(pm: PowerMap, stack: ThermalStack) -> TemperatureField:
     if rise.min() < -1e-6:
         raise ThermalError("temperature field dips below ambient; model is inconsistent")
     rise += stack.ambient_c
-    return TemperatureField(stack, pm.cell_mm, rise)
+    return TemperatureField(stack, pm.grid, rise)
 
 
 def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
@@ -283,7 +288,7 @@ def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
     stack))`` bit for bit. It fails closed: a CG that misses its bound, or a
     peak below ambient (NaN included), raises ThermalError.
     """
-    model = _grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
+    model = _grid_model(stack, pm.grid)
     peak = stack.ambient_c + _solve(model, pm.cells, model.chip).max()
     if not peak >= stack.ambient_c - 1e-6:
         raise ThermalError(f"chiplet-layer peak {peak} C lies below ambient")
@@ -295,8 +300,7 @@ def boundary_heat_flow(tf: TemperatureField) -> float:
 
     In steady state this must equal the injected power (energy balance).
     """
-    ny, nx = tf.data.shape[1:]
-    sink = _grid_model(tf.stack, nx, ny, tf.cell_mm).sink
+    sink = _grid_model(tf.stack, tf.grid).sink
     return float(((tf.data[-1] - tf.stack.ambient_c) * sink).sum())
 
 

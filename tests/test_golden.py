@@ -117,7 +117,7 @@ spec = sys.argv[1]
 stack = load_bundle(spec).package.stack
 cols = hashlib.sha256()
 for n, cell_mm in ((20, 2.0), (25, 2.0), (40, 1.0), (80, 0.5)):
-    cols.update(thermal._grid_model(stack, n, n, cell_mm).cols.tobytes())
+    cols.update(thermal._grid_model(stack, thermal.Grid(n, n, cell_mm)).cols.tobytes())
 print(cols.hexdigest())
 if len(sys.argv) > 2:
     with contextlib.redirect_stdout(io.StringIO()) as stdout:

@@ -17,6 +17,7 @@ from chipletdse.model import (
     ValidationError,
 )
 from chipletdse.thermal import (
+    Grid,
     PowerMap,
     ThermalError,
     boundary_heat_flow,
@@ -46,9 +47,9 @@ def dense_solve(stack, pm):
     """Independent reference: assemble the conductance system densely with
     plain loops and solve with np.linalg.solve. Only usable for tiny grids.
     """
-    nl, nx, ny = len(stack.layers), pm.nx, pm.ny
+    nl, (nx, ny, cell_mm) = len(stack.layers), pm.grid
     n = nl * ny * nx
-    cell = pm.cell_mm * MM
+    cell = cell_mm * MM
     A = np.zeros((n, n))
     b = np.zeros(n)
 
@@ -86,8 +87,8 @@ def dense_solve(stack, pm):
         for ix in range(nx):
             # cooled when the cell centre lies under the sink, which is
             # centred on the mesh
-            if (abs((ix + 0.5) * pm.cell_mm - nx * pm.cell_mm / 2) > half
-                    or abs((iy + 0.5) * pm.cell_mm - ny * pm.cell_mm / 2) > half):
+            if (abs((ix + 0.5) * cell_mm - nx * cell_mm / 2) > half
+                    or abs((iy + 0.5) * cell_mm - ny * cell_mm / 2) > half):
                 continue
             i = idx(nl - 1, iy, ix)
             A[i, i] += 1.0 / r_amb
@@ -113,21 +114,24 @@ CHIP_ON_TOP = ThermalStack(
 
 
 def power_map(cells, cell_mm=1.0):
-    return PowerMap(cell_mm, np.asarray(cells, dtype=float))
+    cells = np.asarray(cells, dtype=float)
+    return PowerMap(Grid(cells.shape[1], cells.shape[0], cell_mm), cells)
 
 
 class TestGridShape:
     def test_exact_division(self):
-        assert grid_shape(40.0, 40.0, 2.0) == (20, 20)
+        assert grid_shape(40.0, 40.0, 2.0) == Grid(20, 20, 2.0)
 
     def test_rounds_up(self):
-        assert grid_shape(41.0, 39.5, 2.0) == (21, 20)
+        assert grid_shape(41.0, 39.5, 2.0) == Grid(21, 20, 2.0)
+        # the mesh keeps the cell it was meshed with: 24 x 1.9 = 45.6 mm, and 45 / 24 != 1.9
+        assert grid_shape(45.0, 45.0, 1.9) == Grid(24, 24, 1.9)
 
     def test_float_noise_does_not_add_a_cell(self):
-        assert grid_shape(0.1 * 3, 30.0, 0.3) == (1, 100)
+        assert grid_shape(0.1 * 3, 30.0, 0.3) == Grid(1, 100, 0.3)
 
     def test_finest_legal_grid(self):
-        assert grid_shape(50.0, 50.0, 0.1) == (500, 500)
+        assert grid_shape(50.0, 50.0, 0.1) == Grid(500, 500, 0.1)
 
     @pytest.mark.parametrize("width, height, cell_mm", [
         (50.2, 50.0, 0.1),
@@ -147,7 +151,7 @@ class TestRasterize:
             PlacedChiplet("b", 5.2, 5.9, 0, 2.0, 3.0, 2.5),
         ))
         pm = rasterize(fp, 1.0)
-        assert pm.total_power == pytest.approx(7.5, rel=1e-12)
+        assert pm.cells.sum() == pytest.approx(7.5, rel=1e-12)
 
     def test_partial_cells_area_weighted(self):
         # 2.5 x 2.5 mm chiplet at the origin, 1 W/mm^2
@@ -156,7 +160,7 @@ class TestRasterize:
         assert pm.cells[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert pm.cells[0, 2] == pytest.approx(0.5, rel=1e-12)
         assert pm.cells[2, 2] == pytest.approx(0.25, rel=1e-12)
-        assert pm.total_power == pytest.approx(6.25, rel=1e-12)
+        assert pm.cells.sum() == pytest.approx(6.25, rel=1e-12)
 
     def test_cell_larger_than_chiplet_rejected(self):
         fp = Floorplan(10, 10, (PlacedChiplet("a", 1, 1, 0, 1.5, 4.0, 1.0),))
@@ -212,7 +216,7 @@ def random_floorplan(rng, cell_mm):
 
 def reference_power(fp, cell_mm):
     """Per-cell sum of density * x overlap * y overlap, one cell at a time."""
-    nx, ny = grid_shape(fp.width_mm, fp.height_mm, cell_mm)
+    nx, ny, cell_mm = grid_shape(fp.width_mm, fp.height_mm, cell_mm)
     cells = np.zeros((ny, nx))
     for p in fp.placements:
         density = p.power_w / (p.eff_width * p.eff_height)
@@ -227,8 +231,9 @@ def reference_power(fp, cell_mm):
 class TestPowerMap:
     def test_shape_follows_cells(self):
         pm = power_map(np.ones((6, 5)))
-        assert (pm.nx, pm.ny) == (5, 6)
-        assert solve_steady_state(pm, SMALL).data.shape == (3, 6, 5)
+        assert (pm.nx, pm.ny, pm.cell_mm) == pm.grid == Grid(5, 6, 1.0)
+        tf = solve_steady_state(pm, SMALL)
+        assert tf.grid == pm.grid and tf.data.shape == (3, 6, 5)
 
     def test_shape_is_read_only(self):
         with pytest.raises(AttributeError):
@@ -286,7 +291,7 @@ class TestSolver:
             pm = power_map(rng.uniform(0.0, 5.0, size=(6, 6)))
             tf = solve_steady_state(pm, SMALL)
             out = boundary_heat_flow(tf)
-            assert out == pytest.approx(pm.total_power, rel=1e-3)
+            assert out == pytest.approx(pm.cells.sum(), rel=1e-3)
 
     def test_superposition(self):
         rng = np.random.default_rng(3)
@@ -317,7 +322,7 @@ class TestSolver:
     def test_model_caches_two_response_columns(self):
         # power in the chiplet layer and the correction in the top layer: each mode
         # keeps 2 x layers entries, not the layers x layers inverse
-        model = thermal._grid_model(ThermalStack(), 30, 20, 1.0)
+        model = thermal._grid_model(ThermalStack(), Grid(30, 20, 1.0))
         assert model.cols.shape == (2, len(DEFAULT_STACK_LAYERS), 20, 30)
 
     @pytest.mark.parametrize("sink_side_mm", [None, 36.0])
@@ -352,7 +357,7 @@ class TestSinkFootprint:
     def test_conservation_holds_under_partial_sink(self):
         pm = power_map(np.full((6, 6), 1.0))
         tf = solve_steady_state(pm, self.stack(4.0))
-        assert boundary_heat_flow(tf) == pytest.approx(pm.total_power, rel=1e-3)
+        assert boundary_heat_flow(tf) == pytest.approx(pm.cells.sum(), rel=1e-3)
 
     def test_smaller_sink_runs_hotter(self):
         pm = power_map(np.full((6, 6), 1.0))
@@ -382,7 +387,7 @@ class TestSinkFootprint:
         stack = ThermalStack(DEFAULT_STACK_LAYERS, h_top_w_m2k=1e7, sink_side_mm=side)
         pm = power_map(np.random.default_rng(4).uniform(0.0, 0.1, size=(40, 40)))
         tf = solve_steady_state(pm, stack)
-        assert boundary_heat_flow(tf) == pytest.approx(pm.total_power, rel=1e-9)
+        assert boundary_heat_flow(tf) == pytest.approx(pm.cells.sum(), rel=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("ambient_c", [0.0, 45.0])
@@ -505,7 +510,7 @@ class TestSolveReference:
         # sinks up to 25 mm leave top cells of the 30 x 24 mm board uncooled: the CG path
         pm = rasterize(random_floorplan(np.random.default_rng(seed), cell_mm), cell_mm)
         stack = ThermalStack(layers, h_top_w_m2k=h_top, sink_side_mm=sink_side_mm)
-        model = thermal._grid_model(stack, pm.nx, pm.ny, pm.cell_mm)
+        model = thermal._grid_model(stack, pm.grid)
         assert bool(model.uncooled.size) == (sink_side_mm is not None)
         for dst in (slice(None), model.chip):
             assert np.array_equal(thermal._solve(model, pm.cells, dst),
