@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -33,6 +32,14 @@ from .model import (
 )
 from .svgout import fmt
 
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL's libcrypto for it
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", newline="") as fh:
@@ -45,12 +52,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _report(out: Path, name: str) -> Path:
     """out/name, creating out first: a run that fails before its first report
     leaves no --out behind."""
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ChipletdseError(f"{out}: unwritable ({exc})") from None
     return out / name
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str]) -> None:

@@ -632,7 +632,7 @@ def read_document(document: dict | str | Path) -> dict:
         return document
     path = Path(document)
     if not path.exists():
-        raise ParseError(f"file not found: {path}")
+        raise ParseError(f"{path}: file not found")
     try:
         doc = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:

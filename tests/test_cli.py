@@ -1,20 +1,23 @@
 import argparse
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import chipletdse
-from chipletdse.cli import build_parser, main
+from chipletdse.cli import _sha256, build_parser, main
 from chipletdse.model import (
     CHIPLET_KINDS,
     AnnealConfig,
@@ -91,7 +94,7 @@ class TestCostCommand:
     def test_missing_spec_fails_with_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["cost", "--spec", missing, "--out", str(tmp_path / "o")]) == 1
-        assert "nope.json" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {missing}: file not found\n"
 
     def test_negative_connections_names_field(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cost"
@@ -390,6 +393,13 @@ class TestSpecErrors:
                        "--out", str(tmp_path / "o")])
         assert_field_error(status, capsys.readouterr().err, field)
 
+    def test_missing_floorplan(self, spec_path, tmp_path, capsys):
+        missing = tmp_path / "gone.json"
+        status = main(["thermal", "--spec", spec_path, "--floorplan", str(missing),
+                       "--out", str(tmp_path / "o")])
+        assert status == 1
+        assert capsys.readouterr().err == f"error: {missing}: file not found\n"
+
     def test_oversized_grid_rejected(self, spec_path, tmp_path, capsys):
         path = tmp_path / "floorplan.json"
         path.write_text(json.dumps(edited(lambda d: d["interposer"].update(width_mm=1e300),
@@ -516,6 +526,25 @@ class TestFailedRunLeavesNoOut:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be made a directory exits 1 with one
+    `error: <out>: unwritable (<os error>)` line, as an unreadable input
+    does, and leaves no manifest."""
+
+    @pytest.mark.parametrize("command", ["cost", "place"])
+    @pytest.mark.parametrize("out, reason", [
+        ("taken", "[Errno 17] File exists"),
+        ("taken/sub", "[Errno 20] Not a directory"),
+    ], ids=["existing-file", "under-a-file"])
+    def test_unwritable_out(self, spec_path, tmp_path, capsys, command, out, reason):
+        (tmp_path / "taken").write_text("kept\n")
+        out = str(tmp_path / out)
+        assert main([command, "--spec", spec_path, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {out}: unwritable ({reason}: '{out}')\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "taken"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 class TestFlagReadAsSpecKey:
@@ -767,7 +796,7 @@ class TestRerunCommand:
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "gone.json")]) == 1
-        assert "gone.json" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'gone.json'}: file not found\n"
 
 
 class TestRunManifest:
@@ -824,25 +853,30 @@ class TestImportBoundary:
     """Only the subcommands that solve load numpy, place and thermal: the
     report subcommands pay no numpy import, and none loads numpy.random. Each
     report subcommand loads its own report module alone, and the solving ones
-    load none of them."""
+    load none of them. None loads OpenSSL (_hashlib), nor, unless a site hook
+    has, importlib.resources."""
 
     SOLVER = "chipletdse.place,chipletdse.thermal,numpy"
     REPORTS = "chipletdse.costyield,chipletdse.perf,chipletdse.phy,chipletdse.power"
 
+    # each command runs on the bundled spec into ./<its name>; "rerun <name>"
+    # repeats the run recorded in <name>/manifest.json
     CODE = """
 import sys
 import chipletdse
 from chipletdse.cli import main
-out, watched, commands = sys.argv[1], sys.argv[2].split(","), sys.argv[3:]
+watched, commands = sys.argv[1].split(","), sys.argv[2:]
 for command in commands:
-    assert main([command, "--spec", chipletdse.bundled_spec_path(), "--out", f"{out}/{command}"]) == 0
+    name, *flags = command.split()
+    argv = [name, *flags, "--spec", chipletdse.bundled_spec_path(), "--out", name]
+    assert main(["rerun", f"{flags[0]}/manifest.json"] if name == "rerun" else argv) == 0
 print(sorted(m for m in sys.modules if m in watched))
 """
 
-    def loaded_after(self, tmp_path, *commands, watched=SOLVER):
+    def loaded_after(self, tmp_path, *commands, watched=SOLVER, options=()):
         src = str(Path(chipletdse.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", self.CODE, str(tmp_path), watched, *commands],
-                              capture_output=True, text=True, check=True,
+        proc = subprocess.run([sys.executable, *options, "-c", self.CODE, watched, *commands],
+                              capture_output=True, text=True, check=True, cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src})
         return proc.stdout.splitlines()[-1]
 
@@ -867,6 +901,41 @@ print(sorted(m for m in sys.modules if m in watched))
     @pytest.mark.parametrize("commands", [(), ("place",)])
     def test_import_and_place_load_no_report_module(self, tmp_path, commands):
         assert self.loaded_after(tmp_path, *commands, watched=self.REPORTS) == "[]"
+
+    def test_no_subcommand_loads_openssl(self, tmp_path):
+        # hashlib would load OpenSSL's libcrypto: the manifest hashes with _sha256 or _sha2
+        assert self.loaded_after(tmp_path, "cost", "power", "perf", "phy", "thermal", "place",
+                                 "calibrate-k --k 0.1", "sweep --sides 40", "rerun place",
+                                 watched="_hashlib") == "[]"
+
+    def test_no_site_hook_loads_neither_openssl_nor_resources(self, tmp_path):
+        # -S: no site hook (such as one importing certifi) loads either module first
+        assert self.loaded_after(tmp_path, "cost", "rerun cost", options=["-S"],
+                                 watched="_hashlib,importlib.resources") == "[]"
+
+    def test_bundled_spec_path_is_the_package_resource(self):
+        assert chipletdse.bundled_spec_path() == \
+            str(resources.files("chipletdse.data") / "infotainment.json")
+
+
+class TestManifestHash:
+    """The manifest's sha256 is the interpreter's built-in hash: hashlib's digest
+    to the byte, so a manifest hashed by hashlib still reruns."""
+
+    @pytest.mark.parametrize("size", [0, 64, (1 << 20) + 3])
+    def test_digest_is_hashlibs(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(random.Random(size).randbytes(size))
+        assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_manifest_hashed_by_hashlib_reruns(self, spec_path, tmp_path):
+        out = tmp_path / "cost"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "argv": ["cost", "--spec", spec_path, "--out", str(out)],
+            "inputs": {spec_path: hashlib.sha256(Path(spec_path).read_bytes()).hexdigest()}}))
+        assert main(["rerun", str(manifest)]) == 0
+        assert read_csv(out / "cost.csv")[-1][0] == "PACKAGE"
 
 
 def test_place_output_ignores_the_hash_seed(tmp_path):
