@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: cost, power, perf, phy, thermal, place, calibrate-k, sweep,
-rerun. Every run writes its outputs plus a manifest.json (inputs with
-content hashes, seed, timestamp) to the output directory. Numeric output
-is formatted to 6 significant digits so reruns are byte-identical.
+rerun. Each subcommand computes its reports and stdout lines without
+touching --out; main then creates --out, writes every report and a
+manifest.json (inputs with content hashes, seed, timestamp), and prints
+the lines once the last write has succeeded. Numeric output is formatted
+to 6 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -41,30 +43,20 @@ except ImportError:
         from hashlib import sha256
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
-
-
-def _report(out: Path, name: str) -> Path:
-    """out/name, creating out first: a run that fails before its first report
-    leaves no --out behind."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ChipletdseError(f"{out}: unwritable ({exc})") from None
-    return out / name
+def _csv(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _sha256(path: Path) -> str:
     return sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str]) -> None:
-    """Record a finished run: its argv, the hashed input files it was given
+def _manifest(args, bundle: SpecBundle | None, argv: list[str]) -> str:
+    """The record of a run: its argv, the hashed input files it was given
     (--spec, --configs, --floorplan) and the seed of the subcommands that
     take --seed."""
     given = (vars(args).get(flag) for flag in ("spec", "configs", "floorplan"))
@@ -78,14 +70,14 @@ def _write_manifest(out: Path, args, bundle: SpecBundle | None, argv: list[str])
         "seed": bundle.anneal.seed if "anneal.seed" in vars(args) else None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return json.dumps(manifest, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its reports (file name -> text) and stdout lines
 
 
-def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
+def _cmd_cost(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import costyield
     chiplets = bundle.package.chiplets
     breakdown = costyield.package_cost([c.area for c in chiplets], bundle.process)
@@ -93,14 +85,13 @@ def _cmd_cost(args, bundle: SpecBundle, out: Path) -> None:
             for c, d in zip(chiplets, breakdown.dies)]
     rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
                  bundle.process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
-    _write_csv(_report(out, "cost.csv"),
-               ["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
-               rows)
-    print(f"package_cost = {fmt(breakdown.package_cost)} "
-          f"(assembly_yield {fmt(breakdown.assembly_yield)})")
+    return ({"cost.csv": _csv(["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
+                              rows)},
+            [f"package_cost = {fmt(breakdown.package_cost)} "
+             f"(assembly_yield {fmt(breakdown.assembly_yield)})"])
 
 
-def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
+def _cmd_power(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import power
     if not bundle.tiles:
         raise SpecError("tiles: no tile rows")
@@ -110,13 +101,12 @@ def _cmd_power(args, bundle: SpecBundle, out: Path) -> None:
     rows.append(["SYSTEM", sum(b.switching for _, b in rows_out),
                  sum(b.short_circuit for _, b in rows_out),
                  sum(b.leakage for _, b in rows_out), total])
-    _write_csv(_report(out, "power.csv"),
-               ["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
-               rows)
-    print(f"system_power_w = {fmt(total)}")
+    return ({"power.csv": _csv(["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
+                               rows)},
+            [f"system_power_w = {fmt(total)}"])
 
 
-def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
+def _cmd_perf(args, bundle: SpecBundle | None) -> tuple[dict, list[str]]:
     from . import perf
     if args.configs:
         source = Path(args.configs)
@@ -126,30 +116,39 @@ def _cmd_perf(args, bundle: SpecBundle | None, out: Path) -> None:
     else:
         raise SpecError("perf needs --spec or --configs")
     ranked = perf.rank_configs(entries, str(source))  # rows named as the loader names them
-    _write_csv(_report(out, "perf.csv"),
-               ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
-               [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
-                for r in ranked])
-    print(f"best_config = {ranked[0].name} "
-          f"(golden_ratio {fmt(ranked[0].golden_ratio)})")
+    return ({"perf.csv": _csv(
+                ["config", "cost", "throughput", "latency", "golden_ratio", "relative"],
+                [[r.name, r.cost, r.throughput, r.latency, r.golden_ratio, r.relative]
+                 for r in ranked])},
+            [f"best_config = {ranked[0].name} (golden_ratio {fmt(ranked[0].golden_ratio)})"])
 
 
-def _cmd_phy(args, bundle: SpecBundle | None, out: Path) -> None:
+def _cmd_phy(args, bundle: SpecBundle | None) -> tuple[dict, list[str]]:
     from . import phy
     p = bundle.phy if bundle else load_phy(vars(args))
     lp = phy.line_params(p)
     max_len = phy.max_trace_length(p)
     lengths = [i * 1e-3 for i in range(1, 101)]
     curve = phy.bandwidth_curve(lengths, p)
-    _write_csv(_report(out, "bandwidth_curve.csv"),
-               ["length_mm", "log10_bw_hz", "log10_target_hz"],
-               [[L * 1e3, bw, tgt] for L, bw, tgt in curve])
-    print(f"c_per_length_pf_m = {fmt(lp.c_per_length * 1e12)}")
-    print(f"r_total_per_length_ohm_m = {fmt(lp.r_total_per_length)}")
-    print(f"max_trace_length_mm = {fmt(max_len * 1e3)}")
+    return ({"bandwidth_curve.csv": _csv(["length_mm", "log10_bw_hz", "log10_target_hz"],
+                                         [[L * 1e3, bw, tgt] for L, bw, tgt in curve])},
+            [f"c_per_length_pf_m = {fmt(lp.c_per_length * 1e12)}",
+             f"r_total_per_length_ohm_m = {fmt(lp.r_total_per_length)}",
+             f"max_trace_length_mm = {fmt(max_len * 1e3)}"])
 
 
-def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
+def _field_csv(tf):
+    """temperature_field.csv a layer at a time: the rows csv.writer would write,
+    one %-template per layer: the layer name as csv quotes it (its % escaped),
+    the cell's x and y, and %.6g, fmt's text for a float."""
+    yield _csv(["layer", "x", "y", "t_c"], [])
+    cells = [f",{ix},{iy},%.6g\r\n" for iy in range(tf.grid.ny) for ix in range(tf.grid.nx)]
+    for lname, layer in zip(tf.stack.layer_names, tf.data):
+        quoted = _csv([lname], [])[:-2].replace("%", "%%")  # without csv's "\r\n"
+        yield (quoted + quoted.join(cells)) % tuple(layer.ravel().tolist())
+
+
+def _cmd_thermal(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import place, thermal
     if args.floorplan:
         fp = floorplan_from_document(Path(args.floorplan))
@@ -157,59 +156,43 @@ def _cmd_thermal(args, bundle: SpecBundle, out: Path) -> None:
         fp = place.bst_placement(bundle.package)
     pm = thermal.rasterize(fp, bundle.anneal.fine_cell_mm)
     tf = thermal.solve_steady_state(pm, bundle.package.stack)
-    cells = [f",{ix},{iy},%.6g\r\n" for iy in range(tf.grid.ny) for ix in range(tf.grid.nx)]
-    with _report(out, "temperature_field.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "x", "y", "t_c"])
-        # the rows csv.writer would write, one %-template per layer: the layer name as
-        # csv quotes it (its % escaped), the cell's x and y, and %.6g, fmt's text for a float
-        for lname, layer in zip(tf.stack.layer_names, tf.data):
-            buf = io.StringIO()
-            csv.writer(buf).writerow([lname])
-            quoted = buf.getvalue()[:-2].replace("%", "%%")  # without csv's "\r\n"
-            fh.write((quoted + quoted.join(cells)) % tuple(layer.ravel().tolist()))
-    for lname in tf.stack.layer_names:
-        print(f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}")
+    return ({"temperature_field.csv": _field_csv(tf)},
+            [f"peak_{lname}_c = {fmt(thermal.peak_temperature(tf, lname))}"
+             for lname in tf.stack.layer_names])
 
 
-def _cmd_place(args, bundle: SpecBundle, out: Path) -> None:
+def _cmd_place(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import place
     result = place.optimize(bundle.package, bundle.anneal)
     kinds = {c.name: c.kind for c in bundle.package.chiplets}
-    _report(out, "floorplan.json").write_text(
-        json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n")
-    _report(out, "floorplan.svg").write_text(svgout.floorplan_svg(result.floorplan, kinds))
-    _write_csv(_report(out, "history.csv"),
-               ["iteration", "peak_t_c", "wirelength_mm", "cost", "k"],
-               [[h.iteration, h.peak_t, h.wirelength, h.cost, h.k]
-                for h in result.history])
-    print(f"initial_peak_t_c = {fmt(result.initial_peak_t)}")
-    print(f"final_peak_t_c = {fmt(result.final_peak_t)}")
-    print(f"iterations = {result.iterations} converged = {result.converged}")
+    return ({"floorplan.json": json.dumps(floorplan_to_document(result.floorplan), indent=2) + "\n",
+             "floorplan.svg": svgout.floorplan_svg(result.floorplan, kinds),
+             "history.csv": _csv(["iteration", "peak_t_c", "wirelength_mm", "cost", "k"],
+                                 [[h.iteration, h.peak_t, h.wirelength, h.cost, h.k]
+                                  for h in result.history])},
+            [f"initial_peak_t_c = {fmt(result.initial_peak_t)}",
+             f"final_peak_t_c = {fmt(result.final_peak_t)}",
+             f"iterations = {result.iterations} converged = {result.converged}"])
 
 
-def _cmd_calibrate_k(args, bundle: SpecBundle, out: Path) -> None:
+def _cmd_calibrate_k(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import place
     k = read_numbers(args.k, "k")
     runs = list(zip(k, place.calibrate_k(bundle.package, k, bundle.anneal)))
-    _write_csv(_report(out, "k_calibration.csv"),
-               ["k0", "iterations_to_converge", "final_peak_t_c"],
-               [[k0, r.iterations, r.final_peak_t] for k0, r in runs])
-    for k0, r in runs:
-        print(f"k0={fmt(k0)} iterations={r.iterations} "
-              f"final_peak_t_c={fmt(r.final_peak_t)}")
+    return ({"k_calibration.csv": _csv(["k0", "iterations_to_converge", "final_peak_t_c"],
+                                       [[k0, r.iterations, r.final_peak_t] for k0, r in runs])},
+            [f"k0={fmt(k0)} iterations={r.iterations} final_peak_t_c={fmt(r.final_peak_t)}"
+             for k0, r in runs])
 
 
-def _cmd_sweep(args, bundle: SpecBundle, out: Path) -> None:
+def _cmd_sweep(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import place
     sides = read_numbers(args.sides, "sides")
     results = place.interposer_sweep(bundle.package, sides, bundle.anneal)
     rows = [[side, side * side, "infeasible" if r is None else r.final_peak_t, r is not None]
             for side, r in zip(sides, results)]
-    _write_csv(_report(out, "interposer_sweep.csv"),
-               ["side_mm", "area_mm2", "peak_t_c", "feasible"], rows)
-    for side, _, peak_t, _ in rows:
-        print(f"side={fmt(side)}mm peak_t_c={fmt(peak_t)}")
+    return ({"interposer_sweep.csv": _csv(["side_mm", "area_mm2", "peak_t_c", "feasible"], rows)},
+            [f"side={fmt(side)}mm peak_t_c={fmt(peak_t)}" for side, _, peak_t, _ in rows])
 
 
 def _recorded_run(manifest: str) -> tuple[argparse.Namespace, list[str]]:
@@ -311,18 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line, or for rerun the one its manifest records. The
-    subcommand gets the loaded spec (None without --spec) and the --out path,
-    which it creates with its first report; once it returns, the run is
-    recorded in --out/manifest.json."""
+    subcommand gets the loaded spec (None without --spec) and returns its
+    reports and stdout lines; only then is --out created and every report
+    written, manifest.json last, and the lines printed once all are written.
+    A path that cannot be written exits 1 with one error line."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "rerun":
             args, argv = _recorded_run(args.manifest)
         bundle = load_bundle(Path(args.spec), vars(args)) if args.spec else None
-        out = Path(args.out)
-        args.func(args, bundle, out)
-        _write_manifest(out, args, bundle, argv)
+        reports, lines = args.func(args, bundle)
+        reports["manifest.json"] = _manifest(args, bundle, argv)
+        out = path = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in reports.items():
+                path = out / name
+                with path.open("w", newline="") as fh:
+                    (fh.write if isinstance(text, str) else fh.writelines)(text)
+        except OSError as exc:
+            raise ChipletdseError(f"{path}: unwritable ({exc})") from None
+        for line in lines:
+            print(line)
         return 0
     except ChipletdseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -678,6 +678,8 @@ def _config_rows(docs: list, path: str) -> tuple[ConfigSpec, ...]:
 def load_configs_csv(path: Path) -> tuple[ConfigSpec, ...]:
     """Rows of a CSV with name,cost,throughput,latency columns, checked like
     the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
+    if not path.exists():
+        raise ParseError(f"{path}: file not found")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # as spreadsheets save it
             rows = list(csv.DictReader(fh))

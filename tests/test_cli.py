@@ -410,6 +410,11 @@ class TestSpecErrors:
         assert status == 1
         assert err.startswith("error: ") and "cells per side" in err and err.count("\n") == 1
 
+    def test_missing_configs_csv(self, tmp_path, capsys):
+        missing = tmp_path / "gone.csv"
+        assert main(["perf", "--configs", str(missing), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: file not found\n"
+
     def test_configs_csv_cell(self, tmp_path, capsys):
         cfg = tmp_path / "configs.csv"
         cfg.write_text("name,cost,throughput,latency\nX,abc,1e9,10\n")
@@ -463,7 +468,7 @@ class TestSpecErrors:
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-        assert not out.exists()  # the run fails before its first report makes --out
+        assert not out.exists()  # the run fails before main makes --out
 
 
 def subparsers():
@@ -508,7 +513,8 @@ class TestFlagScope:
 
 
 class TestFailedRunLeavesNoOut:
-    """--out is made with the first report, so a run that exits 1 before it leaves none."""
+    """--out is made only once the subcommand has computed every report, so a
+    run that exits 1 before that leaves none."""
 
     @pytest.mark.parametrize("argv", [
         ["phy", "--sf", "x"],
@@ -529,9 +535,10 @@ class TestFailedRunLeavesNoOut:
 
 
 class TestUnwritableOut:
-    """An --out that cannot be made a directory exits 1 with one
-    `error: <out>: unwritable (<os error>)` line, as an unreadable input
-    does, and leaves no manifest."""
+    """An --out that cannot be made a directory, or a report or manifest path
+    in it that cannot be written, exits 1 with one
+    `error: <path>: unwritable (<os error>)` line, as an unreadable input
+    does, prints nothing to stdout and leaves no manifest."""
 
     @pytest.mark.parametrize("command", ["cost", "place"])
     @pytest.mark.parametrize("out, reason", [
@@ -545,6 +552,22 @@ class TestUnwritableOut:
         assert capsys.readouterr().err == f"error: {out}: unwritable ({reason}: '{out}')\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "taken"]
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        ("cost", "cost.csv"),
+        ("thermal --resolution 2", "temperature_field.csv"),
+        ("place", "floorplan.svg"),
+        ("cost", "manifest.json"),
+    ], ids=lambda v: v.split()[0])
+    def test_unwritable_report(self, spec_path, tmp_path, capsys, argv, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        command, *flags = argv.split()
+        assert main([command, "--spec", spec_path, *flags, "--out", str(out)]) == 1
+        path = out / name
+        assert capsys.readouterr() == ("", f"error: {path}: unwritable "
+                                           f"([Errno 21] Is a directory: '{path}')\n")
+        assert not (out / "manifest.json").is_file()
 
 
 class TestFlagReadAsSpecKey:
@@ -800,7 +823,8 @@ class TestRerunCommand:
 
 
 class TestRunManifest:
-    """Every run subcommand records its subcommand, given input files and seed."""
+    """Every run subcommand records its subcommand, given input files and seed,
+    and writes exactly its reports and the manifest to --out."""
 
     @pytest.fixture()
     def inputs(self, spec_path, tmp_path):
@@ -813,29 +837,39 @@ class TestRunManifest:
     def run(self, command, inputs, out):
         return main([inputs.get(a, a) for a in command.split()] + ["--out", str(out)])
 
-    @pytest.mark.parametrize("argv, given, seed", [
-        ("cost --spec SPEC", "SPEC", None),
-        ("power --spec SPEC", "SPEC", None),
-        ("perf --spec SPEC", "SPEC", None),
-        ("perf --configs CSV", "CSV", None),
-        ("phy", "", None),
-        ("phy --spec SPEC", "SPEC", None),
-        ("thermal --spec SPEC --resolution 2", "SPEC", None),
-        ("thermal --spec SPEC --floorplan FP", "SPEC FP", None),
-        ("place --spec SPEC", "SPEC", 2),
-        ("place --spec SPEC --seed 7", "SPEC", 7),
-        ("calibrate-k --spec SPEC --k 0.1", "SPEC", 2),
-        ("calibrate-k --spec SPEC --k 0.1 --seed 5", "SPEC", 5),
-        ("sweep --spec SPEC --sides 20", "SPEC", 2),
-        ("sweep --spec SPEC --sides 20 --seed 4", "SPEC", 4),
-    ])
-    def test_manifest(self, inputs, tmp_path, argv, given, seed):
+    RUNS = [
+        ("cost --spec SPEC", "SPEC", None, "cost.csv, manifest.json"),
+        ("power --spec SPEC", "SPEC", None, "manifest.json, power.csv"),
+        ("perf --spec SPEC", "SPEC", None, "manifest.json, perf.csv"),
+        ("perf --configs CSV", "CSV", None, "manifest.json, perf.csv"),
+        ("phy", "", None, "bandwidth_curve.csv, manifest.json"),
+        ("phy --spec SPEC", "SPEC", None, "bandwidth_curve.csv, manifest.json"),
+        ("thermal --spec SPEC --resolution 2", "SPEC", None,
+         "manifest.json, temperature_field.csv"),
+        ("thermal --spec SPEC --floorplan FP", "SPEC FP", None,
+         "manifest.json, temperature_field.csv"),
+        ("place --spec SPEC", "SPEC", 2,
+         "floorplan.json, floorplan.svg, history.csv, manifest.json"),
+        ("place --spec SPEC --seed 7", "SPEC", 7,
+         "floorplan.json, floorplan.svg, history.csv, manifest.json"),
+        ("calibrate-k --spec SPEC --k 0.1", "SPEC", 2, "k_calibration.csv, manifest.json"),
+        ("calibrate-k --spec SPEC --k 0.1 --seed 5", "SPEC", 5,
+         "k_calibration.csv, manifest.json"),
+        ("sweep --spec SPEC --sides 20", "SPEC", 2, "interposer_sweep.csv, manifest.json"),
+        ("sweep --spec SPEC --sides 20 --seed 4", "SPEC", 4,
+         "interposer_sweep.csv, manifest.json"),
+    ]
+
+    @pytest.mark.parametrize("argv, given, seed, files", RUNS,
+                             ids=[f"{argv}-{given}-{seed}" for argv, given, seed, _ in RUNS])
+    def test_manifest(self, inputs, tmp_path, argv, given, seed, files):
         out = tmp_path / "run"
         assert self.run(argv, inputs, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == argv.split()[0]
         assert list(manifest["inputs"]) == [inputs[g] for g in given.split()]
         assert manifest["seed"] == seed
+        assert ", ".join(sorted(p.name for p in out.iterdir())) == files
 
     def test_perf_needs_an_input(self, tmp_path, capsys):
         assert main(["perf", "--out", str(tmp_path / "o")]) == 1
