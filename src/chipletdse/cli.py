@@ -297,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     subcommand gets the loaded spec (None without --spec) and returns its
     reports and stdout lines; only then is --out created and every report
     written, manifest.json last, and the lines printed once all are written.
-    A path that cannot be written exits 1 with one error line."""
+    A path that cannot be written exits 1 with one error line, and removes
+    the reports this run had written."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
@@ -307,13 +308,17 @@ def main(argv: list[str] | None = None) -> int:
         reports, lines = args.func(args, bundle)
         reports["manifest.json"] = _manifest(args, bundle, argv)
         out = path = Path(args.out)
+        written = []
         try:
             out.mkdir(parents=True, exist_ok=True)
             for name, text in reports.items():
                 path = out / name
                 with path.open("w", newline="") as fh:
+                    written.append(path)
                     (fh.write if isinstance(text, str) else fh.writelines)(text)
         except OSError as exc:
+            for done in written:
+                done.unlink()
             raise ChipletdseError(f"{path}: unwritable ({exc})") from None
         for line in lines:
             print(line)

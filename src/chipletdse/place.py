@@ -325,6 +325,14 @@ def _score(fp: Floorplan, stack, cell_mm: float) -> tuple[float, float]:
     return thermal.chiplet_peak(thermal._rasterize(fp, cell_mm), stack), wirelength(fp)
 
 
+def _start(spec: PackageSpec, cfg: AnnealConfig) -> Floorplan:
+    """The packed plan, once it rasterizes and the sink covers a cell centre on both grids."""
+    plan = bst_placement(spec)
+    for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
+        thermal.rasterize(plan, cell_mm).grid.cooled(spec.stack.sink_side_mm)
+    return plan
+
+
 def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealResult:
     """Anneal the chiplet placement, minimizing blended peak-T / wirelength cost.
 
@@ -334,7 +342,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     """
     rng = _Pcg64(cfg.seed)
     stack = spec.stack
-    current = bst_placement(spec)
+    current = _start(spec, cfg)
 
     if len(current.placements) == 1:
         p = current.placements[0]
@@ -347,8 +355,6 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 
     bounds = NormalizationBounds()
     t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
-    # one fine solve, so an unusable fine grid (sink gap included) fails before annealing
-    thermal.chiplet_peak(thermal.rasterize(current, cfg.fine_cell_mm), stack)
     bounds.update(t0, w0)
 
     # warm-up: sample random neighbours to seed the min-max bounds
@@ -428,8 +434,8 @@ def interposer_sweep(
     None where the side is infeasible (too small for the chiplets' footprint
     budget, or for the packer). A side that is not > 0 and finite is an error,
     and so is any error raised while annealing a side that packs; a packed
-    side where no move is legal anneals from its packed plan. Each side is
-    checked, and its packed plan solved once per grid, before any side anneals.
+    side where no move is legal anneals from its packed plan. Every side, and its
+    packed plan on both grids (``_start``), is checked before any side anneals.
     """
     bad = next((i for i, side in enumerate(side_lengths_mm) if not 0 < side < math.inf), None)
     if bad is not None:
@@ -438,10 +444,8 @@ def interposer_sweep(
     for side in side_lengths_mm:
         try:
             sized = replace(spec, interposer_width_mm=side, interposer_height_mm=side)
-            plan = bst_placement(sized)
+            _start(sized, cfg)
         except (PlacementError, ValidationError):
             continue
-        for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
-            thermal.chiplet_peak(thermal.rasterize(plan, cell_mm), spec.stack)
         packed[side] = sized
     return [optimize(packed[side], cfg) if side in packed else None for side in side_lengths_mm]

@@ -47,9 +47,14 @@ class Grid(NamedTuple):
     def edges(self) -> tuple[np.ndarray, np.ndarray]:  # along x and y, mm from the origin
         return np.arange(self.nx + 1) * self.cell_mm, np.arange(self.ny + 1) * self.cell_mm
 
-    def offsets(self) -> tuple[np.ndarray, ...]:  # of cell centres from the mesh centre, mm
-        return tuple((np.arange(n) + 0.5) * self.cell_mm - n * self.cell_mm / 2.0
-                     for n in (self.nx, self.ny))
+    def cooled(self, sink_side_mm: float | None) -> np.ndarray:
+        """(ny, nx) mask of the top cells whose centres the centred sink covers, or raises."""
+        half = math.inf if sink_side_mm is None else sink_side_mm / 2.0
+        x, y = (np.abs((np.arange(n) + 0.5) * self.cell_mm - n * self.cell_mm / 2.0) <= half
+                for n in (self.nx, self.ny))
+        if not (x.any() and y.any()):
+            raise ThermalError("sink footprint covers no grid cells")
+        return np.outer(y, x)
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,9 @@ def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q, 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-# Two geometries hold an anneal: optimize solves on its coarse and fine grids, calibrate_k
-# reuses that pair for every K0. interposer_sweep's pre-check builds every side's pair before
-# any side anneals, so each pair is built twice (ROADMAP item 9 drops those solves).
+# Two geometries hold an anneal: optimize solves on its coarse and fine grids, and
+# calibrate_k reuses that pair for every K0. The annealer checks its grids on the mesh
+# (Grid.cooled) before the first move, so each interposer_sweep side builds its pair once.
 @lru_cache(maxsize=2)
 def _grid_model(stack: ThermalStack, grid: Grid) -> _GridModel:
     """Conductances and per-mode response columns for a grid geometry.
@@ -161,11 +166,7 @@ def _grid_model(stack: ThermalStack, grid: Grid) -> _GridModel:
     # convective top boundary: half top-layer conduction in series with h,
     # applied to the top cells whose centres the centred sink footprint covers
     g_amb = 1.0 / (t[-1] / (2.0 * k[-1] * a_face) + 1.0 / (stack.h_top_w_m2k * a_face))
-    half = math.inf if stack.sink_side_mm is None else stack.sink_side_mm / 2.0
-    off_x, off_y = grid.offsets()
-    mask = np.outer(np.abs(off_y) <= half, np.abs(off_x) <= half)
-    if not mask.any():
-        raise ThermalError("sink footprint covers no grid cells")
+    mask = grid.cooled(stack.sink_side_mm)
 
     # The cosine basis diagonalizes each layer's lateral operator, so with the
     # whole top face cooled mode (ky, kx) is an independent tridiagonal layers x

@@ -538,7 +538,7 @@ class TestUnwritableOut:
     """An --out that cannot be made a directory, or a report or manifest path
     in it that cannot be written, exits 1 with one
     `error: <path>: unwritable (<os error>)` line, as an unreadable input
-    does, prints nothing to stdout and leaves no manifest."""
+    does, prints nothing to stdout and leaves none of its reports."""
 
     @pytest.mark.parametrize("command", ["cost", "place"])
     @pytest.mark.parametrize("out, reason", [
@@ -567,7 +567,8 @@ class TestUnwritableOut:
         path = out / name
         assert capsys.readouterr() == ("", f"error: {path}: unwritable "
                                            f"([Errno 21] Is a directory: '{path}')\n")
-        assert not (out / "manifest.json").is_file()
+        # the reports written before the failed one are removed: only the pre-made directory
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 class TestFlagReadAsSpecKey:
@@ -658,13 +659,18 @@ class TestResolutionValidation:
         def no_moves(fp, rng):
             raise AssertionError("annealing started")
 
+        def no_models(stack, grid):
+            raise AssertionError("thermal model built")
+
         if message == SINK_GAP:
             doc = copy.deepcopy(SMALL_DOC)
             doc["package"].update(interposer_width_mm=22.0, interposer_height_mm=22.0)
             doc["stack"] = {"sink_side_mm": 0.8}
             spec_path = str(tmp_path / "sink-gap.json")
             Path(spec_path).write_text(json.dumps(doc))
+        # the grids are checked on the mesh, before any thermal model is built
         monkeypatch.setattr("chipletdse.place.propose_move", no_moves)
+        monkeypatch.setattr("chipletdse.thermal._grid_model", no_models)
         out = tmp_path / "o"
         status = main([command, "--spec", spec_path, "--out", str(out),
                        "--resolution", resolution, *extra])

@@ -709,14 +709,14 @@ class TestCalibrateAndSweep:
         assert results[2].final_peak_t > 45.0
 
     def test_grid_model_cache_holds_the_two_live_grids(self, infotainment):
-        # each side anneals on a coarse and a fine grid. The sweep's pre-check builds
-        # every side's pair before any side anneals, so 3 sides build their 6 geometries
-        # twice: 12 misses, which ROADMAP item 9's removal of those solves halves
+        # each side anneals on a coarse and a fine grid. The sweep checks every side's
+        # grids on the mesh before any side anneals, which builds no model, so 3 sides
+        # build their 6 geometries once each: 6 misses
         cfg = AnnealConfig(max_iterations=2, moves_per_iteration=3, seed=1)
         thermal._grid_model.cache_clear()
         assert None not in interposer_sweep(infotainment, [30.0, 40.0, 50.0], cfg)
         assert thermal._grid_model.cache_info().currsize <= 2
-        assert thermal._grid_model.cache_info().misses == 12
+        assert thermal._grid_model.cache_info().misses == 6
         # calibrate_k reuses one geometry pair for every K0: no rebuilds
         thermal._grid_model.cache_clear()
         calibrate_k(infotainment, [0.05, 0.1, 0.2], cfg)
