@@ -22,7 +22,7 @@ from chipletdse.model import (
     ServiceSpec,
     ThermalStack,
 )
-from tests.test_thermal import SMALL, dense_solve, power_map, soc_plan, split_plan
+from test_thermal import SMALL, dense_solve, power_map, soc_plan, split_plan
 
 
 def report(n: int, title: str):

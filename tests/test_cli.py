@@ -78,6 +78,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"{chipletdse.__version__}\n", "")
+
+
 class TestCostCommand:
     def test_writes_report_and_manifest(self, spec_path, tmp_path, capsys):
         out = tmp_path / "cost"
@@ -470,6 +477,14 @@ class TestSpecErrors:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()  # the run fails before main makes --out
 
+    def test_non_number_flag_value_names_its_field(self, tmp_path, capsys):
+        # a flag's text that is no number is a spec error (status 1), not a usage error (2)
+        out = tmp_path / "o"
+        assert main(["phy", "--sf", "x", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: phy.safety_factor: expected a finite number, got 'x'\n"
+        assert not out.exists()
+
 
 def subparsers():
     return next(a for a in build_parser()._actions
@@ -738,6 +753,15 @@ class TestCalibrateAndSweepCommands:
         assert rows[1][3] == "false" and rows[2][3] == "true"
         assert "infeasible" in capsys.readouterr().out
 
+    def test_partial_sink_sweep_on_the_fine_grid(self, tmp_path):
+        # at 50 mm the bundled 40 mm sink leaves 22,500 of the 0.2 mm grid's top
+        # cells uncooled, and the fine solve runs CG over them
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", chipletdse.bundled_spec_path(), "--resolution", "0.2",
+                     "--sides", "30,50", "--out", str(out)]) == 0
+        rows = read_csv(out / "interposer_sweep.csv")
+        assert [(r[0], r[3]) for r in rows[1:]] == [("30", "true"), ("50", "true")]
+
     @pytest.mark.parametrize("sides, error", [
         pytest.param("20,0", "sides[1]: must be > 0 and finite", id="20,0"),
         pytest.param("-5", "sides[0]: must be > 0 and finite", id="-5"),
@@ -748,7 +772,7 @@ class TestCalibrateAndSweepCommands:
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", spec_path, "--out", str(out), "--sides", sides]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-        assert not (out / "interposer_sweep.csv").exists()
+        assert not out.exists()  # the run fails before main makes --out
 
     def test_every_k_checked_before_annealing(self, spec_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(place, "optimize", lambda *args: pytest.fail("annealed"))
@@ -776,11 +800,19 @@ class TestCalibrateAndSweepCommands:
 
 
 class TestRerunCommand:
-    def test_rerun_reproduces_outputs(self, spec_path, tmp_path):
-        out = tmp_path / "run"
-        assert main(["place", "--spec", spec_path, "--out", str(out)]) == 0
-        before = {name: (out / name).read_bytes()
-                  for name in ("floorplan.json", "floorplan.svg", "history.csv")}
+    @pytest.mark.parametrize("argv, inputs", [
+        ("place --spec SPEC", ["SPEC"]),
+        # no --spec: the manifest records no input, and rerun reads each flag again
+        ("phy --clock 8e9 --sf 2 --er 4 --sigma 5e7", []),
+    ], ids=["place", "phy-flags"])
+    def test_rerun_reproduces_outputs(self, spec_path, tmp_path, argv, inputs):
+        out, given = tmp_path / "run", {"SPEC": spec_path}
+        assert main([given.get(a, a) for a in argv.split()] + ["--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert list(recorded) == [given[a] for a in inputs]
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        for name in before:
+            (out / name).unlink()
         assert main(["rerun", str(out / "manifest.json")]) == 0
         for name, blob in before.items():
             assert (out / name).read_bytes() == blob

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipletdse import thermal
+from chipletdse import place, thermal
 from chipletdse.model import (
     DEFAULT_STACK_LAYERS,
     Floorplan,
@@ -347,6 +347,13 @@ class TestSolver:
         cool = solve_steady_state(pm, ThermalStack(h_top_w_m2k=2000.0))
         warm = solve_steady_state(pm, ThermalStack(h_top_w_m2k=500.0))
         assert peak_temperature(warm) > peak_temperature(cool)
+
+    def test_largest_grid_balances_energy(self, bundle):
+        # 0.08 mm cells on the bundled 40 mm interposer: the 500 x 500 cap
+        pm = rasterize(place.bst_placement(bundle.package), 0.08)
+        tf = solve_steady_state(pm, bundle.package.stack)
+        assert tf.grid == Grid(500, 500, 0.08)
+        assert boundary_heat_flow(tf) == pytest.approx(pm.cells.sum(), rel=1e-9)
 
 
 class TestSinkFootprint:
