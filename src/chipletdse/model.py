@@ -379,17 +379,14 @@ class Floorplan:
     width_mm: float
     height_mm: float
     placements: tuple[PlacedChiplet, ...]
-    links: tuple[tuple[str, str, float], ...] = ()  # (a, b, weight), a declared before b
+    # (a, b, weight): a declared before b from links_from_spec; as written from a document
+    links: tuple[tuple[str, str, float], ...] = ()
     min_spacing_mm: float = 0.0
 
     def __post_init__(self) -> None:
         # O(1), as the annealer builds one per move; placement legality is validate()'s job
         _positive(self, "width_mm", "height_mm")
         _non_negative(self, "min_spacing_mm")
-
-    @property
-    def total_power(self) -> float:
-        return sum(p.power_w for p in self.placements)
 
     def is_valid(self) -> bool:
         try:

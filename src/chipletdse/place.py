@@ -253,8 +253,8 @@ def propose_move(fp: Floorplan, rng: Draws) -> Floorplan:
         i = int(rng.integers(0, n))  # every kind's first draw: the chiplet to move
         p = fp.placements[i]
         if kind == 0:  # translate
-            # lo + (hi - lo) * rng.random() is how numpy defines rng.uniform(lo, hi):
-            # the same draws, at a fifth of the call's cost
+            # lo + (hi - lo) * rng.random() is numpy's definition of rng.uniform(lo, hi),
+            # which TestProposeMoveReference compares against; _Pcg64 has no uniform
             magnitude = step_mm * 10.0 ** (-2.0 + 2.0 * rng.random())
             angle = 2.0 * math.pi * rng.random()
             moves = {i: (p, p.x_mm + magnitude * math.cos(angle),
@@ -311,26 +311,20 @@ class AnnealResult:
         return len(self.history)
 
 
-def _peak(fp: Floorplan, stack, cell_mm: float) -> float:
-    """Peak chiplet temperature on a cell_mm grid, from a full field that
-    passed ``solve_steady_state``'s residual guard. ``thermal.rasterize``
-    validates ``fp`` first, so an illegal plan raises ValidationError."""
-    tf = thermal.solve_steady_state(thermal.rasterize(fp, cell_mm), stack)
-    return thermal.peak_temperature(tf)
+def _score(fp: Floorplan, stack, grid: thermal.Grid) -> tuple[float, float]:
+    """(``thermal.plan_peak``, wirelength) of a legal move, on ``_start``'s checked coarse
+    grid: no second check, and the chiplet layer alone (``thermal.chiplet_peak``)."""
+    return thermal.chiplet_peak(thermal._rasterize(fp, grid), stack), wirelength(fp)
 
 
-def _score(fp: Floorplan, stack, cell_mm: float) -> tuple[float, float]:
-    """(``_peak``, wirelength) of a plan ``propose_move`` has just proved legal:
-    no second validate, and the chiplet layer alone (``thermal.chiplet_peak``)."""
-    return thermal.chiplet_peak(thermal._rasterize(fp, cell_mm), stack), wirelength(fp)
-
-
-def _start(spec: PackageSpec, cfg: AnnealConfig) -> Floorplan:
-    """The packed plan, once it rasterizes and the sink covers a cell centre on both grids."""
-    plan = bst_placement(spec)
+def _start(spec: PackageSpec, cfg: AnnealConfig) -> tuple[Floorplan, thermal.Grid]:
+    """The packed plan and its coarse grid, once the plan rasterizes and the sink covers
+    a cell centre on both grids. Moves keep the package and the chiplets' sides."""
+    plan, grids = bst_placement(spec), []
     for cell_mm in (cfg.coarse_cell_mm, cfg.fine_cell_mm):
-        thermal.rasterize(plan, cell_mm).grid.cooled(spec.stack.sink_side_mm)
-    return plan
+        grids.append(thermal.rasterize(plan, cell_mm).grid)
+        grids[-1].cooled(spec.stack.sink_side_mm)
+    return plan, grids[0]
 
 
 def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealResult:
@@ -342,19 +336,20 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
     """
     rng = _Pcg64(cfg.seed)
     stack = spec.stack
-    current = _start(spec, cfg)
+    current, coarse = _start(spec, cfg)
 
     if len(current.placements) == 1:
         p = current.placements[0]
         centered = replace(current, placements=(replace(
             p, x_mm=(current.width_mm - p.width_mm) / 2.0,
             y_mm=(current.height_mm - p.height_mm) / 2.0),))
-        t, w = _peak(centered, stack, cfg.coarse_cell_mm), wirelength(centered)
+        t, w = thermal.plan_peak(centered, stack, cfg.coarse_cell_mm), wirelength(centered)
         row = HistoryRow(0, t, w, 0.0, cfg.k0)
-        return AnnealResult(centered, (row,), t, _peak(centered, stack, cfg.fine_cell_mm), True)
+        return AnnealResult(centered, (row,), t,
+                            thermal.plan_peak(centered, stack, cfg.fine_cell_mm), True)
 
     bounds = NormalizationBounds()
-    t0, w0 = _peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
+    t0, w0 = thermal.plan_peak(current, stack, cfg.coarse_cell_mm), wirelength(current)
     bounds.update(t0, w0)
 
     # warm-up: sample random neighbours to seed the min-max bounds
@@ -363,7 +358,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
             probe = propose_move(current, rng)
         except PlacementError:
             break
-        bounds.update(*_score(probe, stack, cfg.coarse_cell_mm))
+        bounds.update(*_score(probe, stack, coarse))
 
     cur_t, cur_w = t0, w0
     # every state the chain visits; "best" is chosen under the final bounds
@@ -382,7 +377,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
                 neighbor = propose_move(current, rng)
             except PlacementError:
                 break  # no legal move from here: the epoch ends, as the warm-up does
-            nb_t, nb_w = _score(neighbor, stack, cfg.coarse_cell_mm)
+            nb_t, nb_w = _score(neighbor, stack, coarse)
             bounds.update(nb_t, nb_w)
             cur_cost = anneal_cost(cur_t, cur_w, bounds)
             nb_cost = anneal_cost(nb_t, nb_w, bounds)
@@ -390,7 +385,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
                 current, cur_t, cur_w = neighbor, nb_t, nb_w
                 visited.append((current, cur_t, cur_w))
         # once per epoch the full field: residual-checked, and the score must agree
-        full_t = _peak(current, stack, cfg.coarse_cell_mm)
+        full_t = thermal.plan_peak(current, stack, cfg.coarse_cell_mm)
         if not abs(full_t - cur_t) <= SCORE_GUARD_C:
             raise PlacementError(f"epoch {it}: move score {cur_t!r} C disagrees with "
                                  f"the full solve's {full_t!r} C")
@@ -407,7 +402,7 @@ def optimize(spec: PackageSpec, cfg: AnnealConfig = AnnealConfig()) -> AnnealRes
 
     best, _, _ = min(visited, key=lambda entry: anneal_cost(entry[1], entry[2], bounds))
     return AnnealResult(best, tuple(history), t0,
-                        _peak(best, stack, cfg.fine_cell_mm), converged)
+                        thermal.plan_peak(best, stack, cfg.fine_cell_mm), converged)
 
 
 # ---------------------------------------------------------------------------

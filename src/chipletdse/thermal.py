@@ -98,26 +98,24 @@ def _overlap(lo: np.ndarray, hi: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
-    """Spread each chiplet's power uniformly over the cells it covers.
-
-    Partial cells get area-weighted shares, so total power is conserved
-    exactly (up to float rounding).
-    """
+    """Spread each chiplet's power uniformly over the cells it covers; partial cells
+    get area-weighted shares, so total power is conserved (up to float rounding).
+    The one check of a plan against a grid: cell > 0, a legal plan, no chiplet
+    narrower than a cell, then ``grid_shape``'s cap on cells per side."""
     if not cell_mm > 0:
         raise ThermalError(f"cell size must be > 0 mm, got {cell_mm}")
     floorplan.validate()
-    return _rasterize(floorplan, cell_mm)
+    small = [p.name for p in floorplan.placements if min(p.eff_width, p.eff_height) < cell_mm]
+    if small:
+        raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
+                           f"chiplet {small[0]!r}")
+    return _rasterize(floorplan, grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm))
 
 
-def _rasterize(floorplan: Floorplan, cell_mm: float) -> PowerMap:
-    """``rasterize`` of a floorplan already known to be legal, with cell_mm > 0."""
+def _rasterize(floorplan: Floorplan, grid: Grid) -> PowerMap:
+    """``rasterize`` onto a grid it made for this package and these chiplets, unchecked."""
     x, y, w, h, power = np.array([(p.x_mm, p.y_mm, p.eff_width, p.eff_height, p.power_w)
                                   for p in floorplan.placements]).reshape(-1, 5).T
-    small = np.minimum(w, h) < cell_mm
-    if small.any():
-        raise ThermalError(f"cell size {cell_mm} mm exceeds smallest dimension of "
-                           f"chiplet {floorplan.placements[small.argmax()].name!r}")
-    grid = grid_shape(floorplan.width_mm, floorplan.height_mm, cell_mm)
     x_edges, y_edges = grid.edges()
     ox, oy = _overlap(x, x + w, x_edges), _overlap(y, y + h, y_edges)
     density = power / (w * h)  # W/mm^2
@@ -309,6 +307,13 @@ def peak_temperature(tf: TemperatureField, layer: str = CHIPLET_LAYER) -> float:
     return float(tf.layer(layer).max())
 
 
+def plan_peak(floorplan: Floorplan, stack: ThermalStack, cell_mm: float) -> float:
+    """Peak chiplet-layer temperature of a plan on a cell_mm grid, from a full field
+    that passed ``solve_steady_state``'s residual guard. ``rasterize`` checks the
+    plan first, so an illegal plan raises ValidationError."""
+    return peak_temperature(solve_steady_state(rasterize(floorplan, cell_mm), stack))
+
+
 def compare_soc_vs_chiplet(soc_plan: Floorplan, split_plan: Floorplan, stack: ThermalStack,
                            cell_mm: float) -> tuple[float, float, float]:
     """Peak chiplet-layer temperatures of two power-controlled floorplans.
@@ -316,11 +321,10 @@ def compare_soc_vs_chiplet(soc_plan: Floorplan, split_plan: Floorplan, stack: Th
     Returns (peak_soc, peak_split, delta). The plans must carry equal total
     power, otherwise the comparison is meaningless and an error is raised.
     """
-    p_soc, p_split = soc_plan.total_power, split_plan.total_power
+    p_soc, p_split = (sum(p.power_w for p in plan.placements) for plan in (soc_plan, split_plan))
     if not math.isclose(p_soc, p_split, rel_tol=1e-9):
         raise ValidationError(
             f"total power differs: {p_soc} W vs {p_split} W; the comparison "
             "must be power-controlled")
-    peak_soc = peak_temperature(solve_steady_state(rasterize(soc_plan, cell_mm), stack))
-    peak_split = peak_temperature(solve_steady_state(rasterize(split_plan, cell_mm), stack))
+    peak_soc, peak_split = (plan_peak(plan, stack, cell_mm) for plan in (soc_plan, split_plan))
     return peak_soc, peak_split, peak_soc - peak_split

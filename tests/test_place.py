@@ -14,7 +14,6 @@ from chipletdse.thermal import ThermalError
 from chipletdse.place import (
     PERSISTENCE,
     RETRY_CAP,
-    _peak,
     _Pcg64,
     AnnealConfig,
     NormalizationBounds,
@@ -393,6 +392,19 @@ class TestRowLegality:
         for _ in range(20):
             fp = propose_move(fp, rng)
 
+    def test_moves_rasterize_onto_the_checked_grid(self, monkeypatch):
+        # every grid check comes from a checked rasterize: the warm-up probes and
+        # the moves are spread onto the coarse grid _start checked, not re-meshed
+        calls = {"grid_shape": 0, "rasterize": 0}
+        for name in calls:
+            def counted(*args, real=getattr(thermal, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(thermal, name, counted)
+        r = optimize(small_spec(), FAST)
+        assert r.iterations > 0 and calls["rasterize"] == 2 + 1 + r.iterations + 1
+        assert calls["grid_shape"] == calls["rasterize"]
+
 
 # numpy 2.4.6's np.random.default_rng(seed) for CALLS, an int n meaning
 # integers(0, n) and None meaning random(): the stream the annealer draws, pinned
@@ -497,7 +509,7 @@ class TestAnnealProperties:
             assert row.iteration == it
             assert row.k == max(cfg.k0 * cfg.decay ** it, math.ulp(0.0))
             assert 0.0 <= row.cost <= 1.0
-        assert r.final_peak_t == _peak(r.floorplan, spec.stack, cfg.fine_cell_mm)
+        assert r.final_peak_t == thermal.plan_peak(r.floorplan, spec.stack, cfg.fine_cell_mm)
         assert optimize(spec, cfg) == r
 
 

@@ -1,10 +1,11 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chipletdse import place, thermal
@@ -563,3 +564,61 @@ class TestSocVsChiplet:
                  for g in (2.0, 4.0, 8.0)]
         assert peaks[0] > peaks[1] > peaks[2]
         assert peaks[1] == peak_4
+
+
+def mirrored(fp, turn):
+    """fp on its square interposer of side S mirrored in x ("x"), in y ("y"), turned
+    by 180 degrees ("turn") or transposed ("transpose"): each is the same package."""
+    s = fp.width_mm
+
+    def moved(p):
+        x, y = s - p.x_mm - p.eff_width, s - p.y_mm - p.eff_height
+        return {"x": replace(p, x_mm=x), "y": replace(p, y_mm=y),
+                "turn": replace(p, x_mm=x, y_mm=y, rotation_deg=(p.rotation_deg + 180) % 360),
+                "transpose": replace(p, x_mm=p.y_mm, y_mm=p.x_mm,
+                                     rotation_deg=(p.rotation_deg + 90) % 360)}[turn]
+    return replace(fp, placements=tuple(moved(p) for p in fp.placements))
+
+
+class TestPhysicalChecks:
+    """Checks from physics, not from a copy of the discrete model."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(layers=st.lists(st.tuples(st.floats(0.02, 2.0), st.floats(0.2, 500.0)),
+                           min_size=2, max_size=6),
+           at=st.integers(0, 5), h_top=st.floats(100.0, 1e5), power=st.floats(0.1, 200.0),
+           side=st.integers(1, 20).map(lambda n: 2.0 * n),
+           cell_mm=st.sampled_from([2.0, 1.0, 0.5]))
+    def test_uniform_plan_is_a_1d_series(self, layers, at, h_top, power, side, cell_mm):
+        # one chiplet covers the whole interposer under a whole-face sink: no heat
+        # flows sideways, so each column is the series resistance from the chiplet
+        # layer's centre up through every layer above and the convective film
+        at %= len(layers)
+        stack = ThermalStack(
+            tuple(LayerSpec("chiplet" if i == at else f"l{i}", t, k)
+                  for i, (t, k) in enumerate(layers)), h_top_w_m2k=h_top)
+        fp = Floorplan(side, side, (PlacedChiplet("die", 0.0, 0.0, 0, side, side, power),))
+        (t_c, k_c), above = layers[at], layers[at + 1:]
+        r_area = t_c * MM / (2 * k_c) + sum(t * MM / k for t, k in above) + 1.0 / h_top
+        rise = power * r_area / (side * MM) ** 2
+        chip = solve_steady_state(rasterize(fp, cell_mm), stack).layer("chiplet")
+        assert chip.shape == (round(side / cell_mm),) * 2
+        assert np.abs(chip - stack.ambient_c - rise).max() <= 1e-9 * rise
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(side=st.integers(30, 50), cell_mm=st.sampled_from([2.0, 1.0, 0.5]),
+           seed=st.integers(0, 2**32 - 1), moves=st.integers(0, 20))
+    def test_peak_is_symmetric_on_a_square_interposer(self, infotainment, side, cell_mm, seed,
+                                                      moves):
+        # with the sink centred, a mirrored, turned or transposed plan is the same
+        # package; sides the cell does not divide mesh past one edge (ROADMAP item 4)
+        assume(side % cell_mm == 0)
+        fp = place.bst_placement(replace(infotainment, interposer_width_mm=float(side),
+                                         interposer_height_mm=float(side)))
+        rng = place._Pcg64(seed)
+        for _ in range(moves):
+            fp = place.propose_move(fp, rng)
+        stack = infotainment.stack
+        peak = thermal.plan_peak(fp, stack, cell_mm)
+        for turn in ("x", "y", "turn", "transpose"):
+            assert abs(thermal.plan_peak(mirrored(fp, turn), stack, cell_mm) - peak) <= 1e-9
