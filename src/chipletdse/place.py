@@ -435,6 +435,7 @@ def interposer_sweep(
     bad = next((i for i, side in enumerate(side_lengths_mm) if not 0 < side < math.inf), None)
     if bad is not None:
         raise PlacementError(f"sides[{bad}]: must be > 0 and finite")
+    # plans not reused: every side is checked before any anneals, each in one optimize call
     packed = {}
     for side in side_lengths_mm:
         try:

@@ -282,10 +282,12 @@ def chiplet_peak(pm: PowerMap, stack: ThermalStack) -> float:
     The annealer's per-move score: ``_solve`` transforms back only the chiplet
     layer (and, under a partial sink, the top layer that starts CG), so no full
     field or stencil residual is built. The rise is computed by the same
-    operations as ``solve_steady_state``'s, and adding ambient rounds
-    monotonically, so this equals ``peak_temperature(solve_steady_state(pm,
-    stack))`` bit for bit. It fails closed: a CG that misses its bound, or a
-    peak below ambient (NaN included), raises ThermalError.
+    operations as ``solve_steady_state``'s: ``_solve(model, p, model.chip)``
+    equals ``_solve(model, p)[model.chip]`` bit for bit, over the whole layer.
+    Adding ambient rounds monotonically, so this equals
+    ``peak_temperature(solve_steady_state(pm, stack))`` bit for bit. It fails
+    closed: a CG that misses its bound, or a peak below ambient (NaN included),
+    raises ThermalError.
     """
     model = _grid_model(stack, pm.grid)
     peak = stack.ambient_c + _solve(model, pm.cells, model.chip).max()
