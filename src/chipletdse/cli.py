@@ -95,12 +95,12 @@ def _cmd_power(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import power
     if not bundle.tiles:
         raise SpecError("tiles: no tile rows")
-    rows_out, total = power.system_power(bundle.tiles)
+    breakdowns, total = power.system_power([p for _, p in bundle.tiles])
     rows = [[name, b.switching, b.short_circuit, b.leakage, b.total]
-            for name, b in rows_out]
-    rows.append(["SYSTEM", sum(b.switching for _, b in rows_out),
-                 sum(b.short_circuit for _, b in rows_out),
-                 sum(b.leakage for _, b in rows_out), total])
+            for (name, _), b in zip(bundle.tiles, breakdowns)]
+    rows.append(["SYSTEM", sum(b.switching for b in breakdowns),
+                 sum(b.short_circuit for b in breakdowns),
+                 sum(b.leakage for b in breakdowns), total])
     return ({"power.csv": _csv(["tile", "switching_w", "short_circuit_w", "leakage_w", "total_w"],
                                rows)},
             [f"system_power_w = {fmt(total)}"])

@@ -257,14 +257,6 @@ class PhySpec:
 
 
 @dataclass(frozen=True)
-class TileOperatingPoint:
-    """A tile's DVFS operating point: its params hold its own (F, V)."""
-
-    name: str
-    params: PowerParams
-
-
-@dataclass(frozen=True)
 class AnnealConfig:
     """Simulated-annealing schedule and thermal grids of the placer."""
 
@@ -655,14 +647,14 @@ class SpecBundle:
     process: ProcessCostParams
     anneal: AnnealConfig
     phy: PhySpec
-    tiles: tuple[TileOperatingPoint, ...]
+    tiles: tuple[tuple[str, PowerParams], ...]  # (name, params): a tile states its own F and V
     configs: tuple[ConfigSpec, ...]
 
 
-def _tile(doc: Any, path: str) -> TileOperatingPoint:
-    return TileOperatingPoint(_text(doc, "name", path), _section(  # a tile states its own F and V
+def _tile(doc: Any, path: str) -> tuple[str, PowerParams]:
+    return _text(doc, "name", path), _section(
         PowerParams, doc, path, frequency_hz=_num(doc, "frequency_hz", path),
-        voltage_v=_num(doc, "voltage_v", path)))
+        voltage_v=_num(doc, "voltage_v", path))
 
 
 def _config_rows(docs: list, path: str) -> tuple[ConfigSpec, ...]:
@@ -703,7 +695,7 @@ def load_bundle(document: dict | str | Path, flags: dict | None = None) -> SpecB
     doc = read_document(document)
     package = load_spec(doc)
     tiles = tuple(_tile(td, f"tiles[{i}]") for i, td in enumerate(_list(doc, "tiles")))
-    require_unique([t.name for t in tiles], "tiles")
+    require_unique([name for name, _ in tiles], "tiles")
     return SpecBundle(
         package=package,
         process=_section(ProcessCostParams, doc.get("process", {}), "process", flags),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ChipletdseError, PowerParams, TileOperatingPoint, require_unique
+from .model import ChipletdseError, PowerParams
 
 
 class PowerError(ChipletdseError, ValueError):
@@ -41,8 +41,7 @@ def power_breakdown(p: PowerParams) -> PowerBreakdown:
     return PowerBreakdown(switching, short, leakage)
 
 
-def system_power(tiles: list[TileOperatingPoint]) -> tuple[list[tuple[str, PowerBreakdown]], float]:
-    """Per-tile breakdowns and their exact sum."""
-    require_unique([t.name for t in tiles], "tiles")
-    rows = [(t.name, power_breakdown(t.params)) for t in tiles]
-    return rows, sum(b.total for _, b in rows)
+def system_power(blocks: list[PowerParams]) -> tuple[list[PowerBreakdown], float]:
+    """Each block's breakdown and their sum."""
+    breakdowns = [power_breakdown(p) for p in blocks]
+    return breakdowns, sum(b.total for b in breakdowns)

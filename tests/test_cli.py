@@ -334,6 +334,11 @@ class TestSpecErrors:
             {"name": "chiplet", "thickness_mm": 1.0, "conductivity_w_mk": 130.0},
             {"name": "chiplet", "thickness_mm": 0.5, "conductivity_w_mk": 130.0}]}),
          "stack.layers[1].name: duplicate name 'chiplet'"),
+        ("cost", lambda d: d["tiles"][1].update(name="t0"), "tiles[1].name: duplicate name 't0'"),
+        ("cost", lambda d: d["configs"][1].update(name="C1"),
+         "configs[1].name: duplicate name 'C1'"),
+        ("cost", lambda d: d["chiplets"][3].update(name="c"),
+         "chiplets[3].name: duplicate name 'c'"),
         ("cost", lambda d: d["chiplets"][1]["ports"].append({"peer": "a", "weight": 3.0}),
          "chiplets[1].ports[1].weight: conflicting connection weights between 'a' and 'b': "
          "2.0 vs 3.0"),

@@ -29,6 +29,10 @@ class TestDieYield:
     def test_zero_area_yields_one(self):
         assert cy.die_yield(0.0, P) == 1.0
 
+    def test_negative_area_rejected(self):
+        with pytest.raises(cy.CostModelError, match="^area must be >= 0$"):
+            cy.die_yield(-1.0, P)
+
     def test_soc_area(self):
         assert cy.die_yield(858.0, P) == pytest.approx(0.2575, abs=5e-4)
 
@@ -65,6 +69,10 @@ class TestGrossDies:
 class TestAssemblyYield:
     def test_empty_package(self):
         assert cy.assembly_yield(0, P0) == 1.0
+
+    def test_negative_die_count_rejected(self):
+        with pytest.raises(cy.CostModelError, match="^die count must be >= 0$"):
+            cy.assembly_yield(-1, P0)
 
     def test_single_die(self):
         assert cy.assembly_yield(1, P0) == pytest.approx(0.999)
@@ -113,6 +121,10 @@ class TestCostRatio:
 
     def test_identity(self):
         assert cy.cost_ratio(858.0, [858.0], P0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_no_chiplets_rejected(self):
+        with pytest.raises(cy.CostModelError, match="^chiplet system has no dies$"):
+            cy.cost_ratio(858.0, [], P)
 
     def test_zero_defect_density_equal_silicon(self):
         # with d0=0 and an area-preserving split only assembly yield and

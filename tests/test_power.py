@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipletdse.model import PowerParams, ValidationError
-from chipletdse.power import TileOperatingPoint, power_breakdown, system_power
+from chipletdse.power import power_breakdown, system_power
 
 
 class TestPowerBreakdown:
@@ -63,35 +63,25 @@ class TestPowerBreakdown:
 
 class TestSystemPower:
     def test_empty(self):
-        rows, total = system_power([])
-        assert rows == [] and total == 0.0
+        breakdowns, total = system_power([])
+        assert breakdowns == [] and total == 0.0
 
     def test_single_tile_matches_breakdown(self):
-        tile = TileOperatingPoint("t0", PowerParams())
-        rows, total = system_power([tile])
-        assert total == power_breakdown(tile.params).total
+        breakdowns, total = system_power([PowerParams()])
+        assert breakdowns == [power_breakdown(PowerParams())]
+        assert total == power_breakdown(PowerParams()).total
 
     def test_two_identical_tiles_double(self):
-        tile = lambda n: TileOperatingPoint(n, PowerParams())
-        _, one = system_power([tile("a")])
-        _, two = system_power([tile("a"), tile("b")])
+        _, one = system_power([PowerParams()])
+        _, two = system_power([PowerParams()] * 2)
         assert two == pytest.approx(2 * one, rel=1e-15)
-
-    def test_duplicate_names_rejected(self):
-        tiles = [TileOperatingPoint("a", PowerParams())] * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            system_power(tiles)
 
     def test_area_split_preserves_total(self):
         # splitting one block into n equal-area tiles leaves total power
         # unchanged: the quantitative core of the SoC-vs-chiplet power claim
-        whole = TileOperatingPoint("soc", PowerParams(area_mm2=800.0))
-        _, p_whole = system_power([whole])
+        _, p_whole = system_power([PowerParams(area_mm2=800.0)])
         # the aggregate logic is split too: C and B divide across the tiles
-        parts = [
-            TileOperatingPoint(f"c{i}", PowerParams(area_mm2=200.0, load_capacitance_f=0.25e-9,
-                                                    gain_factor_a_v2=0.25e-4))
-            for i in range(4)
-        ]
+        parts = [PowerParams(area_mm2=200.0, load_capacitance_f=0.25e-9, gain_factor_a_v2=0.25e-4)
+                 for _ in range(4)]
         _, p_parts = system_power(parts)
         assert p_parts == pytest.approx(p_whole, rel=1e-12)

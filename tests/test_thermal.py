@@ -246,6 +246,16 @@ class TestSolver:
         tf = solve_steady_state(power_map(np.zeros((4, 4))), SMALL)
         assert np.allclose(tf.data, SMALL.ambient_c, atol=1e-9)
 
+    def test_field_below_ambient_raises(self):
+        # negative cells satisfy the residual check; the ambient floor rejects them
+        with pytest.raises(ThermalError, match="^temperature field dips below ambient"):
+            solve_steady_state(power_map(np.full((4, 4), -1.0)), SMALL)
+
+    def test_unknown_layer_raises(self):
+        tf = solve_steady_state(power_map(np.zeros((2, 2))), SMALL)
+        with pytest.raises(KeyError, match="unknown layer 'nope'"):
+            tf.layer("nope")
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         for base, (shape, sink_side_mm) in itertools.product((SMALL, CHIP_ON_TOP), [
