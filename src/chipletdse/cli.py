@@ -81,9 +81,9 @@ def _cmd_cost(args, bundle: SpecBundle) -> tuple[dict, list[str]]:
     from . import costyield
     chiplets = bundle.package.chiplets
     breakdown = costyield.package_cost([c.area for c in chiplets], bundle.process)
-    rows = [[c.name, d.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
+    rows = [[c.name, c.area, d.gross_dies_per_wafer, d.die_yield, d.cost_per_die]
             for c, d in zip(chiplets, breakdown.dies)]
-    rows.append(["PACKAGE", sum(d.area for d in breakdown.dies),
+    rows.append(["PACKAGE", sum(c.area for c in chiplets),
                  bundle.process.n_connections, breakdown.assembly_yield, breakdown.package_cost])
     return ({"cost.csv": _csv(["die", "area_mm2", "gross_dies_or_connections", "yield", "cost"],
                               rows)},

@@ -51,7 +51,6 @@ def assembly_yield(n_dies: int, params: ProcessCostParams) -> float:
 
 @dataclass(frozen=True)
 class DieCost:
-    area: float
     gross_dies_per_wafer: int
     die_yield: float
     cost_per_die: float  # of one good die
@@ -74,7 +73,7 @@ def die_cost(area: float, params: ProcessCostParams) -> DieCost:
         raise CostModelError(f"die of {area} mm^2 exceeds wafer capacity")
     if y == 0:
         raise CostModelError(f"die of {area} mm^2: yield underflows to 0")
-    return DieCost(area, gross, y, params.wafer_cost / (gross * y))
+    return DieCost(gross, y, params.wafer_cost / (gross * y))
 
 
 def package_cost(areas: list[float], params: ProcessCostParams) -> CostBreakdown:

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Collection
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -181,18 +182,15 @@ class ProcessCostParams:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """Inputs of the analytic latency/throughput model."""
+    """Inputs of the analytic latency model."""
 
     word_bits: float
     service_bandwidth: float  # bits/s
     base_latency: float = 0.0  # s
-    clock: float = 2e9  # Hz
-    channels: int = 1
-    bits_per_channel_per_cycle: float = 1.0
 
     def __post_init__(self) -> None:
-        _positive(self, "service_bandwidth", "clock")
-        _non_negative(self, "word_bits", "base_latency", "channels")
+        _positive(self, "service_bandwidth")
+        _non_negative(self, "word_bits", "base_latency")
 
 
 @dataclass(frozen=True)
@@ -449,8 +447,9 @@ def floorplan_to_document(fp: Floorplan) -> dict:
 
 def floorplan_from_document(document: dict | str | Path) -> Floorplan:
     doc = read_document(document)
+    _known(doc, "", ("interposer", "placements", "links"))
     placements = tuple(
-        _section(PlacedChiplet, pd, f"placements[{i}]",
+        _section(PlacedChiplet, pd, f"placements[{i}]", keys=("name", "rotation_deg"),
                  name=_text(pd, "name", f"placements[{i}]", f"chiplet{i}"),
                  rotation_deg=_int(pd, "rotation_deg", f"placements[{i}]", 0))
         for i, pd in enumerate(_list(doc, "placements")))
@@ -460,6 +459,7 @@ def floorplan_from_document(document: dict | str | Path) -> Floorplan:
         path = f"links[{i}]"
         if not isinstance(ld, dict):
             raise ValidationError(f"{path}: expected an object")
+        _known(ld, path, ("a", "b", "weight"))
         for end in ("a", "b"):
             _require(ld.get(end) in names, f"{path}.{end}", f"unknown placement {ld.get(end)!r}")
         weight = _num(ld, "weight", path, 1.0)
@@ -553,17 +553,31 @@ def read_numbers(text: str, path: str) -> list[float]:
     return [_finite(_flag_value(v), f"{path}[{i}]") for i, v in enumerate(text.split(","))]
 
 
-def _section(cls, doc: Any, path: str, flags: dict | None = None, **given):
+def _known(doc: dict, path: str, keys: Collection[str]) -> None:
+    """Raise ``ValidationError("<path>.<key>: unknown key")`` at the first key of
+    ``doc`` not in ``keys``; a top-level key (path "") is named alone, and an
+    empty or unprintable one by its repr, so the error stays one line."""
+    for key in doc:
+        if key not in keys:
+            name = key if key and str(key).isprintable() else repr(key)
+            raise ValidationError(f"{path}.{name}: unknown key" if path else f"{name}: unknown key")
+
+
+def _section(cls, doc: Any, path: str, flags: dict | None = None, keys: Collection[str] = (),
+             **given):
     """Build dataclass ``cls`` from the spec object ``doc``.
 
     Each field not in ``given`` reads the spec key of its own name, or the flag
     ``<path>.<field>`` in ``flags`` if given (not None); a field whose default is
     an int reads an integer. An absent key takes the field's default, or is a
-    missing-field error if it has none. A range error that ``cls`` raises as
+    missing-field error if it has none. ``doc`` may hold only those keys and
+    ``keys``, the ones the caller read itself: a field that ``given`` fills from
+    elsewhere is no key of ``doc``. A range error that ``cls`` raises as
     ``"<field>: <reason>"`` is re-raised as ``ValidationError("<path>.<field>: <reason>")``.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
+    _known(doc, path, {f.name for f in fields(cls) if f.name not in given}.union(keys))
     doc = {**doc, **{key.removeprefix(f"{path}."): _flag_value(text) for key, text in
                      (flags or {}).items() if key.startswith(f"{path}.") and text is not None}}
     kwargs = dict(given)
@@ -578,11 +592,14 @@ def _section(cls, doc: Any, path: str, flags: dict | None = None, **given):
 
 
 def _port(doc: Any, path: str) -> tuple[str, float]:
-    return _text(doc, "peer", path), _num(doc, "weight", path, 1.0)
+    peer, weight = _text(doc, "peer", path), _num(doc, "weight", path, 1.0)
+    _known(doc, path, ("peer", "weight"))
+    return peer, weight
 
 
 def _chiplet(doc: Any, path: str) -> ChipletSpec:
-    return _section(ChipletSpec, doc, path, name=_text(doc, "name", path),
+    return _section(ChipletSpec, doc, path, keys=("name", "kind", "ports"),
+                    name=_text(doc, "name", path),
                     kind=doc.get("kind", ChipletSpec.kind),
                     ports=tuple(_port(pd, f"{path}.ports[{k}]")
                                 for k, pd in enumerate(_list(doc, "ports", path))))
@@ -593,14 +610,17 @@ def _stack(doc: Any, ambient_c: float) -> ThermalStack:
     if not isinstance(doc, dict):
         raise ValidationError("stack: expected an object")
     layers = ThermalStack.layers if "layers" not in doc else tuple(
-        _section(LayerSpec, ld, f"stack.layers[{i}]", name=_text(ld, "name", f"stack.layers[{i}]"))
+        _section(LayerSpec, ld, f"stack.layers[{i}]", keys=("name",),
+                 name=_text(ld, "name", f"stack.layers[{i}]"))
         for i, ld in enumerate(_list(doc, "layers", "stack")))
-    return _section(ThermalStack, doc, "stack", layers=layers, ambient_c=ambient_c)
+    return _section(ThermalStack, doc, "stack", keys=("layers",), layers=layers,
+                    ambient_c=ambient_c)
 
 
 def load_spec(document: dict | str | Path) -> PackageSpec:
     """Parse and validate a package spec document: a parsed dict or a path."""
     doc = read_document(document)
+    _known(doc, "", _DOCUMENT_KEYS)
     pkg = doc.get("package")
     name = _text(pkg, "name", "package", "package")
     chiplets_doc = doc.get("chiplets")
@@ -610,7 +630,8 @@ def load_spec(document: dict | str | Path) -> PackageSpec:
 
     require_unique([c.name for c in chiplets], "chiplets")
     stack = _stack(doc.get("stack", {}), _num(pkg, "ambient_c", "package", ThermalStack.ambient_c))
-    spec = _section(PackageSpec, pkg, "package", name=name, chiplets=chiplets, stack=stack)
+    spec = _section(PackageSpec, pkg, "package", keys=("name", "ambient_c"), name=name,
+                    chiplets=chiplets, stack=stack)
     links_from_spec(spec)  # a bad port fails every subcommand at load
     return spec
 
@@ -651,27 +672,33 @@ class SpecBundle:
     configs: tuple[ConfigSpec, ...]
 
 
+#: The top-level keys of a spec: the package's three, a bundle field's each, and a free-text note
+_DOCUMENT_KEYS = frozenset({"chiplets", "stack", "power_model_note",
+                            *(f.name for f in fields(SpecBundle))})
+
+
 def _tile(doc: Any, path: str) -> tuple[str, PowerParams]:
     return _text(doc, "name", path), _section(
-        PowerParams, doc, path, frequency_hz=_num(doc, "frequency_hz", path),
-        voltage_v=_num(doc, "voltage_v", path))
+        PowerParams, doc, path, keys=("name", "frequency_hz", "voltage_v"),
+        frequency_hz=_num(doc, "frequency_hz", path), voltage_v=_num(doc, "voltage_v", path))
 
 
 def _config_rows(docs: list, path: str) -> tuple[ConfigSpec, ...]:
-    rows = tuple(_section(ConfigSpec, doc, f"{path}[{i}]", name=_text(doc, "name", f"{path}[{i}]"))
+    rows = tuple(_section(ConfigSpec, doc, f"{path}[{i}]", keys=("name",),
+                          name=_text(doc, "name", f"{path}[{i}]"))
                  for i, doc in enumerate(docs))
     require_unique([r.name for r in rows], path)
     return rows
 
 
 def load_configs_csv(path: Path) -> tuple[ConfigSpec, ...]:
-    """Rows of a CSV with name,cost,throughput,latency columns, checked like
-    the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
+    """Rows of a CSV with name,cost,throughput,latency columns and no other,
+    checked like the spec's ``configs`` (field paths read ``<file>[<row>].<column>``)."""
     if not path.exists():
         raise ParseError(f"{path}: file not found")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # as spreadsheets save it
-            rows = list(csv.DictReader(fh))
+            rows = list(csv.DictReader(fh, restkey="(cells past the header)"))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: unreadable ({exc})") from None
     for row in rows:

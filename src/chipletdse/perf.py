@@ -1,4 +1,4 @@
-"""Analytic latency/throughput model and golden-ratio configuration ranking.
+"""Analytic latency model and golden-ratio configuration ranking.
 
 The golden ratio of compute is throughput / (latency * cost); only ratios
 and rankings between configurations are meaningful (the absolute value is
@@ -20,11 +20,6 @@ class PerfError(ChipletdseError, ValueError):
 def service_latency(s: ServiceSpec) -> float:
     """Word transfer time plus base service latency: b/R + Ti."""
     return s.word_bits / s.service_bandwidth + s.base_latency
-
-
-def throughput(s: ServiceSpec) -> float:
-    """k * F * channels, bits/s."""
-    return s.bits_per_channel_per_cycle * s.clock * s.channels
 
 
 def golden_ratio(config: ConfigSpec) -> float:

@@ -27,9 +27,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-def floorplan_svg(fp: Floorplan, kinds: dict[str, str] | None = None) -> str:
+def floorplan_svg(fp: Floorplan, kinds: dict[str, str]) -> str:
     """Render a floorplan; y is flipped so (0,0) is the lower-left corner."""
-    kinds = kinds or {}
     w_px, h_px = fp.width_mm * SCALE, fp.height_mm * SCALE
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -373,6 +373,18 @@ class TestSpecErrors:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda s: s.update(h_top_w_mk2=s.pop("h_top_w_m2k")), "stack.h_top_w_mk2: unknown key"),
+        (lambda s: s.update(ambient_c=45.0), "stack.ambient_c: unknown key"),  # package's key
+    ], ids=["misspelled", "held_by_package"])
+    def test_unknown_key_in_bundled_spec(self, tmp_path, capsys, edit, error):
+        doc = json.loads(Path(chipletdse.bundled_spec_path()).read_text())
+        edit(doc["stack"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cost", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("key", ["frequency_hz", "voltage_v"])
     def test_tile_operating_point_required(self, tmp_path, capsys, key):
         path = tmp_path / "bad.json"
@@ -439,6 +451,16 @@ class TestSpecErrors:
         cfg.write_text("name,cost,throughput,latency\nX,100,1e9,10\nY,100,1e9,0\n")
         assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}[1].latency: must be > 0 and finite\n"
+
+    @pytest.mark.parametrize("text, key", [
+        ("name,cost,throughput,latency,notes\nA,1,1e9,1,fast\n", "notes"),
+        ("name,cost,throughput,latency\nA,1,1e9,1,fast\n", "(cells past the header)"),
+    ], ids=["column", "cell"])
+    def test_configs_csv_unknown_column(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "notes.csv"
+        cfg.write_text(text)
+        assert main(["perf", "--configs", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}[0].{key}: unknown key\n"
 
     def test_configs_csv_ratio_out_of_range(self, tmp_path, capsys):
         cfg = tmp_path / "big.csv"

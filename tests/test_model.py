@@ -1,9 +1,11 @@
+import ast
 import copy
 import dataclasses
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +358,46 @@ class TestLayering:
         assert issubclass(cls, ChipletdseError) and issubclass(cls, base)
 
 
+PACKAGE_TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in Path(chipletdse.__file__).parent.glob("*.py")}
+
+
+def package_names_used(tree: ast.Module, home: str | None = None) -> set[tuple[str, str]]:
+    """The (module, name) pairs of the package that ``tree`` imports by name or
+    reads as ``<imported module>.<name>``, and, in ``home``'s own tree, each
+    bare name it loads. An attribute of anything else, such as
+    ``config.throughput``, is no use of a function."""
+    modules, used = {}, set()  # local name -> package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module == "chipletdse"
+                                                 or (node.module or "").startswith("chipletdse.")):
+            source = (node.module or "chipletdse").removeprefix("chipletdse").lstrip(".")
+            for alias in node.names:
+                if not source and alias.name in PACKAGE_TREES:  # from . import svgout
+                    modules[alias.asname or alias.name] = alias.name
+                else:  # from .model import load_bundle; from . import bundled_spec_path
+                    used.add((source or "__init__", alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.add((modules[node.value.id], node.attr))
+        elif home and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add((home, node.id))
+    return used
+
+
+class TestPublicFunctionsAreReachable:
+    def test_each_is_used_by_the_package_or_the_acceptance_tests(self):
+        """No public function is reachable only from tests unless it backs a
+        paper claim, which tests/test_acceptance.py checks."""
+        acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text("utf-8"))
+        used = package_names_used(acceptance).union(
+            *(package_names_used(tree, home) for home, tree in PACKAGE_TREES.items()))
+        public = {(home, node.name) for home, tree in PACKAGE_TREES.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        assert sorted(public - used) == []
+
+
 BUNDLED_DOC = json.loads(Path(chipletdse.bundled_spec_path()).read_text())
 FLOORPLAN_DOC = floorplan_to_document(bst_placement(load_spec(BUNDLED_DOC)))
 
@@ -372,6 +414,14 @@ SECTIONS = [
     (ConfigSpec, "configs[0]", lambda d: d["configs"][0]),
     (PlacedChiplet, "placements[0]", lambda d: d["placements"][0]),
     (Floorplan, "interposer", lambda d: d["interposer"]),
+]
+#: (path, object, whether a floorplan document holds it) of every object the
+#: loaders read: each section above, then the ones read by hand
+OBJECTS = [(path, section, cls in (PlacedChiplet, Floorplan)) for cls, path, section in SECTIONS] + [
+    ("", lambda d: d, False),
+    ("chiplets[0].ports[0]", lambda d: d["chiplets"][0]["ports"][0], False),
+    ("", lambda d: d, True),
+    ("links[0]", lambda d: d["links"][0], True),
 ]
 HELD_ELSEWHERE = {"ambient_c": ("package", lambda d: d["package"])}  # ThermalStack's
 GIVEN_KEYS = {"name", "kind", "ports", "layers"}  # passed to _section through ``given``
@@ -407,6 +457,29 @@ class TestSpecKeysAreFieldNames:
             held = {key for key, (where, _) in HELD_ELSEWHERE.items() if where == path}
             fields = {f.name for f in dataclasses.fields(cls)} | held
             assert set(section(doc)) - fields <= GIVEN_KEYS, path
+
+    @pytest.mark.parametrize("path, section, floorplan", [
+        pytest.param(path, section, floorplan, id=f"{'floorplan' if floorplan else 'spec'}:{path}")
+        for path, section, floorplan in OBJECTS])
+    def test_unknown_key_is_named(self, path, section, floorplan):
+        doc = copy.deepcopy(FLOORPLAN_DOC if floorplan else BUNDLED_DOC)
+        section(doc)["spare"] = 1.0
+        key = f"{path}.spare" if path else "spare"
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)}: unknown key$"):
+            (floorplan_from_document if floorplan else load_bundle)(doc)
+
+    @pytest.mark.parametrize("path, key, floorplan", [
+        ("stack", "ambient_c", False),  # package.ambient_c holds it
+        ("package", "chiplets", False),
+        ("package", "stack", False),
+        ("interposer", "placements", True),
+        ("interposer", "links", True),
+    ])
+    def test_field_given_from_elsewhere_is_no_key(self, path, key, floorplan):
+        doc = copy.deepcopy(FLOORPLAN_DOC if floorplan else BUNDLED_DOC)
+        doc[path][key] = copy.deepcopy(doc[key] if key in doc else doc["package"][key])
+        with pytest.raises(ValidationError, match=rf"^{path}\.{key}: unknown key$"):
+            (floorplan_from_document if floorplan else load_bundle)(doc)
 
     def test_bundle_fields_are_the_optional_sections(self):
         """Besides ``package`` (read from package, chiplets and stack), each

@@ -8,7 +8,6 @@ from chipletdse.perf import (
     golden_ratio,
     rank_configs,
     service_latency,
-    throughput,
 )
 
 # reference configuration fixture (cost, throughput, latency) with known
@@ -32,15 +31,6 @@ class TestLatencyThroughput:
     def test_zero_base_latency(self):
         s = ServiceSpec(word_bits=256, service_bandwidth=32e9)
         assert service_latency(s) == pytest.approx(8e-9, rel=1e-12)
-
-    def test_throughput(self):
-        s = ServiceSpec(word_bits=64, service_bandwidth=1e9, clock=2e9,
-                        channels=16, bits_per_channel_per_cycle=2.0)
-        assert throughput(s) == pytest.approx(64e9, rel=1e-12)
-
-    def test_zero_channels_zero_throughput(self):
-        s = ServiceSpec(word_bits=64, service_bandwidth=1e9, channels=0)
-        assert throughput(s) == 0.0
 
 
 class TestGoldenRatio:
