@@ -3,8 +3,9 @@
 Subcommands: cost, power, perf, phy, thermal, place, calibrate-k, sweep,
 rerun. Each subcommand computes its reports and stdout lines without
 touching --out; main then creates --out, writes every report and a
-manifest.json (inputs with content hashes, seed, timestamp), and prints
-the lines once the last write has succeeded. Numeric output is formatted
+manifest.json (inputs with content hashes, seed, timestamp) into a staging
+directory inside it, moves each into place once the last write has
+succeeded, and prints the lines. Numeric output is formatted
 to 6 significant digits so reruns are byte-identical.
 """
 
@@ -15,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -295,10 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command line, or for rerun the one its manifest records. The
     subcommand gets the loaded spec (None without --spec) and returns its
-    reports and stdout lines; only then is --out created and every report
-    written, manifest.json last, and the lines printed once all are written.
-    A path that cannot be written exits 1 with one error line, and removes
-    the reports this run had written."""
+    reports and stdout lines; only then is --out created, every report
+    written, manifest.json last, into a staging directory inside it, each
+    moved into place once all are written, and the lines printed. A report
+    path that exists and is not a regular file, or a path that cannot be
+    written, exits 1 with one error line and leaves the files in --out as
+    they were, unless a move itself fails."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
@@ -307,18 +311,30 @@ def main(argv: list[str] | None = None) -> int:
         bundle = load_bundle(Path(args.spec), vars(args)) if args.spec else None
         reports, lines = args.func(args, bundle)
         reports["manifest.json"] = _manifest(args, bundle, argv)
-        out = path = Path(args.out)
-        written = []
+        out = Path(args.out)
+        staging = out / f".chipletdse-staging-{os.getpid()}"
         try:
-            out.mkdir(parents=True, exist_ok=True)
-            for name, text in reports.items():
+            for name in reports:
                 path = out / name
-                with path.open("w", newline="") as fh:
-                    written.append(path)
-                    (fh.write if isinstance(text, str) else fh.writelines)(text)
+                if path.exists() and not path.is_file():
+                    raise ChipletdseError(f"{path}: not a regular file")
+            path = out
+            out.mkdir(parents=True, exist_ok=True)
+            path = staging
+            staging.mkdir()
+            try:
+                for name, text in reports.items():
+                    path = staging / name
+                    with path.open("w", newline="") as fh:
+                        (fh.write if isinstance(text, str) else fh.writelines)(text)
+                for name in reports:
+                    path = out / name
+                    (staging / name).replace(path)
+            finally:  # only what this run staged and did not move
+                for staged in staging.iterdir():
+                    staged.unlink()
+                staging.rmdir()
         except OSError as exc:
-            for done in written:
-                done.unlink()
             raise ChipletdseError(f"{path}: unwritable ({exc})") from None
         for line in lines:
             print(line)

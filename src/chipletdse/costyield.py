@@ -59,7 +59,6 @@ class DieCost:
 @dataclass(frozen=True)
 class CostBreakdown:
     dies: tuple[DieCost, ...]
-    raw_die_cost: float
     assembly_yield: float
     package_cost: float
 
@@ -80,7 +79,7 @@ def package_cost(areas: list[float], params: ProcessCostParams) -> CostBreakdown
     """Total package cost of one die per area, joined by params.n_connections
     connections; ``dies`` follows ``areas``."""
     if not areas:
-        return CostBreakdown((), 0.0, 1.0, 0.0)
+        return CostBreakdown((), 1.0, 0.0)
     dies = tuple(die_cost(area, params) for area in areas)
     raw = 0.0
     for d in dies:  # in area order: the report's sum is byte-stable
@@ -88,7 +87,7 @@ def package_cost(areas: list[float], params: ProcessCostParams) -> CostBreakdown
     ay = assembly_yield(len(dies), params)
     if ay == 0:
         raise CostModelError("assembly yield underflows to 0")
-    return CostBreakdown(dies, raw, ay, raw / ay)
+    return CostBreakdown(dies, ay, raw / ay)
 
 
 def cost_ratio(soc_area: float, chiplet_areas: list[float], params: ProcessCostParams) -> float:

@@ -578,9 +578,9 @@ class TestFailedRunLeavesNoOut:
 
 class TestUnwritableOut:
     """An --out that cannot be made a directory, or a report or manifest path
-    in it that cannot be written, exits 1 with one
-    `error: <path>: unwritable (<os error>)` line, as an unreadable input
-    does, prints nothing to stdout and leaves none of its reports."""
+    in it that cannot be written, exits 1 with one error line, as an
+    unreadable input does, prints nothing to stdout, leaves none of its
+    reports and no staging directory, and leaves every file in --out as it was."""
 
     @pytest.mark.parametrize("command", ["cost", "place"])
     @pytest.mark.parametrize("out, reason", [
@@ -607,10 +607,41 @@ class TestUnwritableOut:
         command, *flags = argv.split()
         assert main([command, "--spec", spec_path, *flags, "--out", str(out)]) == 1
         path = out / name
-        assert capsys.readouterr() == ("", f"error: {path}: unwritable "
-                                           f"([Errno 21] Is a directory: '{path}')\n")
-        # the reports written before the failed one are removed: only the pre-made directory
+        assert capsys.readouterr() == ("", f"error: {path}: not a regular file\n")
+        # refused before any write: only the pre-made directory
         assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_run_keeps_an_earlier_runs_reports(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["place", "--spec", spec_path, "--seed", "1", "--out", str(out)]) == 0
+        (out / "floorplan.svg").unlink()
+        (out / "floorplan.svg").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main(["place", "--spec", spec_path, "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {out / 'floorplan.svg'}: not a regular file\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "floorplan.svg"])
+
+    def test_write_failure_keeps_an_earlier_runs_reports(self, spec_path, tmp_path, capsys,
+                                                         monkeypatch):
+        out = tmp_path / "d"
+        argv = ["thermal", "--spec", spec_path, "--out", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def disk_full(tf):
+            yield "layer,x,y,t_c\r\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("chipletdse.cli._field_csv", disk_full)
+        capsys.readouterr()
+        assert main(argv) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("error: ")
+        assert stderr.endswith("temperature_field.csv: unwritable "
+                               "([Errno 28] No space left on device)\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestFlagReadAsSpecKey:

@@ -398,6 +398,44 @@ class TestPublicFunctionsAreReachable:
         assert sorted(public - used) == []
 
 
+#: perfbench/traced.py's tracer hook, read by name from perfbench alone (ROADMAP item 20)
+TRACER_HOOKS = {("Floorplan", "is_valid")}
+
+
+class TestPublicAttributesAreRead:
+    def test_each_is_read_by_the_package_or_the_acceptance_tests(self):
+        """Every public field, method and property of a public package class is
+        read as ``.<name>`` by the package or by tests/test_acceptance.py, or is
+        a field that ``_section`` fills from a spec document. Names are matched,
+        not types: a read of ``grid.nx`` also counts for ``PowerMap.nx``."""
+        acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text("utf-8"))
+        read = {node.attr for tree in [acceptance, *PACKAGE_TREES.values()]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        members, fields = {}, {}  # class -> public members; class -> its annotated fields
+        for tree in PACKAGE_TREES.values():
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                    fields[cls.name] = {s.target.id for s in cls.body
+                                        if isinstance(s, ast.AnnAssign)}
+                    names = set(fields[cls.name])
+                    for s in cls.body:
+                        if isinstance(s, ast.FunctionDef):  # a method or property
+                            names.add(s.name)
+                        elif isinstance(s, ast.Assign):  # such as nx = property(...)
+                            names.update(t.id for t in s.targets if isinstance(t, ast.Name))
+                    members[cls.name] = {n for n in names if not n.startswith("_")}
+        filled = {(call.args[0].id, f) for tree in PACKAGE_TREES.values()
+                  for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                  and call.func.id == "_section"
+                  for f in fields[call.args[0].id] - {k.arg for k in call.keywords}}
+        unread = {(cls, name) for cls, names in members.items() for name in names
+                  if name not in read} - filled
+        assert sorted(unread - TRACER_HOOKS) == []
+        assert TRACER_HOOKS <= unread  # a hook read by the package is no exception
+
+
 BUNDLED_DOC = json.loads(Path(chipletdse.bundled_spec_path()).read_text())
 FLOORPLAN_DOC = floorplan_to_document(bst_placement(load_spec(BUNDLED_DOC)))
 
